@@ -28,7 +28,7 @@ from .functionals import (
     linf_penalty,
     p_power_norm,
 )
-from .grids import GridFunction, from_callable, grid_nodes
+from .grids import GridFunction, from_callable
 from .operators import (
     DomainSpec,
     ForwardOperator,

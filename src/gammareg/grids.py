@@ -24,6 +24,7 @@ __all__ = [
     "norm",
     "inner_l2",
     "resample",
+    "interpolation_matrix",
     "resample_matrix",
     "from_callable",
 ]
@@ -187,6 +188,17 @@ def resample(
     return GridFunction(np.interp(xt, xs, vs), includes_endpoints)
 
 
+def interpolation_matrix(src_nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows of piecewise-linear interpolation weights at arbitrary points."""
+    idx = np.clip(np.searchsorted(src_nodes, points, side="right") - 1, 0, src_nodes.size - 2)
+    theta = (points - src_nodes[idx]) / (src_nodes[idx + 1] - src_nodes[idx])
+    mat = np.zeros((points.size, src_nodes.size))
+    rows = np.arange(points.size)
+    mat[rows, idx] = 1.0 - theta
+    mat[rows, idx + 1] += theta
+    return mat
+
+
 def resample_matrix(
     src_m: int,
     dst_m: int,
@@ -197,13 +209,7 @@ def resample_matrix(
     xs = grid_nodes(src_m, src_endpoints)
     if not src_endpoints:
         xs = np.concatenate(([0.0], xs, [1.0]))
-    xt = grid_nodes(dst_m, dst_endpoints)
-    idx = np.clip(np.searchsorted(xs, xt, side="right") - 1, 0, xs.size - 2)
-    theta = (xt - xs[idx]) / (xs[idx + 1] - xs[idx])
-    mat = np.zeros((dst_m, xs.size))
-    rows = np.arange(dst_m)
-    mat[rows, idx] = 1.0 - theta
-    mat[rows, idx + 1] += theta
+    mat = interpolation_matrix(xs, grid_nodes(dst_m, dst_endpoints))
     if not src_endpoints:
         mat = mat[:, 1:-1]  # implicit zero boundary carries no unknowns
     return mat

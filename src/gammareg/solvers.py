@@ -10,7 +10,7 @@ projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,13 +22,14 @@ from .errors import (
     UnsupportedPenaltyError,
 )
 from .functionals import ExtReal, POS_INF, TikhonovProblem, eval_T
-from .grids import GridFunction, NormTag, norm, trapezoid_weights
+from .grids import GridFunction, NormTag, trapezoid_weights
 from .operators import DomainSpec, ForwardOperator, membership
 
 __all__ = [
     "SolveConfig",
     "SolveResult",
     "TikhonovObjective",
+    "normal_equations",
     "solve_linear_quadratic",
     "projected_gradient",
     "minimize_problem",
@@ -84,15 +85,12 @@ class TikhonovObjective:
         self.penalty = problem.penalty
         self.domain = problem.domain
 
-    def _as_grid(self, vals: np.ndarray) -> GridFunction:
-        return GridFunction(vals)
-
     def value_at(self, vals: np.ndarray) -> float:
         r = self.matrix @ vals - self.y
         misfit = math.sqrt(max(float(r * r @ self.w_out), 0.0))
         out = misfit**self.p / self.p
         if self.alpha > 0.0:
-            out += self.alpha * self.penalty.evaluate(self._as_grid(vals))
+            out += self.alpha * self.penalty.evaluate(GridFunction(vals))
         return out
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
@@ -105,7 +103,7 @@ class TikhonovObjective:
             weighted = misfit ** (self.p - 2.0) * weighted if misfit > 0.0 else 0.0 * weighted
         g = weighted
         if self.alpha > 0.0:
-            g = g + self.alpha * self.penalty.coordinate_gradient(self._as_grid(vals))
+            g = g + self.alpha * self.penalty.coordinate_gradient(GridFunction(vals))
         return g
 
     def riesz_gradient(self, vals: np.ndarray) -> np.ndarray:
@@ -131,11 +129,29 @@ def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarr
     raise UnsupportedPenaltyError("projection supports L2 and sup-norm balls only")
 
 
-def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
-    """Closed-form minimizer via the quadrature-weighted normal equations.
+def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix A^T W A + alpha W_X and right side A^T W y + alpha W_X x0.
 
-    (A^T W A + alpha W_X) x = A^T W y (+ alpha W_X x0 for the shifted
-    penalty). Verifies the relative residual of the solve; at alpha = 0 a
+    W and W_X are the trapezoid weights of the output and input grids; x0
+    is the penalty shift, or 0.
+    """
+    op, a, alpha = problem.operator, problem.operator.matrix, problem.alpha
+    w_out = trapezoid_weights(op.output_m)
+    w_in = trapezoid_weights(op.input_m)
+    gram = a.T @ (w_out[:, None] * a) + alpha * np.diag(w_in)
+    rhs = a.T @ (w_out * problem.data_y.values)
+    if problem.penalty.kind == "shifted_half_sq":
+        shift = problem.penalty.shift
+        if shift.node_count != op.input_m or not shift.includes_endpoints:
+            raise GridCompatibilityError("penalty shift must live on the input grid")
+        rhs = rhs + alpha * w_in * shift.values
+    return gram, rhs
+
+
+def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
+    """Closed-form minimizer: solves the system of `normal_equations`.
+
+    Verifies the relative residual of the solve; at alpha = 0 a
     rank-deficient operator yields an infeasible result instead of a
     spurious solution.
     """
@@ -145,23 +161,11 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
             "and an unconstrained domain"
         )
     op = problem.operator
-    a = op.matrix
-    w_out = trapezoid_weights(op.output_m)
-    w_in = trapezoid_weights(op.input_m)
-    y = problem.data_y.values
-    alpha = problem.alpha
-
-    if alpha == 0.0 and np.linalg.matrix_rank(a) < op.input_m:
+    if problem.alpha == 0.0 and np.linalg.matrix_rank(op.matrix) < op.input_m:
         zero = GridFunction(np.zeros(op.input_m))
         return SolveResult(zero, POS_INF, 0, "infeasible", math.inf)
 
-    gram = a.T @ (w_out[:, None] * a) + alpha * np.diag(w_in)
-    rhs = a.T @ (w_out * y)
-    if problem.penalty.kind == "shifted_half_sq":
-        shift = problem.penalty.shift
-        if shift.node_count != op.input_m or not shift.includes_endpoints:
-            raise GridCompatibilityError("penalty shift must live on the input grid")
-        rhs = rhs + alpha * w_in * shift.values
+    gram, rhs = normal_equations(problem)
     x = np.linalg.solve(gram, rhs)
     scale = max(float(np.linalg.norm(rhs)), 1e-30)
     residual = float(np.linalg.norm(gram @ x - rhs))
@@ -289,9 +293,8 @@ def min_penalty_solution(
     must be below 1e-8.
     """
     a = operator.matrix
-    w_out = trapezoid_weights(operator.output_m)
     w_in = trapezoid_weights(operator.input_m)
-    sqrt_w = np.sqrt(w_out)
+    sqrt_w = np.sqrt(trapezoid_weights(operator.output_m))
     x_ls = np.linalg.lstsq(sqrt_w[:, None] * a, sqrt_w * y.values, rcond=None)[0]
     ls_residual = float(np.linalg.norm(sqrt_w * (a @ x_ls - y.values)))
     if ls_residual > 1e-8:
@@ -302,8 +305,7 @@ def min_penalty_solution(
     ladder = sorted(ladder, reverse=True)
     if len(ladder) < 3:
         raise GridCompatibilityError("alpha ladder needs at least three rungs")
-    gram_base = a.T @ (w_out[:, None] * a)
-    rhs = a.T @ (w_out * y.values)
+    gram_base, rhs = normal_equations(TikhonovProblem(operator, y, alpha=0.0))
     iterates = []
     for alpha in ladder:
         iterates.append(np.linalg.solve(gram_base + alpha * np.diag(w_in), rhs))

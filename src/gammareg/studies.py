@@ -33,6 +33,7 @@ from .solvers import (
     TikhonovObjective,
     min_penalty_solution,
     minimize_problem,
+    normal_equations,
 )
 
 __all__ = [
@@ -489,16 +490,9 @@ def scaling_invariance_check(
             raise GridCompatibilityError("per-level scaling must be positive and finite")
         problem = seq.problem_at(n)
         res = minimize_problem(problem, solver)
-        objective = TikhonovObjective(problem)
-        w_out, w_in = objective.w_out, objective.w_in
-        a = problem.operator.matrix
-        gram = lam * (a.T @ (w_out[:, None] * a) + problem.alpha * np.diag(w_in))
-        rhs = a.T @ (w_out * problem.data_y.values)
-        if problem.penalty.kind == "shifted_half_sq":
-            rhs = rhs + problem.alpha * w_in * problem.penalty.shift.values
-        rhs = lam * rhs
-        x_scaled = np.linalg.solve(gram, rhs)
-        v_scaled = lam * objective.value_at(x_scaled)
+        gram, rhs = normal_equations(problem)
+        x_scaled = np.linalg.solve(lam * gram, lam * rhs)
+        v_scaled = lam * TikhonovObjective(problem).value_at(x_scaled)
         lambdas.append(lam)
         values.append(res.value.as_float())
         scaled_values.append(v_scaled)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gammareg import fem
 from gammareg import (
     EllipticProblem,
     EllipticityError,
@@ -157,6 +158,28 @@ def test_rate_study_frozen_slope():
     # regression pin for the slope on the 4-level ladder with c = 1
     study = rate_study(manufactured_sine(ONE), (7, 15, 31, 63))
     assert study.slope == pytest.approx(-1.8927475517462562, abs=1e-9)
+
+
+def test_rate_study_runs_past_the_conditioning_of_fine_levels():
+    # ||Au - b|| / ||b|| grows like the condition number (about n^2) and
+    # exceeds 1e-12 from n = 300 on; the backward error stays near 1e-16
+    study = rate_study(manufactured_sine(ONE), (16, 32, 64, 128, 256, 512))
+    assert study.levels[-1] == 512
+    assert -2.2 <= study.slope <= -1.8
+
+
+def test_solve_bvp_refuses_a_perturbed_solution(monkeypatch):
+    # a 1e-11 relative error, alternating in sign, is a backward error of
+    # about 1e-11, far above what Thomas elimination leaves behind
+    exact_solve = fem.thomas_solve
+
+    def perturbed(system, rhs=None):
+        u = exact_solve(system, rhs)
+        return u * (1.0 + 1e-11 * (-1.0) ** np.arange(u.shape[0]))
+
+    monkeypatch.setattr(fem, "thomas_solve", perturbed)
+    with pytest.raises(NumericalError, match="backward error"):
+        solve_bvp(manufactured_sine(ONE), GalerkinLevel(64))
 
 
 def test_rate_study_needs_three_levels():

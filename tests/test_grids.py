@@ -19,6 +19,7 @@ from gammareg import (
     resample_matrix,
     trapezoid_weights,
 )
+from gammareg.grids import interpolation_matrix
 
 
 # ---------------------------------------------------------------- nodes
@@ -232,3 +233,20 @@ def test_norm_absolute_homogeneity(values, scale):
     g = GridFunction(np.asarray(values))
     scaled = GridFunction(scale * g.values)
     assert norm(scaled) == pytest.approx(abs(scale) * norm(g), rel=1e-10, abs=1e-10)
+
+
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+    st.data(),
+)
+def test_interpolation_matrix_at_arbitrary_points(m, points, data):
+    # nodes and both endpoints are always among the points
+    nodes = grid_nodes(m)
+    pts = np.concatenate((points, nodes, [0.0, 1.0]))
+    box = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+    v = np.array(data.draw(st.lists(box, min_size=m, max_size=m)))
+    mat = interpolation_matrix(nodes, pts)
+    assert mat.shape == (pts.size, m)
+    assert np.allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(mat @ v, np.interp(pts, nodes, v), rtol=0.0, atol=1e-11)

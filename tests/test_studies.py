@@ -23,6 +23,7 @@ from gammareg import (
     eval_T,
     from_callable,
     gaussian_kernel,
+    half_sq_l2,
     identity_operator,
     inf_convergence_study,
     make_approx_sequence,
@@ -33,6 +34,7 @@ from gammareg import (
     p_power_norm,
     richardson_limit,
     scaling_invariance_check,
+    shifted_half_sq,
     standard_samples,
 )
 
@@ -249,26 +251,28 @@ def test_limit_estimator_rejects_non_finite_families():
 # ----------------------------------------------------------------- scaling
 
 
-def scaling_sequence():
+def scaling_sequence(penalty=half_sq_l2()):
     family = make_quadrature_family(gaussian_kernel(0.2), (4, 8, 16), 33, input_m=33)
     op = family.reference
     truth = from_callable(lambda t: np.sin(np.pi * t), 33)
-    target = TikhonovProblem(op, op.apply(truth), alpha=0.1)
+    target = TikhonovProblem(op, op.apply(truth), alpha=0.1, penalty=penalty)
     return make_approx_sequence(target, make_constant_family(op, (4, 8, 16)))
 
 
 def test_scaling_identity_holds_per_level_and_in_the_limit():
     # noiseless constant family: level values are n-independent, so the
-    # extrapolated limits obey the scaling identity exactly
-    seq = scaling_sequence()
-    report = scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
-    assert max(report.identity_residuals) < 1e-12
-    assert max(report.argmin_distances) < 1e-8
-    assert report.identity_ok and report.limit_ok and report.verdict
-    assert report.scaled_limit == pytest.approx(
-        2.0 * report.unscaled_limit, rel=1e-12
-    )
-    assert report.lambdas == tuple(2.0 + 1.0 / n for n in (4, 8, 16))
+    # extrapolated limits obey the scaling identity exactly; the shifted
+    # penalty adds its alpha W_X x0 term to the scaled right-hand side
+    shift = from_callable(lambda t: 0.5 * np.cos(np.pi * t), 33)
+    for seq in (scaling_sequence(), scaling_sequence(shifted_half_sq(shift))):
+        report = scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
+        assert max(report.identity_residuals) < 1e-12
+        assert max(report.argmin_distances) < 1e-8
+        assert report.identity_ok and report.limit_ok and report.verdict
+        assert report.scaled_limit == pytest.approx(
+            2.0 * report.unscaled_limit, rel=1e-12
+        )
+        assert report.lambdas == tuple(2.0 + 1.0 / n for n in (4, 8, 16))
 
 
 def test_scaling_check_validates_scalings():
