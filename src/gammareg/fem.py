@@ -18,9 +18,11 @@ from .grids import (
     GridFunction,
     _effective_nodes_values,
     grid_nodes,
+    interpolate_rows,
     interpolation_matrix,
+    interpolation_weights,
     resample,
-    resample_matrix,
+    resample_matrix,  # unused here; bench/tracer.py wraps it under this module
     trapezoid_weights,
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, whole_space
@@ -222,9 +224,9 @@ def fem_operator_matrix(
     interp1 = interpolation_matrix(src_nodes, p1)
     interp2 = interpolation_matrix(src_nodes, p2)
     rhs = _load_from_gauss_values(level, interp1, interp2)
-    u_cols = thomas_solve(system, rhs)
-    prolong = resample_matrix(level.n, output_m, src_endpoints=False)
-    return prolong @ u_cols
+    u_cols = np.pad(thomas_solve(system, rhs), ((1, 1), (0, 0)))  # zero boundary rows
+    prolong = interpolation_weights(grid_nodes(level.n + 2), grid_nodes(output_m))
+    return interpolate_rows(prolong, u_cols)
 
 
 def make_fem_family(

@@ -24,7 +24,10 @@ __all__ = [
     "norm",
     "inner_l2",
     "resample",
+    "interpolation_weights",
     "interpolation_matrix",
+    "interpolate_rows",
+    "restrict_columns",
     "resample_matrix",
     "from_callable",
 ]
@@ -188,15 +191,58 @@ def resample(
     return GridFunction(np.interp(xt, xs, vs), includes_endpoints)
 
 
-def interpolation_matrix(src_nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows of piecewise-linear interpolation weights at arbitrary points."""
+def interpolation_weights(
+    src_nodes: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-linear interpolation weights at arbitrary points.
+
+    Returns (idx, theta): the value at points[i] is
+    (1 - theta[i]) * v[idx[i]] + theta[i] * v[idx[i] + 1].
+    """
     idx = np.clip(np.searchsorted(src_nodes, points, side="right") - 1, 0, src_nodes.size - 2)
     theta = (points - src_nodes[idx]) / (src_nodes[idx + 1] - src_nodes[idx])
+    return idx, theta
+
+
+def interpolation_matrix(src_nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows of piecewise-linear interpolation weights at arbitrary points."""
+    idx, theta = interpolation_weights(src_nodes, points)
     mat = np.zeros((points.size, src_nodes.size))
     rows = np.arange(points.size)
     mat[rows, idx] = 1.0 - theta
     mat[rows, idx + 1] += theta
     return mat
+
+
+def interpolate_rows(weights: tuple[np.ndarray, np.ndarray], mat: np.ndarray) -> np.ndarray:
+    """`interpolation_matrix(src, points) @ mat`, two source rows per point."""
+    idx, theta = weights
+    theta = theta.reshape(theta.shape + (1,) * (mat.ndim - 1))
+    out = mat[idx]
+    out *= 1.0 - theta
+    upper = mat[idx + 1]
+    upper *= theta
+    out += upper
+    return out
+
+
+def restrict_columns(
+    mat: np.ndarray, weights: tuple[np.ndarray, np.ndarray], src_m: int
+) -> np.ndarray:
+    """`mat @ interpolation_matrix(src, points)` for src_m source nodes.
+
+    The columns of `mat` belong to the points, which must be sorted; each
+    is added, with its two weights, into the columns of its interval ends.
+    """
+    idx, theta = weights
+    if np.any(np.diff(idx) < 0):
+        raise GridCompatibilityError("restrict_columns needs sorted points")
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))  # first point of each interval
+    ends = idx[starts]
+    out = np.zeros(mat.shape[:-1] + (src_m,))
+    out[..., ends] = np.add.reduceat(mat * (1.0 - theta), starts, axis=-1)
+    out[..., ends + 1] += np.add.reduceat(mat * theta, starts, axis=-1)
+    return out
 
 
 def resample_matrix(

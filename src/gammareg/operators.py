@@ -20,9 +20,12 @@ from .grids import (
     NormTag,
     from_callable,
     grid_nodes,
+    interpolate_rows,
+    interpolation_weights,
     norm,
     resample,
-    resample_matrix,
+    resample_matrix,  # unused here; bench/tracer.py wraps it under this module
+    restrict_columns,
     trapezoid_weights,
 )
 
@@ -150,24 +153,50 @@ def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperat
     return ForwardOperator(np.eye(m), m, m, domain or whole_space(), "identity")
 
 
+_BLOCK_ROWS = 64  # kernel rows evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
+
+
+def _kernel_rows(kernel: KernelSpec, quad_m: int, rows: slice) -> np.ndarray:
+    """Rows of the quadrature-weighted kernel matrix K(s_i, s_j) w_j."""
+    s = grid_nodes(quad_m)
+    k = np.asarray(kernel.evaluator(s[None, :], s[rows, None]), dtype=float)
+    return k * trapezoid_weights(quad_m)
+
+
+def _row_blocks(m: int):
+    return (slice(i, min(i + _BLOCK_ROWS, m)) for i in range(0, m, _BLOCK_ROWS))
+
+
 def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:
     """Collocation matrix of x |-> integral K(s, .) x(s) ds.
 
     Trapezoid quadrature at quad_m nodes; the result is evaluated at the
     same quad_m output nodes, so the matrix is square.
     """
-    s = grid_nodes(quad_m)
-    w = trapezoid_weights(quad_m)
-    k = np.asarray(kernel.evaluator(s[None, :], s[:, None]), dtype=float)
-    return k * w[None, :]
+    return _kernel_rows(kernel, quad_m, slice(None))
 
 
 def integral_apply(kernel: KernelSpec, x: GridFunction, quad_m: int) -> GridFunction:
     """Apply the integral operator with trapezoid quadrature at quad_m nodes."""
     if quad_m < 2:
         raise GridCompatibilityError("quadrature needs at least 2 nodes")
-    xs = resample(x, quad_m)
-    return GridFunction(integral_matrix(kernel, quad_m) @ xs.values)
+    xs = resample(x, quad_m).values
+    return GridFunction(
+        np.concatenate([_kernel_rows(kernel, quad_m, rows) @ xs for rows in _row_blocks(quad_m)])
+    )
+
+
+def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndarray:
+    """`integral_matrix(kernel, quad_m) @ resample_matrix(input_m, quad_m)`.
+
+    Built a block of kernel rows at a time, with the input interpolation
+    applied to each block by its two weights per quadrature node.
+    """
+    weights = interpolation_weights(grid_nodes(input_m), grid_nodes(quad_m))
+    out = np.empty((quad_m, input_m))
+    for rows in _row_blocks(quad_m):
+        out[rows] = restrict_columns(_kernel_rows(kernel, quad_m, rows), weights, input_m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,11 +255,8 @@ def make_quadrature_family(
         raise GridCompatibilityError("shrinking domains need a norm-ball reference domain")
 
     def build(n: int) -> ForwardOperator:
-        mat = (
-            resample_matrix(n, m_ref)
-            @ integral_matrix(kernel, n)
-            @ resample_matrix(input_m, n)
-        )
+        to_ref = interpolation_weights(grid_nodes(n), grid_nodes(m_ref))
+        mat = interpolate_rows(to_ref, _quadrature_matrix(kernel, n, input_m))
         return ForwardOperator(mat, input_m, m_ref, domain_at(n), f"{kernel.label}@{n}")
 
     def domain_at(n: int) -> DomainSpec:
@@ -238,7 +264,7 @@ def make_quadrature_family(
             return DomainSpec(dom.kind, dom.radius * (1.0 - 1.0 / n), dom.tag)
         return dom
 
-    ref_mat = integral_matrix(kernel, m_ref) @ resample_matrix(input_m, m_ref)
+    ref_mat = _quadrature_matrix(kernel, m_ref, input_m)
     reference = ForwardOperator(ref_mat, input_m, m_ref, dom, f"{kernel.label}@ref{m_ref}")
     return OperatorFamily(levels, reference, build, domain_at, kernel.label)
 

@@ -124,7 +124,14 @@ def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarr
     if domain.tag is NormTag.L2:
         size = math.sqrt(max(float(vals * vals @ w_in), 0.0))
         if size > domain.radius:
-            vals = vals * (domain.radius / size)
+            # The scaled norm can round to a step above the radius; shrink
+            # the factor until the norm, computed as `grids.norm` does, fits.
+            scale = domain.radius / size
+            out = vals * scale
+            while math.sqrt(max(float(out * out @ w_in), 0.0)) > domain.radius:
+                scale = math.nextafter(scale, 0.0)
+                out = vals * scale
+            return out
         return vals
     raise UnsupportedPenaltyError("projection supports L2 and sup-norm balls only")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gammareg import fem
+from gammareg.grids import interpolation_matrix
 from gammareg import (
     EllipticProblem,
     EllipticityError,
@@ -17,11 +18,13 @@ from gammareg import (
     assemble,
     fem_forward,
     from_callable,
+    grid_nodes,
     l2_error_vs_exact,
     make_fem_family,
     norm,
     rate_study,
     resample,
+    resample_matrix,
     solve_bvp,
     thomas_solve,
 )
@@ -230,3 +233,31 @@ def test_fem_family_approximates_reference():
     ref = family.reference.apply(f)
     gaps = [norm(family.operator_at(n).apply(f) - ref) for n in family.levels]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def _dense_fem_operator(potential, n, input_m, output_m):
+    # the dense prolongation fem_operator_matrix avoids, kept as the oracle
+    level = GalerkinLevel(n)
+    p1, p2 = fem._gauss_points(level)
+    src = grid_nodes(input_m)
+    rhs = fem._load_from_gauss_values(
+        level, interpolation_matrix(src, p1), interpolation_matrix(src, p2)
+    )
+    u_cols = thomas_solve(assemble(EllipticProblem(potential, None), level), rhs)
+    return resample_matrix(n, output_m, src_endpoints=False) @ u_cols
+
+
+@pytest.mark.parametrize("potential", [ONE, lambda t: 1.0 + np.cos(3.0 * t)], ids=["one", "cos"])
+def test_fem_family_operators_equal_the_dense_products(potential):
+    n_ref, levels = 1025, (8, 16, 33, 64)
+    family = make_fem_family(potential, levels, n_ref, input_m=65)
+    for n, op in [(n_ref, family.reference)] + [(n, family.operator_at(n)) for n in levels]:
+        want = _dense_fem_operator(potential, n, 65, n_ref + 2)
+        assert np.max(np.abs(op.matrix - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_fem_reference_prolongation_is_zero_padding():
+    got = fem.fem_operator_matrix(ONE, GalerkinLevel(255), 33, 257)
+    want = _dense_fem_operator(ONE, 255, 33, 257)
+    assert np.array_equal(got[[0, -1]], np.zeros((2, 33)))
+    assert np.array_equal(got[1:-1], want[1:-1])

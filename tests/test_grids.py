@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammareg import (
@@ -19,7 +19,12 @@ from gammareg import (
     resample_matrix,
     trapezoid_weights,
 )
-from gammareg.grids import interpolation_matrix
+from gammareg.grids import (
+    interpolate_rows,
+    interpolation_matrix,
+    interpolation_weights,
+    restrict_columns,
+)
 
 
 # ---------------------------------------------------------------- nodes
@@ -250,3 +255,68 @@ def test_interpolation_matrix_at_arbitrary_points(m, points, data):
     assert mat.shape == (pts.size, m)
     assert np.allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
     assert np.allclose(mat @ v, np.interp(pts, nodes, v), rtol=0.0, atol=1e-11)
+
+
+# The two-point applications against the dense interpolation matrix. The
+# error bound is relative to |P| @ |M| (resp. |M| @ |P|), the size of the
+# terms each entry sums, so cancelling entries do not inflate it.
+
+def _source_nodes(m, interior):
+    # interior-node sources: the FEM unknowns, extrapolated beyond them
+    return grid_nodes(m, includes_endpoints=not interior)
+
+
+_SIZES = st.integers(min_value=2, max_value=200)
+# (source nodes, target nodes, interior-node source, columns, seed)
+TWO_POINT_CASES = st.tuples(
+    _SIZES, _SIZES, st.booleans(), st.integers(1, 5), st.integers(0, 2**32 - 1)
+)
+
+
+def _check_gather(src_m, dst_m, interior, cols, seed):
+    src, pts = _source_nodes(src_m, interior), grid_nodes(dst_m)
+    mat = np.random.default_rng(seed).standard_normal((src_m, cols))
+    dense = interpolation_matrix(src, pts)
+    got = interpolate_rows(interpolation_weights(src, pts), mat)
+    assert np.all(np.abs(got - dense @ mat) <= 1e-14 * (np.abs(dense) @ np.abs(mat)))
+
+
+def _check_restrict(src_m, dst_m, interior, rows, seed):
+    src, pts = _source_nodes(src_m, interior), grid_nodes(dst_m)
+    mat = np.random.default_rng(seed).standard_normal((rows, dst_m))
+    dense = interpolation_matrix(src, pts)
+    got = restrict_columns(mat, interpolation_weights(src, pts), src_m)
+    assert got.shape == (rows, src_m)
+    assert np.all(np.abs(got - mat @ dense) <= 1e-14 * (np.abs(mat) @ np.abs(dense)))
+
+
+@settings(deadline=None)
+@given(TWO_POINT_CASES)
+def test_interpolate_rows_equals_the_dense_product(case):
+    # nested (e.g. 9 -> 33), non-nested, coarser and finer sources
+    _check_gather(*case)
+
+
+@settings(deadline=None)
+@given(TWO_POINT_CASES)
+def test_restrict_columns_equals_the_dense_product(case):
+    _check_restrict(*case)
+
+
+@pytest.mark.parametrize("src_m, dst_m", [(65, 1000), (65, 8193), (1000, 65), (9, 33)])
+def test_two_point_applications_at_operator_sizes(src_m, dst_m):
+    for interior in (False, True):
+        _check_gather(src_m, dst_m, interior, 3, src_m + dst_m)
+        _check_restrict(src_m, dst_m, interior, 3, src_m * dst_m)
+
+
+def test_interpolate_rows_of_a_vector_is_resampling():
+    v = np.sin(3.0 * grid_nodes(17))
+    got = interpolate_rows(interpolation_weights(grid_nodes(17), grid_nodes(40)), v)
+    assert np.allclose(got, resample(GridFunction(v), 40).values, rtol=0.0, atol=1e-15)
+
+
+def test_restrict_columns_needs_sorted_points():
+    pts = np.array([0.5, 0.1, 0.9])
+    with pytest.raises(GridCompatibilityError):
+        restrict_columns(np.ones((2, 3)), interpolation_weights(grid_nodes(5), pts), 5)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,18 +23,22 @@ from gammareg import (
     integral_apply,
     integral_matrix,
     make_constant_family,
+    make_fem_family,
     make_quadrature_family,
     membership,
     noise_direction,
     norm,
     norm_ball,
     norm_ball_nonneg,
+    resample,
+    resample_matrix,
     separable_kernel,
     standard_samples,
     trapezoid_weights,
     uniform_gap,
     whole_space,
 )
+from gammareg.operators import _BLOCK_ROWS
 
 
 # ------------------------------------------------------------- kernels
@@ -154,6 +160,35 @@ def test_quadrature_family_gap_decays_with_level():
     # trapezoid quadrature of a smooth kernel is second order: each level
     # roughly doubles the node count, so gaps shrink about fourfold
     assert gaps[-1] < gaps[0] / 20.0
+
+
+KERNELS = [gaussian_kernel(0.2), separable_kernel(), constant_kernel(1.5)]
+FAMILY_CASES = [(257, (9, 17, 100, 257)), (1000, (9, 33, 65, 513, 1000))]
+
+
+def _assert_rel_close(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("m_ref, levels", FAMILY_CASES)
+def test_family_operators_equal_the_dense_products(kernel, m_ref, levels):
+    # the dense formulas the family assembly avoids, kept here as the oracle
+    family = make_quadrature_family(kernel, levels, m_ref, input_m=65)
+    ref = integral_matrix(kernel, m_ref) @ resample_matrix(65, m_ref)
+    _assert_rel_close(family.reference.matrix, ref, 1e-13)
+    for n in levels:
+        dense = resample_matrix(n, m_ref) @ integral_matrix(kernel, n) @ resample_matrix(65, n)
+        _assert_rel_close(family.operator_at(n).matrix, dense, 1e-13)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
+def test_integral_apply_over_several_row_blocks(kernel):
+    quad_m = 3 * _BLOCK_ROWS + 7
+    x = from_callable(lambda t: np.cos(5.0 * t) - t, 65)
+    dense = integral_matrix(kernel, quad_m) @ resample(x, quad_m).values
+    _assert_rel_close(integral_apply(kernel, x, quad_m).values, dense, 1e-13)
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():
@@ -283,3 +318,52 @@ def test_gaussian_kernel_bounded_by_one(sigma):
     vals = k(s[None, :], s[:, None])
     assert np.all(vals <= 1.0 + 1e-15)
     assert np.all(vals > 0.0)
+
+
+# --------------------------------------------------------- assembly memory
+#
+# Peak traced memory of assembling a whole family (reference and every
+# level) may exceed the bytes of the operators it keeps only by scratch
+# that does not grow with m_ref squared. Numpy reports its buffers to
+# tracemalloc. A dense m_ref x m_ref kernel matrix or m_ref x n_ref
+# prolongation at 4097 is 134 MB on its own.
+
+F64 = 8  # bytes
+
+
+def _assemble_traced(build):
+    tracemalloc.start()
+    try:
+        family = build()
+        ops = [family.reference] + [family.operator_at(n) for n in family.levels]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sum(op.matrix.nbytes for op in ops), max(op.matrix.nbytes for op in ops)
+
+
+def test_quadrature_family_memory_follows_kept_operators():
+    m_ref = 4097
+    peak, kept, largest = _assemble_traced(
+        lambda: make_quadrature_family(gaussian_kernel(0.2), (9, 33, 129, 513), m_ref, input_m=65)
+    )
+    # One block of kernel rows with up to five live temporaries of its size
+    # (kernel expression, weighting, the two restriction products), and two
+    # operator-sized arrays besides the kept one (gather halves, the copy
+    # `ForwardOperator` takes).
+    bound = kept + 6 * _BLOCK_ROWS * m_ref * F64 + 2 * largest
+    assert bound < m_ref * m_ref * F64 / 2  # a dense kernel matrix cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def test_fem_family_memory_follows_kept_operators():
+    n_ref = 4097
+    peak, kept, largest = _assemble_traced(
+        lambda: make_fem_family(lambda t: np.ones_like(t), (8, 32, 128, 256), n_ref, input_m=65)
+    )
+    # The reference level carries n_ref x input_m arrays only: two Gauss-point
+    # interpolations, load terms, the Thomas right side and solution, the
+    # padded solution and the two gather halves; a dozen of them at most.
+    bound = kept + 12 * largest
+    assert bound < n_ref * n_ref * F64 / 2  # a dense prolongation cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -24,15 +24,20 @@ from gammareg import (
     identity_operator,
     linf_penalty,
     make_quadrature_family,
+    NormTag,
+    membership,
     min_penalty_solution,
     minimize_problem,
     norm,
     norm_ball,
+    norm_ball_nonneg,
     p_power_norm,
     projected_gradient,
     shifted_half_sq,
     solve_linear_quadratic,
+    trapezoid_weights,
 )
+from gammareg.solvers import _project
 
 
 def doubling_surrogate():
@@ -300,3 +305,18 @@ def test_closed_form_gradient_vanishes(seed):
     res = solve_linear_quadratic(problem)
     assert res.status == "converged"
     assert res.grad_norm_final < 1e-8
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=600),
+    st.floats(1e-3, 10.0),
+    st.sampled_from([norm_ball, norm_ball_nonneg]),
+    st.sampled_from([NormTag.L2, NormTag.LINF]),
+)
+def test_projection_lands_inside_the_ball(values, radius, ball, tag):
+    # a projection one rounding step outside would make T = +inf there
+    vals = np.asarray(values)
+    domain = ball(radius, tag)
+    projected = _project(domain, vals, trapezoid_weights(vals.size))
+    assert membership(domain, GridFunction(projected))
