@@ -29,7 +29,6 @@ from .config import RunSpec, build_family, build_sequence, load_config, resolve_
 from .errors import ConfigError, NumericalError, StudyRefusal
 from .fem import EllipticProblem, rate_study
 from .operators import standard_samples, uniform_gap
-from .solvers import SolveConfig
 from .studies import (
     alpha_zero_study,
     eps_minimizer_chain,
@@ -115,11 +114,6 @@ def _gamma_family(name: str):
     return lambda j, x: np.sin(j * x)
 
 
-def _solver_config(run: RunSpec) -> SolveConfig:
-    s = run.solver
-    return SolveConfig(max_iter=s.max_iter, grad_tol=s.grad_tol, restarts=s.restarts)
-
-
 def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], bool | None]:
     """Execute the configured study; return its rows and overall verdict.
 
@@ -128,7 +122,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
     """
     kind = run.study.kind
     rows: list[ReportRow] = []
-    solver = _solver_config(run)
+    solver = run.solver
 
     if kind == "fem-rate":
         report = rate_study(_manufactured(resolve_potential(run.problem.potential)), run.schedule.levels)

@@ -25,6 +25,7 @@ from .functionals import (
     PenaltySpec,
     TikhonovProblem,
     half_sq_l2,
+    linear_quadratic,
     linf_penalty,
     p_power_norm,
 )
@@ -43,12 +44,12 @@ from .operators import (
     separable_kernel,
     whole_space,
 )
+from .solvers import SolveConfig
 
 __all__ = [
     "StudySpec",
     "ProblemSpec",
     "ScheduleSpec",
-    "SolverSpec",
     "OutputSpec",
     "RunSpec",
     "parse_config",
@@ -134,13 +135,6 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class SolverSpec:
-    max_iter: int = 500
-    grad_tol: float = 1e-8
-    restarts: int = 0
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     timings: bool = False
     format: str = "csv"
@@ -153,7 +147,7 @@ class RunSpec:
     study: StudySpec
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    solver: SolverSpec = field(default_factory=SolverSpec)
+    solver: SolveConfig = field(default_factory=SolveConfig)
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
@@ -288,20 +282,21 @@ class _Collector:
 
 def _potential_label(col: _Collector) -> str:
     """Potential label: a builtin name or table:v0,v1,... of nonnegative values."""
+    default = ProblemSpec.potential
     text = col.raw("problem", "potential")
     if text is None:
-        return "one"
+        return default
     if text.startswith("table:"):
         try:
             values = [float(v) for v in text[len("table:") :].split(",")]
         except ValueError:
             col.complain("problem", "potential", f"bad table values in {text!r}")
-            return "one"
+            return default
         if len(values) < 2 or any(v < 0 for v in values):
             col.complain(
                 "problem", "potential", "table needs >= 2 nonnegative values"
             )
-            return "one"
+            return default
         return text
     if text not in FEM_POTENTIALS:
         col.complain(
@@ -309,7 +304,7 @@ def _potential_label(col: _Collector) -> str:
             "potential",
             f"expected one of {', '.join(FEM_POTENTIALS)} or table:v0,v1,...; got {text!r}",
         )
-        return "one"
+        return default
     return text
 
 
@@ -357,78 +352,84 @@ def parse_config(text: str) -> RunSpec:
         else tol_default
     )
 
-    radii = col.floats("study", "radii", (0.2, 0.1, 0.05))
+    # Fallbacks come from the spec dataclasses, so each default is written once.
+    d = StudySpec(kind)
+    radii = col.floats("study", "radii", d.radii)
     if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
         col.complain("study", "radii", "must be positive and strictly decreasing")
-        radii = (0.2, 0.1, 0.05)
-    thresholds = col.floats("study", "thresholds", (0.5, 1.0, 2.0))
+        radii = d.radii
+    thresholds = col.floats("study", "thresholds", d.thresholds)
     if any(t <= 0 for t in thresholds):
         col.complain("study", "thresholds", "must be positive")
-        thresholds = (0.5, 1.0, 2.0)
+        thresholds = d.thresholds
 
     study = StudySpec(
         kind=kind,
         tol=tol,
-        gamma_family=col.choice("study", "family", GAMMA_FAMILIES, "oscillation"),
-        point=col.number("study", "point", math.pi / 4.0),
+        gamma_family=col.choice("study", "family", GAMMA_FAMILIES, d.gamma_family),
+        point=col.number("study", "point", d.point),
         radii=radii,
-        index_window=col.integer("study", "index_window", 512, minimum=2),
-        grid_m=col.integer("study", "grid_m", 4096, minimum=16),
+        index_window=col.integer("study", "index_window", d.index_window, minimum=2),
+        grid_m=col.integer("study", "grid_m", d.grid_m, minimum=16),
         thresholds=thresholds,
     )
 
+    d = ProblemSpec()
     problem = ProblemSpec(
-        kernel=col.choice("problem", "kernel", KERNEL_KINDS, "gaussian"),
-        sigma=col.number("problem", "sigma", 0.2, positive=True),
-        kappa=col.number("problem", "kappa", 1.0),
+        kernel=col.choice("problem", "kernel", KERNEL_KINDS, d.kernel),
+        sigma=col.number("problem", "sigma", d.sigma, positive=True),
+        kappa=col.number("problem", "kappa", d.kappa),
         potential=_potential_label(col),
-        input_m=col.integer("problem", "input_m", 65, minimum=3),
-        quad_m=col.integer("problem", "quad_m", 129, minimum=3),
-        alpha=col.number("problem", "alpha", 0.05, nonnegative=True),
-        exponent_p=col.number("problem", "exponent_p", 2.0),
-        penalty=col.choice("problem", "penalty", PENALTY_KINDS, "half_sq_l2"),
-        penalty_q=col.number("problem", "penalty_q", 2.0),
-        domain=col.choice("problem", "domain", DOMAIN_KINDS, "whole_space"),
-        radius=col.number("problem", "radius", 1.0, positive=True),
-        truth=col.choice("problem", "truth", TRUTH_KINDS, "sine"),
-        truth_amplitude=col.number("problem", "truth_amplitude", 0.1),
-        truth_frequency=col.integer("problem", "truth_frequency", 1, minimum=1),
-        data=col.choice("problem", "data", DATA_KINDS, "forward_of_truth"),
+        input_m=col.integer("problem", "input_m", d.input_m, minimum=3),
+        quad_m=col.integer("problem", "quad_m", d.quad_m, minimum=3),
+        alpha=col.number("problem", "alpha", d.alpha, nonnegative=True),
+        exponent_p=col.number("problem", "exponent_p", d.exponent_p),
+        penalty=col.choice("problem", "penalty", PENALTY_KINDS, d.penalty),
+        penalty_q=col.number("problem", "penalty_q", d.penalty_q),
+        domain=col.choice("problem", "domain", DOMAIN_KINDS, d.domain),
+        radius=col.number("problem", "radius", d.radius, positive=True),
+        truth=col.choice("problem", "truth", TRUTH_KINDS, d.truth),
+        truth_amplitude=col.number("problem", "truth_amplitude", d.truth_amplitude),
+        truth_frequency=col.integer("problem", "truth_frequency", d.truth_frequency, minimum=1),
+        data=col.choice("problem", "data", DATA_KINDS, d.data),
     )
     if problem.exponent_p < 1.0:
         col.complain("problem", "exponent_p", "must be >= 1")
-        problem = replace(problem, exponent_p=2.0)
+        problem = replace(problem, exponent_p=d.exponent_p)
     if problem.penalty == "p_power_norm" and problem.penalty_q < 1.0:
         col.complain("problem", "penalty_q", "must be >= 1")
-        problem = replace(problem, penalty_q=2.0)
+        problem = replace(problem, penalty_q=d.penalty_q)
 
+    d = ScheduleSpec()
     schedule = ScheduleSpec(
-        levels=col.levels("schedule", "levels", DEFAULT_LEVELS),
-        alpha_kind=col.choice("schedule", "alpha_kind", ALPHA_KINDS, "constant"),
-        alpha_amplitude=col.number("schedule", "alpha_amplitude", 1.0, positive=True),
-        alpha_exponent=col.number("schedule", "alpha_exponent", 1.0, positive=True),
-        noise_kind=col.choice("schedule", "noise_kind", NOISE_KINDS, "none"),
-        noise_amplitude=col.number("schedule", "noise_amplitude", 1.0, positive=True),
-        noise_exponent=col.number("schedule", "noise_exponent", 1.0, positive=True),
+        levels=col.levels("schedule", "levels", d.levels),
+        alpha_kind=col.choice("schedule", "alpha_kind", ALPHA_KINDS, d.alpha_kind),
+        alpha_amplitude=col.number("schedule", "alpha_amplitude", d.alpha_amplitude, positive=True),
+        alpha_exponent=col.number("schedule", "alpha_exponent", d.alpha_exponent, positive=True),
+        noise_kind=col.choice("schedule", "noise_kind", NOISE_KINDS, d.noise_kind),
+        noise_amplitude=col.number("schedule", "noise_amplitude", d.noise_amplitude, positive=True),
+        noise_exponent=col.number("schedule", "noise_exponent", d.noise_exponent, positive=True),
         noise_direction=col.choice(
-            "schedule", "noise_direction", NOISE_DIRECTIONS, "oscillatory"
+            "schedule", "noise_direction", NOISE_DIRECTIONS, d.noise_direction
         ),
-        noise_seed=col.integer("schedule", "noise_seed", 0, minimum=0),
-        exact_family=col.boolean("schedule", "exact_family", False),
+        noise_seed=col.integer("schedule", "noise_seed", d.noise_seed, minimum=0),
+        exact_family=col.boolean("schedule", "exact_family", d.exact_family),
     )
 
-    solver = SolverSpec(
-        max_iter=col.integer("solver", "max_iter", 500, minimum=1),
-        grad_tol=col.number("solver", "grad_tol", 1e-8, positive=True),
-        restarts=col.integer("solver", "restarts", 0, minimum=0),
+    d = SolveConfig()
+    solver = SolveConfig(
+        max_iter=col.integer("solver", "max_iter", d.max_iter, minimum=1),
+        grad_tol=col.number("solver", "grad_tol", d.grad_tol, positive=True),
+        restarts=col.integer("solver", "restarts", d.restarts, minimum=0),
     )
-    fmt = col.choice("output", "format", ("csv", "json-lines", "jsonl"), "csv")
+    d = OutputSpec()
+    fmt = col.choice("output", "format", ("csv", "json-lines", "jsonl"), d.format)
     seed_text = col.raw("output", "seed")
-    out_seed = None
+    out_seed = d.seed
     if seed_text is not None:
         out_seed = col.integer("output", "seed", 0, minimum=0)
     output = OutputSpec(
-        timings=col.boolean("output", "timings", False),
+        timings=col.boolean("output", "timings", d.timings),
         format="jsonl" if fmt in ("jsonl", "json-lines") else "csv",
         path=col.raw("output", "path"),
         seed=out_seed,
@@ -453,6 +454,15 @@ def parse_config(text: str) -> RunSpec:
         col.complain("problem", "data", "alpha-zero study needs attainable data")
     if kind == "coercivity" and problem.alpha <= 0.0:
         col.complain("problem", "alpha", "coercivity probe needs alpha > 0")
+    penalty = _penalty_of(problem)
+    if (
+        kind in ("inf-study", "eps-chain", "alpha-zero")
+        and not linear_quadratic(problem.exponent_p, penalty, _domain_of(problem))
+        and (problem.exponent_p <= 1.0 or not penalty.is_smooth)
+    ):
+        key = "exponent_p" if problem.exponent_p <= 1.0 else "penalty"
+        col.complain("problem", key, f"{kind} outside p = 2, half_sq_l2, whole_space runs "
+                     "projected gradient, which needs p > 1 and a smooth penalty")
 
     if col.problems:
         raise ConfigError(col.problems)
@@ -527,17 +537,12 @@ def build_family(run: RunSpec) -> OperatorFamily:
             "separable": separable_kernel,
             "gaussian": lambda: gaussian_kernel(p.sigma),
         }
-        if s.exact_family:
-            # levels are labels only; build just the reference operator
-            probe = make_quadrature_family(
-                kernels[p.kernel](), (p.quad_m,), p.quad_m, input_m=p.input_m, domain=domain
-            )
-            family = make_constant_family(probe.reference, s.levels)
-        else:
-            family = make_quadrature_family(
-                kernels[p.kernel](), s.levels, p.quad_m, input_m=p.input_m, domain=domain
-            )
-    if s.exact_family and p.kernel == "fem":
+        # an exact family uses only the reference operator: build no levels
+        levels = (p.quad_m,) if s.exact_family else s.levels
+        family = make_quadrature_family(
+            kernels[p.kernel](), levels, p.quad_m, input_m=p.input_m, domain=domain
+        )
+    if s.exact_family:
         family = make_constant_family(family.reference, s.levels)
     return family
 

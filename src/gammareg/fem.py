@@ -24,6 +24,7 @@ from .grids import (
     resample,
     resample_matrix,  # unused here; bench/tracer.py wraps it under this module
     trapezoid_weights,
+    weighted_l2,
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, whole_space
 
@@ -45,6 +46,8 @@ _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # two-point rule on the unit element
 # Left and right hats of an element at its two Gauss points.
 _PHI_L1, _PHI_L2 = 0.5 + _GAUSS_OFFSET, 0.5 - _GAUSS_OFFSET
 _PHI_R1, _PHI_R2 = 0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET
+# `l2_error_vs_exact` measures on a grid this many times finer than the level.
+_OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -256,15 +259,12 @@ def make_fem_family(
     return OperatorFamily(levels, reference, build, lambda n: dom, "fem")
 
 
-def l2_error_vs_exact(u: GridFunction, exact: Callable, oversample: int = 4) -> float:
+def l2_error_vs_exact(u: GridFunction, exact: Callable) -> float:
     """L2 distance between a FEM solution and a callable on a finer grid."""
-    n = u.node_count
-    m_fine = oversample * (n + 1) + 1
+    m_fine = _OVERSAMPLE * (u.node_count + 1) + 1
     uh = resample(u, m_fine)
-    xf = uh.nodes
-    diff = uh.values - np.asarray(exact(xf), dtype=float)
-    w = trapezoid_weights(m_fine)
-    return float(np.sqrt(diff * diff @ w))
+    diff = uh.values - np.asarray(exact(uh.nodes), dtype=float)
+    return weighted_l2(diff, trapezoid_weights(m_fine))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .grids import (
     norm,
     resample,
     trapezoid_weights,
+    weighted_l2,
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, membership, whole_space
 
@@ -32,6 +33,7 @@ __all__ = [
     "linf_penalty",
     "shifted_half_sq",
     "TikhonovProblem",
+    "linear_quadratic",
     "AlphaSchedule",
     "NoiseSchedule",
     "ApproxSequence",
@@ -246,25 +248,39 @@ class TikhonovProblem:
     @property
     def is_linear_quadratic(self) -> bool:
         """Solvable in closed form by the normal equations."""
-        return (
-            self.exponent_p == 2.0
-            and self.penalty.kind in ("half_sq_l2", "shifted_half_sq")
-            and self.domain.kind == "whole_space"
-        )
+        return linear_quadratic(self.exponent_p, self.penalty, self.domain)
+
+    def value_at(self, vals: np.ndarray) -> float:
+        """T at nodal values on the operator's input grid, domain not checked."""
+        op = self.operator
+        residual = op.matrix @ vals - self.data_y.values
+        p = self.exponent_p
+        value = weighted_l2(residual, trapezoid_weights(op.output_m)) ** p / p
+        if self.alpha > 0.0:
+            value += self.alpha * self.penalty.evaluate(GridFunction(vals))
+        return value
 
 
-def _discrepancy(p: float, residual: GridFunction) -> float:
-    return norm(residual, NormTag.L2) ** p / p
+def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec) -> bool:
+    """p = 2, a (shifted) half-squared-L2 penalty and no constraint."""
+    return (
+        exponent_p == 2.0
+        and penalty.kind in ("half_sq_l2", "shifted_half_sq")
+        and domain.kind == "whole_space"
+    )
 
 
 def eval_T(problem: TikhonovProblem, x: GridFunction) -> ExtReal:
-    """Evaluate the target functional, +inf outside the domain."""
+    """Evaluate the target functional, +inf outside the domain.
+
+    An x off the operator's input grid is first resampled onto it.
+    """
     if not membership(problem.domain, x):
         return POS_INF
-    fx = problem.operator.apply(x)
-    value = _discrepancy(problem.exponent_p, fx - problem.data_y)
-    value += problem.alpha * problem.penalty.evaluate(x)
-    return ExtReal.finite(value)
+    op = problem.operator
+    if not x.includes_endpoints or x.node_count != op.input_m:
+        x = resample(x, op.input_m)
+    return ExtReal.finite(problem.value_at(x.values))
 
 
 @dataclass(frozen=True)

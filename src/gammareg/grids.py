@@ -9,6 +9,7 @@ spacing 1/(n+1).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,7 @@ __all__ = [
     "GridFunction",
     "grid_nodes",
     "trapezoid_weights",
+    "weighted_l2",
     "norm",
     "inner_l2",
     "resample",
@@ -141,6 +143,12 @@ def from_callable(
     return GridFunction(np.asarray(f(x), dtype=float), includes_endpoints)
 
 
+def weighted_l2(vals: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(sum_i w_i vals_i^2): the discrete L2 norm of nodal values
+    under quadrature weights w."""
+    return math.sqrt(max(float(vals * vals @ w), 0.0))
+
+
 def norm(g: GridFunction, tag: NormTag = NormTag.L2) -> float:
     """Discrete norm of a grid function.
 
@@ -150,8 +158,7 @@ def norm(g: GridFunction, tag: NormTag = NormTag.L2) -> float:
     """
     v = g.values
     if tag is NormTag.L2:
-        w = trapezoid_weights(g.node_count, g.includes_endpoints)
-        return float(np.sqrt(np.maximum(v * v @ w, 0.0)))
+        return weighted_l2(v, trapezoid_weights(g.node_count, g.includes_endpoints))
     if tag is NormTag.LINF:
         return float(np.max(np.abs(v)))
     if tag is NormTag.H1_0:

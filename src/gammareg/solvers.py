@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedPenaltyError,
 )
 from .functionals import ExtReal, POS_INF, TikhonovProblem, eval_T
-from .grids import GridFunction, NormTag, trapezoid_weights
+from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
 from .operators import DomainSpec, ForwardOperator, membership
 
 __all__ = [
@@ -38,24 +38,23 @@ __all__ = [
 ]
 
 
+# Armijo backtracking of `projected_gradient`
+_STEP0 = 1.0  # first trial step of each run
+_SHRINK = 0.5  # factor applied to a rejected step
+_SUFFICIENT_DECREASE = 1e-2
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     max_iter: int = 500
     grad_tol: float = 1e-8
-    step0: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-2
     restarts: int = 0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise GridCompatibilityError("max_iter must be at least 1")
-        if self.grad_tol <= 0.0 or self.step0 <= 0.0:
-            raise GridCompatibilityError("grad_tol and step0 must be positive")
-        if not (0.0 < self.shrink < 1.0):
-            raise GridCompatibilityError("shrink factor must lie in (0, 1)")
-        if not (0.0 < self.sufficient_decrease < 1.0):
-            raise GridCompatibilityError("sufficient_decrease must lie in (0, 1)")
+        if self.grad_tol <= 0.0:
+            raise GridCompatibilityError("grad_tol must be positive")
         if self.restarts < 0:
             raise GridCompatibilityError("restarts must be nonnegative")
 
@@ -74,43 +73,29 @@ class TikhonovObjective:
     """Value/gradient oracle for a Tikhonov problem on nodal coordinates."""
 
     def __init__(self, problem: TikhonovProblem):
-        op = problem.operator
         self.problem = problem
-        self.matrix = op.matrix
-        self.w_out = trapezoid_weights(op.output_m)
-        self.w_in = trapezoid_weights(op.input_m)
-        self.y = problem.data_y.values
-        self.alpha = problem.alpha
-        self.p = problem.exponent_p
-        self.penalty = problem.penalty
-        self.domain = problem.domain
+        self.w_out = trapezoid_weights(problem.operator.output_m)
+        self.w_in = trapezoid_weights(problem.operator.input_m)
 
     def value_at(self, vals: np.ndarray) -> float:
-        r = self.matrix @ vals - self.y
-        misfit = math.sqrt(max(float(r * r @ self.w_out), 0.0))
-        out = misfit**self.p / self.p
-        if self.alpha > 0.0:
-            out += self.alpha * self.penalty.evaluate(GridFunction(vals))
-        return out
+        return self.problem.value_at(vals)
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
-        if self.p <= 1.0:
+        pr, a = self.problem, self.problem.operator.matrix
+        p = pr.exponent_p
+        if p <= 1.0:
             raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
-        r = self.matrix @ vals - self.y
-        weighted = self.matrix.T @ (self.w_out * r)
-        if self.p != 2.0:
-            misfit = math.sqrt(max(float(r * r @ self.w_out), 0.0))
-            weighted = misfit ** (self.p - 2.0) * weighted if misfit > 0.0 else 0.0 * weighted
-        g = weighted
-        if self.alpha > 0.0:
-            g = g + self.alpha * self.penalty.coordinate_gradient(GridFunction(vals))
+        r = a @ vals - pr.data_y.values
+        g = a.T @ (self.w_out * r)
+        if p != 2.0:
+            misfit = weighted_l2(r, self.w_out)
+            g = misfit ** (p - 2.0) * g if misfit > 0.0 else 0.0 * g
+        if pr.alpha > 0.0:
+            g = g + pr.alpha * pr.penalty.coordinate_gradient(GridFunction(vals))
         return g
 
     def riesz_gradient(self, vals: np.ndarray) -> np.ndarray:
         return self.coordinate_gradient(vals) / self.w_in
-
-    def w_norm(self, vals: np.ndarray) -> float:
-        return math.sqrt(max(float(vals * vals @ self.w_in), 0.0))
 
 
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -122,13 +107,13 @@ def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarr
     if domain.tag is NormTag.LINF:
         return np.clip(vals, -domain.radius, domain.radius)
     if domain.tag is NormTag.L2:
-        size = math.sqrt(max(float(vals * vals @ w_in), 0.0))
+        size = weighted_l2(vals, w_in)
         if size > domain.radius:
             # The scaled norm can round to a step above the radius; shrink
             # the factor until the norm, computed as `grids.norm` does, fits.
             scale = domain.radius / size
             out = vals * scale
-            while math.sqrt(max(float(out * out @ w_in), 0.0)) > domain.radius:
+            while weighted_l2(out, w_in) > domain.radius:
                 scale = math.nextafter(scale, 0.0)
                 out = vals * scale
             return out
@@ -191,7 +176,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
         eval_T(problem, minimizer),
         1,
         "converged",
-        objective.w_norm(grad),
+        weighted_l2(grad, objective.w_in),
     )
 
 
@@ -222,18 +207,16 @@ def projected_gradient(
     w_in = objective.w_in
     x = x0.values.copy()
     f = objective.value_at(x)
-    monotone = True
     iterations = 0
-    step = config.step0
     status = "max_iter"
     grad_norm = math.inf
 
     for attempt in range(config.restarts + 1):
-        step = config.step0
+        step = _STEP0
         for _ in range(config.max_iter):
             g = objective.riesz_gradient(x)
             moved = _project(problem.domain, x - g, w_in)
-            grad_norm = objective.w_norm(x - moved)
+            grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
                 status = "converged"
                 break
@@ -248,14 +231,12 @@ def projected_gradient(
                 delta = candidate - x
                 move = float(delta * delta @ w_in)
                 f_new = objective.value_at(candidate)
-                if f_new <= f - config.sufficient_decrease / max(t, 1e-30) * move and move > 0.0:
-                    if f_new > f:
-                        monotone = False
+                if f_new <= f - _SUFFICIENT_DECREASE / max(t, 1e-30) * move and move > 0.0:
                     x, f = candidate, f_new
                     accepted = True
                     step = min(t * 2.0, 1e6)
                     break
-                t *= config.shrink
+                t *= _SHRINK
             if not accepted:
                 break
         if status == "converged":
@@ -268,20 +249,14 @@ def projected_gradient(
         iterations,
         status,
         grad_norm,
-        monotone,
     )
 
 
-def minimize_problem(
-    problem: TikhonovProblem,
-    config: SolveConfig = SolveConfig(),
-    x0: GridFunction | None = None,
-) -> SolveResult:
-    """Closed form when available, projected gradient otherwise."""
+def minimize_problem(problem: TikhonovProblem, config: SolveConfig = SolveConfig()) -> SolveResult:
+    """Closed form when available, projected gradient from zero otherwise."""
     if problem.is_linear_quadratic:
         return solve_linear_quadratic(problem)
-    start = x0 or GridFunction(np.zeros(problem.operator.input_m))
-    return projected_gradient(problem, start, config)
+    return projected_gradient(problem, GridFunction(np.zeros(problem.operator.input_m)), config)
 
 
 def min_penalty_solution(

@@ -30,7 +30,6 @@ from .grids import GridFunction, norm
 from .solvers import (
     SolveConfig,
     SolveResult,
-    TikhonovObjective,
     min_penalty_solution,
     minimize_problem,
     normal_equations,
@@ -55,6 +54,14 @@ __all__ = [
 
 TOPOLOGY_NOTE = "norm (finite-dimensional collapse)"
 
+_TAIL_SLACK = 0.1  # multiplicative slack per step of a tail-monotone sequence
+_GAMMA_TAIL_FRACTION = 0.5  # share of the index window that is the tail
+_GAMMA_STABILIZATION_TOL = 1e-2  # last change across radii of a stable estimate
+# C7's contractual bounds: identity residual, argmin distance, limit gap
+_SCALING_IDENTITY_TOL = 1e-12
+_SCALING_ARGMIN_TOL = 1e-8
+_SCALING_LIMIT_TOL = 1e-8
+
 
 def _solve_level(seq: ApproxSequence, n: int, solver: SolveConfig) -> SolveResult:
     result = minimize_problem(seq.problem_at(n), solver)
@@ -63,9 +70,9 @@ def _solve_level(seq: ApproxSequence, n: int, solver: SolveConfig) -> SolveResul
     return result
 
 
-def _tail_monotone(values: Sequence[float], slack: float, tail: int = 3) -> bool:
+def _tail_monotone(values: Sequence[float], tail: int = 3) -> bool:
     window = list(values[-tail:])
-    return all(b <= a * (1.0 + slack) for a, b in zip(window, window[1:]))
+    return all(b <= a * (1.0 + _TAIL_SLACK) for a, b in zip(window, window[1:]))
 
 
 def richardson_limit(levels: Sequence[int], values: Sequence[float]) -> float:
@@ -93,12 +100,11 @@ def inf_convergence_study(
     seq: ApproxSequence,
     solver: SolveConfig = SolveConfig(),
     tol: float = 1e-6,
-    slack: float = 0.1,
 ) -> InfConvergenceReport:
     """Check inf T_n -> min T against a reference solve.
 
     Verdict: final gap <= tol and gaps non-increasing over the last
-    three levels, each step allowed the multiplicative slack. A solver
+    three levels, each step allowed a multiplicative slack of 10%. A solver
     failure yields no verdict but records where it happened.
     """
     try:
@@ -125,7 +131,7 @@ def inf_convergence_study(
         inf_values.append(res.value.as_float())
         gaps.append(abs(res.value.as_float() - ref.value.as_float()))
         distances.append(norm(res.minimizer - ref.minimizer))
-    verdict = gaps[-1] <= tol and _tail_monotone(gaps, slack)
+    verdict = gaps[-1] <= tol and _tail_monotone(gaps)
     return InfConvergenceReport(
         tuple(seq.levels),
         tuple(inf_values),
@@ -237,8 +243,6 @@ def estimate_gamma_limits(
     point: float,
     radii: Sequence[float],
     index_window: int,
-    tail_fraction: float = 0.5,
-    stabilization_tol: float = 1e-2,
 ) -> GammaEstimate:
     """Estimate Gamma-liminf/limsup of f_j at a point on a fixed 1D grid.
 
@@ -262,7 +266,7 @@ def estimate_gamma_limits(
     if index_window < 2:
         raise GridCompatibilityError("index window must cover at least two indices")
 
-    tail_start = max(1, index_window - int(index_window * tail_fraction) + 1)
+    tail_start = max(1, index_window - int(index_window * _GAMMA_TAIL_FRACTION) + 1)
     tail = range(tail_start, index_window + 1)
     values = np.stack([np.asarray(family(j, grid), dtype=float) for j in tail])
     if not np.all(np.isfinite(values)):
@@ -287,7 +291,7 @@ def estimate_gamma_limits(
     def stabilized(seq_vals: list[float]) -> bool:
         if len(seq_vals) < 2:
             return False
-        return abs(seq_vals[-1] - seq_vals[-2]) <= stabilization_tol
+        return abs(seq_vals[-1] - seq_vals[-2]) <= _GAMMA_STABILIZATION_TOL
 
     return GammaEstimate(
         float(point),
@@ -386,7 +390,6 @@ def alpha_zero_study(
     seq: ApproxSequence,
     solver: SolveConfig = SolveConfig(),
     tol: float = 1e-3,
-    slack: float = 0.1,
 ) -> AlphaZeroReport:
     """Vanishing-alpha limit toward the minimum-penalty solution.
 
@@ -428,7 +431,7 @@ def alpha_zero_study(
         omega_n = penalty.evaluate(res.minimizer)
         omega_gaps.append(abs(omega_n - omega_dagger))
         excesses.append(max(omega_n - omega_dagger, 0.0))
-    excess_monotone = _tail_monotone([e + 1e-15 for e in excesses], slack)
+    excess_monotone = _tail_monotone([e + 1e-15 for e in excesses])
     return AlphaZeroReport(
         tuple(levels),
         tuple(alphas),
@@ -464,9 +467,6 @@ def scaling_invariance_check(
     lam_at: Callable[[int], float],
     lam_limit: float,
     solver: SolveConfig = SolveConfig(),
-    identity_tol: float = 1e-12,
-    argmin_tol: float = 1e-8,
-    limit_tol: float = 1e-8,
 ) -> ScalingReport:
     """Positive scalings: inf(lam_n T_n) = lam_n inf(T_n), argmin fixed.
 
@@ -492,7 +492,7 @@ def scaling_invariance_check(
         res = minimize_problem(problem, solver)
         gram, rhs = normal_equations(problem)
         x_scaled = np.linalg.solve(lam * gram, lam * rhs)
-        v_scaled = lam * TikhonovObjective(problem).value_at(x_scaled)
+        v_scaled = lam * problem.value_at(x_scaled)
         lambdas.append(lam)
         values.append(res.value.as_float())
         scaled_values.append(v_scaled)
@@ -503,9 +503,11 @@ def scaling_invariance_check(
 
     unscaled_limit = richardson_limit(levels, values)
     scaled_limit = richardson_limit(levels, scaled_values)
-    identity_ok = max(residuals) <= identity_tol and max(distances) <= argmin_tol
+    identity_ok = (
+        max(residuals) <= _SCALING_IDENTITY_TOL and max(distances) <= _SCALING_ARGMIN_TOL
+    )
     limit_gap = abs(scaled_limit - lam_limit * unscaled_limit)
-    limit_ok = limit_gap <= limit_tol * max(1.0, abs(scaled_limit))
+    limit_ok = limit_gap <= _SCALING_LIMIT_TOL * max(1.0, abs(scaled_limit))
     return ScalingReport(
         tuple(levels),
         tuple(lambdas),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -14,6 +15,14 @@ import pytest
 
 from gammareg import (
     ConfigError,
+    NumericalError,
+    OutputSpec,
+    ProblemSpec,
+    ScheduleSpec,
+    SolveConfig,
+    StudyRefusal,
+    StudySpec,
+    UnsupportedPenaltyError,
     build_family,
     build_sequence,
     build_target,
@@ -21,6 +30,7 @@ from gammareg import (
     parse_config,
     resolve_potential,
 )
+from gammareg.cli import run_study
 
 RUN = [sys.executable, "-m", "gammareg.cli"]
 
@@ -50,6 +60,11 @@ def test_minimal_config_uses_defaults():
     assert run.output.format == "csv"
     assert run.output.seed is None
     assert run.output.timings is False
+    assert run.study == StudySpec("inf-study", tol=1e-6)
+    assert run.problem == ProblemSpec()
+    assert run.schedule == ScheduleSpec()
+    assert run.solver == SolveConfig()
+    assert run.output == OutputSpec()
 
 
 def test_full_config_round_trip():
@@ -160,6 +175,43 @@ def test_constant_schedule_with_zero_alpha_is_rejected():
         parse_config("[study]\nkind = inf-study\n[problem]\nalpha = 0\n")
 
 
+def test_validated_configs_have_a_supported_penalty():
+    # kind x penalty x p x domain x kernel at tiny sizes: a config that
+    # validates must not fail in the solver on its penalty or exponent
+    penalties = [("half_sq_l2", 2), ("linf", 2)] + [("p_power_norm", q) for q in (1.5, 2, 3)]
+    refused = 0
+    for kind, (penalty, q), p, domain, kernel in itertools.product(
+        ("inf-study", "eps-chain", "alpha-zero", "coercivity"),
+        penalties,
+        (1, 1.5, 2, 3),
+        ("whole_space", "l2_ball"),
+        ("gaussian", "fem"),
+    ):
+        text = (
+            f"[study]\nkind = {kind}\n[problem]\nkernel = {kernel}\ninput_m = 9\n"
+            f"quad_m = 33\nalpha = {0 if kind == 'alpha-zero' else 0.1}\nexponent_p = {p}\n"
+            f"penalty = {penalty}\npenalty_q = {q}\ndomain = {domain}\n"
+            "truth_amplitude = 0.01\n[schedule]\nlevels = 4, 8\nalpha_kind = power\n"
+            "[solver]\nmax_iter = 50\n"
+        )
+        try:
+            run = parse_config(text)
+        except ConfigError as exc:
+            assert len(exc.problems) == 1
+            assert exc.problems[0].startswith(("[problem] penalty:", "[problem] exponent_p:"))
+            refused += 1
+            continue
+        try:
+            run_study(run)
+        except UnsupportedPenaltyError as exc:
+            pytest.fail(f"{kind} {penalty} q={q} p={p} {domain} {kernel} validates "
+                        f"but raises: {exc}")
+        except (NumericalError, StudyRefusal):
+            pass
+    # linf or q = 1.5, or p = 1, in each of the three solver-backed kinds
+    assert refused == 3 * 11 * 4
+
+
 # --------------------------------------------------------------- potentials
 
 
@@ -209,14 +261,16 @@ def test_build_family_shapes():
 
 
 def test_exact_family_reuses_the_reference():
-    run = parse_config(
-        "[study]\nkind = inf-study\n[problem]\ninput_m = 9\nquad_m = 33\n"
-        "[schedule]\nlevels = 5, 9\nexact_family = true\n"
-    )
-    family = build_family(run)
-    ref = family.reference
-    assert family.operator_at(5) is ref
-    assert family.operator_at(9) is ref
+    for kernel in ("gaussian", "fem", "identity"):
+        run = parse_config(
+            f"[study]\nkind = inf-study\n[problem]\nkernel = {kernel}\ninput_m = 9\n"
+            "quad_m = 33\n[schedule]\nlevels = 5, 9\nexact_family = true\n"
+        )
+        family = build_family(run)
+        ref = family.reference
+        assert family.levels == (5, 9)
+        assert family.operator_at(5) is ref
+        assert family.operator_at(9) is ref
 
 
 def test_build_target_applies_truth():

@@ -201,8 +201,6 @@ def test_solver_config_validation():
     with pytest.raises(GridCompatibilityError):
         SolveConfig(grad_tol=0.0)
     with pytest.raises(GridCompatibilityError):
-        SolveConfig(shrink=1.0)
-    with pytest.raises(GridCompatibilityError):
         SolveConfig(restarts=-1)
 
 
