@@ -166,7 +166,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
     seq = build_sequence(run, seed_override=seed)
 
     if kind == "inf-study":
-        report = inf_convergence_study(seq, solver, tol=run.study.tol or 1e-6)
+        report = inf_convergence_study(seq, solver, tol=run.study.tol)
         for n, v, gap, dist in zip(
             report.levels, report.inf_values, report.gaps, report.minimizer_distances
         ):
@@ -186,7 +186,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
         return rows, report.verdict
 
     if kind == "eps-chain":
-        report = eps_minimizer_chain(seq, solver=solver, value_gap_tol=run.study.tol or 1e-4)
+        report = eps_minimizer_chain(seq, solver=solver, value_gap_tol=run.study.tol)
         for n, eps, v, cert in zip(
             report.levels, report.eps_values, report.chain_values, report.certified
         ):
@@ -223,7 +223,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
         return rows, probe.verdict
 
     if kind == "alpha-zero":
-        report = alpha_zero_study(seq, solver, tol=run.study.tol or 1e-3)
+        report = alpha_zero_study(seq, solver, tol=run.study.tol)
         for i, n in enumerate(report.levels):
             rows.append(ReportRow(kind, n, "alpha", report.alphas[i]))
             rows.append(ReportRow(kind, n, "noise_ratio", report.noise_ratios[i]))

@@ -35,7 +35,6 @@ __all__ = [
     "assemble",
     "thomas_solve",
     "solve_bvp",
-    "fem_forward",
     "fem_operator_matrix",
     "make_fem_family",
     "rate_study",
@@ -63,10 +62,6 @@ class GalerkinLevel:
     @property
     def h(self) -> float:
         return 1.0 / (self.n + 1)
-
-    def refine(self) -> "GalerkinLevel":
-        """Nested refinement n -> 2n + 1 (old nodes survive)."""
-        return GalerkinLevel(2 * self.n + 1)
 
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
@@ -209,11 +204,6 @@ def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
     if res > 1e-12 * scale:
         raise NumericalError(f"tridiagonal solve backward error {res / scale:.2e} exceeds 1e-12")
     return GridFunction(u, includes_endpoints=False)
-
-
-def fem_forward(f, potential, level: GalerkinLevel) -> GridFunction:
-    """Forward map f |-> u_n of the discretized boundary-value problem."""
-    return solve_bvp(EllipticProblem(potential, f), level)
 
 
 def fem_operator_matrix(

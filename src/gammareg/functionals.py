@@ -2,8 +2,8 @@
 
 The functional is T(x) = (1/p) ||F(x) - y||^p + alpha * Omega(x) on the
 feasible domain and +infinity outside it. Approximations T_n replace F,
-y, alpha by level-n versions; evaluation returns extended reals so that
-infinite values stay explicit instead of hiding in float sentinels.
+y, alpha by level-n versions. T takes values in [0, +inf], so evaluation
+returns a float, math.inf outside the domain.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .grids import (
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, membership, whole_space
 
 __all__ = [
-    "ExtReal",
     "PenaltySpec",
     "half_sq_l2",
     "p_power_norm",
@@ -41,101 +40,8 @@ __all__ = [
     "noise_direction",
     "eval_T",
     "eval_Tn",
-    "eval_scaled",
     "is_eps_minimizer",
 ]
-
-
-@dataclass(frozen=True)
-class ExtReal:
-    """Extended real: a finite float or an explicit +/- infinity marker.
-
-    Arithmetic follows the usual conventions and refuses the undefined
-    combinations (inf - inf, 0 * inf) loudly instead of producing NaN.
-    """
-
-    value: float = 0.0
-    sign: int = 0  # 0 finite, +1 plus infinity, -1 minus infinity
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0, or +1")
-        if self.sign == 0 and not math.isfinite(self.value):
-            raise ValueError("finite ExtReal needs a finite value")
-
-    @staticmethod
-    def finite(v: float) -> "ExtReal":
-        return ExtReal(float(v), 0)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.sign == 0
-
-    def as_float(self) -> float:
-        if self.sign == 0:
-            return self.value
-        return math.inf if self.sign > 0 else -math.inf
-
-    def __add__(self, other) -> "ExtReal":
-        other = _coerce(other)
-        if self.sign == 0 and other.sign == 0:
-            return ExtReal.finite(self.value + other.value)
-        if self.sign == 0:
-            return other
-        if other.sign == 0 or other.sign == self.sign:
-            return self
-        raise ArithmeticError("inf - inf is undefined")
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: float) -> "ExtReal":
-        scalar = float(scalar)
-        if self.sign == 0:
-            return ExtReal.finite(self.value * scalar)
-        if scalar == 0.0:
-            raise ArithmeticError("0 * inf is undefined")
-        return ExtReal(0.0, self.sign if scalar > 0 else -self.sign)
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign != 0:
-            return 0
-        if self.value == other.value:
-            return 0
-        return -1 if self.value < other.value else 1
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __repr__(self) -> str:
-        if self.sign > 0:
-            return "ExtReal(+inf)"
-        if self.sign < 0:
-            return "ExtReal(-inf)"
-        return f"ExtReal({self.value!r})"
-
-
-POS_INF = ExtReal(0.0, 1)
-NEG_INF = ExtReal(0.0, -1)
-
-
-def _coerce(v) -> ExtReal:
-    if isinstance(v, ExtReal):
-        return v
-    return ExtReal.finite(float(v))
 
 
 @dataclass(frozen=True)
@@ -196,18 +102,6 @@ class PenaltySpec:
         if size == 0.0 and self.q < 2.0:
             raise UnsupportedPenaltyError("gradient undefined at zero for q < 2")
         return size ** (self.q - 2.0) * (w * x.values) if size > 0.0 else np.zeros_like(x.values)
-
-    def sublevel_radius(self, t: float) -> float:
-        """Radius r with {Omega <= t} contained in {||x||_tag <= r}."""
-        if t < 0.0:
-            return 0.0
-        if self.kind == "half_sq_l2":
-            return math.sqrt(2.0 * t)
-        if self.kind == "linf":
-            return t
-        if self.kind == "p_power_norm":
-            return (self.q * t) ** (1.0 / self.q)
-        return math.sqrt(2.0 * t) + norm(self.shift, NormTag.L2)
 
 
 def half_sq_l2() -> PenaltySpec:
@@ -270,17 +164,22 @@ def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec
     )
 
 
-def eval_T(problem: TikhonovProblem, x: GridFunction) -> ExtReal:
+def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     """Evaluate the target functional, +inf outside the domain.
 
-    An x off the operator's input grid is first resampled onto it.
+    An x off the operator's input grid is first resampled onto it. Inside
+    the domain T is finite, so a value that overflowed is refused with a
+    ValueError instead of passing for +inf.
     """
     if not membership(problem.domain, x):
-        return POS_INF
+        return math.inf
     op = problem.operator
     if not x.includes_endpoints or x.node_count != op.input_m:
         x = resample(x, op.input_m)
-    return ExtReal.finite(problem.value_at(x.values))
+    value = float(problem.value_at(x.values))
+    if not math.isfinite(value):
+        raise ValueError(f"T is not finite inside its domain: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -404,18 +303,13 @@ def make_approx_sequence(
     )
 
 
-def eval_Tn(seq: ApproxSequence, n: int, x: GridFunction) -> ExtReal:
+def eval_Tn(seq: ApproxSequence, n: int, x: GridFunction) -> float:
     """Evaluate the level-n functional, +inf outside dom(F_n)."""
     return eval_T(seq.problem_at(n), x)
 
 
-def eval_scaled(seq: ApproxSequence, n: int, x: GridFunction) -> ExtReal:
-    """(1/alpha_n) T_n(x); positive scaling keeps +inf where it was."""
-    return eval_Tn(seq, n, x) * (1.0 / seq.alpha_at(n))
-
-
-def is_eps_minimizer(value: ExtReal, inf_estimate: ExtReal, eps: float) -> bool:
-    """value <= max(inf + eps, -1/eps), evaluated in extended reals.
+def is_eps_minimizer(value: float, inf_estimate: float, eps: float) -> bool:
+    """value <= max(inf + eps, -1/eps).
 
     The -1/eps floor keeps the test meaningful when the infimum is
     -infinity: candidates must sit below a finite bar that drops as eps
@@ -423,8 +317,4 @@ def is_eps_minimizer(value: ExtReal, inf_estimate: ExtReal, eps: float) -> bool:
     """
     if eps <= 0.0:
         raise GridCompatibilityError("eps must be positive")
-    value = _coerce(value)
-    shifted = _coerce(inf_estimate) + eps
-    floor = ExtReal.finite(-1.0 / eps)
-    threshold = shifted if shifted >= floor else floor
-    return value <= threshold
+    return value <= max(inf_estimate + eps, -1.0 / eps)

@@ -24,7 +24,6 @@ __all__ = [
     "trapezoid_weights",
     "weighted_l2",
     "norm",
-    "inner_l2",
     "resample",
     "interpolation_weights",
     "interpolation_matrix",
@@ -170,13 +169,6 @@ def norm(g: GridFunction, tag: NormTag = NormTag.L2) -> float:
         d = np.diff(np.concatenate(([0.0], v, [0.0]))) / h
         return float(np.sqrt(d @ d * h))
     raise GridCompatibilityError(f"unknown norm tag {tag!r}")
-
-
-def inner_l2(a: GridFunction, b: GridFunction) -> float:
-    """Trapezoid-weighted L2 inner product; grids must match exactly."""
-    a._require_same_grid(b)
-    w = trapezoid_weights(a.node_count, a.includes_endpoints)
-    return float((a.values * b.values) @ w)
 
 
 def _effective_nodes_values(g: GridFunction):

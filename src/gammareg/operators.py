@@ -42,7 +42,6 @@ __all__ = [
     "ForwardOperator",
     "identity_operator",
     "integral_matrix",
-    "integral_apply",
     "OperatorFamily",
     "make_quadrature_family",
     "make_constant_family",
@@ -174,16 +173,6 @@ def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:
     same quad_m output nodes, so the matrix is square.
     """
     return _kernel_rows(kernel, quad_m, slice(None))
-
-
-def integral_apply(kernel: KernelSpec, x: GridFunction, quad_m: int) -> GridFunction:
-    """Apply the integral operator with trapezoid quadrature at quad_m nodes."""
-    if quad_m < 2:
-        raise GridCompatibilityError("quadrature needs at least 2 nodes")
-    xs = resample(x, quad_m).values
-    return GridFunction(
-        np.concatenate([_kernel_rows(kernel, quad_m, rows) @ xs for rows in _row_blocks(quad_m)])
-    )
 
 
 def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndarray:

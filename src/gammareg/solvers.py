@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
@@ -21,7 +19,7 @@ from .errors import (
     NumericalError,
     UnsupportedPenaltyError,
 )
-from .functionals import ExtReal, POS_INF, TikhonovProblem, eval_T
+from .functionals import TikhonovProblem, eval_T
 from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
 from .operators import DomainSpec, ForwardOperator, membership
 
@@ -42,6 +40,10 @@ __all__ = [
 _STEP0 = 1.0  # first trial step of each run
 _SHRINK = 0.5  # factor applied to a rejected step
 _SUFFICIENT_DECREASE = 1e-2
+# Decreasing alpha rungs of `min_penalty_solution`, a constant ratio apart.
+# Rungs below ~1e-7 would push the normal-equation condition number past
+# the point where the solves keep enough digits to extrapolate.
+_LADDER = (1e-3, 1e-5, 1e-7)
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,10 @@ class SolveConfig:
 @dataclass(frozen=True)
 class SolveResult:
     minimizer: GridFunction
-    value: ExtReal
+    value: float  # math.inf when infeasible
     iterations: int
     status: str  # converged | max_iter | infeasible
     grad_norm_final: float
-    monotone: bool = True
 
 
 class TikhonovObjective:
@@ -155,7 +156,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
     op = problem.operator
     if problem.alpha == 0.0 and np.linalg.matrix_rank(op.matrix) < op.input_m:
         zero = GridFunction(np.zeros(op.input_m))
-        return SolveResult(zero, POS_INF, 0, "infeasible", math.inf)
+        return SolveResult(zero, math.inf, 0, "infeasible", math.inf)
 
     gram, rhs = normal_equations(problem)
     x = np.linalg.solve(gram, rhs)
@@ -184,13 +185,11 @@ def projected_gradient(
     problem: TikhonovProblem,
     x0: GridFunction,
     config: SolveConfig = SolveConfig(),
-    target_value: float | None = None,
 ) -> SolveResult:
     """Monotone projected gradient descent with Armijo backtracking.
 
     Smooth objectives only. Convergence is declared when the projected
-    gradient norm drops below grad_tol, or early when `target_value` is
-    reached (the epsilon-minimizer production mode).
+    gradient norm drops below grad_tol.
     """
     if not problem.penalty.is_smooth and problem.alpha > 0.0:
         raise UnsupportedPenaltyError(
@@ -202,7 +201,7 @@ def projected_gradient(
     if not x0.includes_endpoints or x0.node_count != problem.operator.input_m:
         raise GridCompatibilityError("x0 must live on the operator input grid")
     if not membership(problem.domain, x0):
-        return SolveResult(x0, POS_INF, 0, "infeasible", math.inf)
+        return SolveResult(x0, math.inf, 0, "infeasible", math.inf)
 
     w_in = objective.w_in
     x = x0.values.copy()
@@ -218,9 +217,6 @@ def projected_gradient(
             moved = _project(problem.domain, x - g, w_in)
             grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
-                status = "converged"
-                break
-            if target_value is not None and f <= target_value:
                 status = "converged"
                 break
             iterations += 1
@@ -259,20 +255,13 @@ def minimize_problem(problem: TikhonovProblem, config: SolveConfig = SolveConfig
     return projected_gradient(problem, GridFunction(np.zeros(problem.operator.input_m)), config)
 
 
-def min_penalty_solution(
-    operator: ForwardOperator,
-    y: GridFunction,
-    ladder: Sequence[float] = (1e-3, 1e-5, 1e-7),
-) -> GridFunction:
+def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunction:
     """Minimum-L2-norm solution of F x = y via a vanishing-alpha ladder.
 
-    Solves the regularized normal equations down the alpha rungs and
-    Richardson-extrapolates the last three (the solution path is
-    analytic in alpha near zero). Rungs below ~1e-7 would push the
-    normal-equation condition number past the point where the solves
-    keep enough digits to extrapolate, so the default stops there.
-    Refuses data outside the range of F: the least-squares residual
-    must be below 1e-8.
+    Solves the regularized normal equations at the three alpha rungs of
+    `_LADDER` and Richardson-extrapolates them (the solution path is
+    analytic in alpha near zero). Refuses data outside the range of F:
+    the least-squares residual must be below 1e-8.
     """
     a = operator.matrix
     w_in = trapezoid_weights(operator.input_m)
@@ -284,15 +273,9 @@ def min_penalty_solution(
             f"y is not attainable: least-squares residual {ls_residual:.2e} > 1e-8"
         )
 
-    ladder = sorted(ladder, reverse=True)
-    if len(ladder) < 3:
-        raise GridCompatibilityError("alpha ladder needs at least three rungs")
     gram_base, rhs = normal_equations(TikhonovProblem(operator, y, alpha=0.0))
-    iterates = []
-    for alpha in ladder:
-        iterates.append(np.linalg.solve(gram_base + alpha * np.diag(w_in), rhs))
-    x1, x2, x3 = iterates[-3], iterates[-2], iterates[-1]
-    ratio = ladder[-2] / ladder[-1]
+    x1, x2, x3 = (np.linalg.solve(gram_base + alpha * np.diag(w_in), rhs) for alpha in _LADDER)
+    ratio = _LADDER[1] / _LADDER[2]
     e12 = x2 + (x2 - x1) / (ratio - 1.0)
     e23 = x3 + (x3 - x2) / (ratio - 1.0)
     refined = e23 + (e23 - e12) / (ratio**2 - 1.0)

@@ -122,20 +122,20 @@ def inf_convergence_study(
             return InfConvergenceReport(
                 tuple(seq.levels[: len(inf_values)]),
                 tuple(inf_values),
-                ref.value.as_float(),
+                ref.value,
                 tuple(gaps),
                 tuple(distances),
                 None,
                 f"level {n}",
             )
-        inf_values.append(res.value.as_float())
-        gaps.append(abs(res.value.as_float() - ref.value.as_float()))
+        inf_values.append(res.value)
+        gaps.append(abs(res.value - ref.value))
         distances.append(norm(res.minimizer - ref.minimizer))
     verdict = gaps[-1] <= tol and _tail_monotone(gaps)
     return InfConvergenceReport(
         tuple(seq.levels),
         tuple(inf_values),
-        ref.value.as_float(),
+        ref.value,
         tuple(gaps),
         tuple(distances),
         verdict,
@@ -180,7 +180,7 @@ def eps_minimizer_chain(
             raise GridCompatibilityError("eps sequence must stay positive")
         res = _solve_level(seq, n, solver)
         xs.append(res.minimizer)
-        values.append(res.value.as_float())
+        values.append(res.value)
         eps_values.append(eps)
         certified.append(is_eps_minimizer(res.value, res.value, eps))
     steps = tuple(norm(b - a) for a, b in zip(xs, xs[1:]))
@@ -191,7 +191,7 @@ def eps_minimizer_chain(
     )
     cluster_found = spread <= cauchy_tol
     cluster = xs[-1]
-    exact_value = eval_T(seq.target, cluster).as_float()
+    exact_value = eval_T(seq.target, cluster)
     final_gap = abs(exact_value - values[-1])
     verdict = None if not cluster_found else final_gap <= value_gap_tol
     return EpsChainReport(
@@ -344,11 +344,9 @@ def equi_coercivity_probe(
     for n in seq.levels:
         for i, x in enumerate(samples):
             value = eval_Tn(seq, n, x)
-            if not value.is_finite:
-                continue
             omega = penalty.evaluate(x)
             for t in thresholds:
-                if value.value <= t:
+                if value <= t:
                     hits += 1
                     if omega > t / delta:
                         violations.append((n, i, float(t)))
@@ -494,11 +492,9 @@ def scaling_invariance_check(
         x_scaled = np.linalg.solve(lam * gram, lam * rhs)
         v_scaled = lam * problem.value_at(x_scaled)
         lambdas.append(lam)
-        values.append(res.value.as_float())
+        values.append(res.value)
         scaled_values.append(v_scaled)
-        residuals.append(
-            abs(lam * res.value.as_float() - v_scaled) / max(1.0, abs(v_scaled))
-        )
+        residuals.append(abs(lam * res.value - v_scaled) / max(1.0, abs(v_scaled)))
         distances.append(norm(GridFunction(x_scaled) - res.minimizer))
 
     unscaled_limit = richardson_limit(levels, values)

@@ -16,11 +16,14 @@ from gammareg import (
     AlphaSchedule,
     GridFunction,
     NoiseSchedule,
+    SolveConfig,
     TikhonovProblem,
+    eval_T,
     gaussian_kernel,
     grid_nodes,
     make_approx_sequence,
     make_quadrature_family,
+    projected_gradient,
 )
 
 GAUSS_SIGMA = 0.2
@@ -55,6 +58,20 @@ def build_gaussian_sequence(levels=GAUSS_LEVELS):
 @pytest.fixture(scope="session")
 def gaussian_sequence():
     return build_gaussian_sequence()
+
+
+def uphill_steps(problem, x0, k_max=20):
+    """Iteration counts k <= k_max whose projected-gradient value exceeds k - 1's.
+
+    A run capped at k iterations repeats the first k - 1 iterations of the
+    run capped at k - 1, so the values of the capped runs are the values
+    along one descent path; the solver's own bookkeeping is not consulted.
+    """
+    values = [eval_T(problem, x0)]
+    for k in range(1, k_max + 1):
+        config = SolveConfig(max_iter=k, grad_tol=1e-300)
+        values.append(projected_gradient(problem, x0, config).value)
+    return [k for k in range(1, k_max + 1) if values[k] > values[k - 1]]
 
 
 # Acceptance tests append one "name: PASS/FAIL (details)" line each; the

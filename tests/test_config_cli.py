@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import itertools
 import json
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import gammareg
 from gammareg import (
     ConfigError,
     NumericalError,
@@ -30,7 +33,7 @@ from gammareg import (
     parse_config,
     resolve_potential,
 )
-from gammareg.cli import run_study
+from gammareg.cli import main, run_study
 
 RUN = [sys.executable, "-m", "gammareg.cli"]
 
@@ -379,6 +382,17 @@ def test_failed_verdict_exits_two(tmp_path):
     assert "fail" in proc.stdout
 
 
+def test_overflowing_functional_exits_two(tmp_path, capsys):
+    # T overflows to inf inside its domain; the run must end with the
+    # documented exit code and a message, not a report of inf values
+    huge = FAST_INF_STUDY.replace("truth_amplitude = 0.01", "truth_amplitude = 1e200")
+    with np.errstate(over="ignore"):
+        code = main(["run", "--config", write_config(tmp_path, huge)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_refused_study_exits_three(tmp_path):
     refusal = """
         [study]
@@ -535,3 +549,15 @@ def test_coercivity_study_runs(tmp_path):
     assert verdict[4] == "pass"
     violations = [r for r in rows if r[2] == "violations"][0]
     assert float(violations[3]) == 0.0
+
+
+# ---------------------------------------------------------- public names
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry would break `from gammareg import *`
+    names = ["gammareg"] + [f"gammareg.{m.name}" for m in pkgutil.iter_modules(gammareg.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], name

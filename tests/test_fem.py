@@ -16,7 +16,6 @@ from gammareg import (
     NormTag,
     NumericalError,
     assemble,
-    fem_forward,
     from_callable,
     grid_nodes,
     l2_error_vs_exact,
@@ -89,10 +88,6 @@ def test_grid_function_potential_accepted():
 def test_level_needs_interior_nodes():
     with pytest.raises(GridCompatibilityError):
         GalerkinLevel(0)
-
-
-def test_nested_refinement_keeps_old_nodes():
-    assert GalerkinLevel(7).refine().n == 15
 
 
 # --------------------------------------------------------- linear algebra
@@ -204,13 +199,6 @@ def test_rate_study_refuses_exact_discrete_solutions():
 
 
 # ------------------------------------------------------------ forward map
-
-
-def test_fem_forward_matches_direct_solve():
-    level = GalerkinLevel(9)
-    f = lambda t: np.sin(2.0 * np.pi * t)  # noqa: E731
-    direct = solve_bvp(EllipticProblem(ONE, f), level)
-    assert np.allclose(fem_forward(f, ONE, level).values, direct.values, atol=1e-14)
 
 
 def test_fem_family_matches_forward_solves():

@@ -1,6 +1,8 @@
-"""Extended reals, penalties, Tikhonov functionals, approximating sequences."""
+"""Epsilon minimizers, penalties, Tikhonov functionals, approximating sequences."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -8,11 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammareg import (
-    NEG_INF,
-    POS_INF,
     AlphaSchedule,
     ApproxSequence,
-    ExtReal,
     GridCompatibilityError,
     GridFunction,
     NoiseSchedule,
@@ -20,13 +19,11 @@ from gammareg import (
     UnsupportedPenaltyError,
     eval_T,
     eval_Tn,
-    eval_scaled,
     from_callable,
     gaussian_kernel,
     grid_nodes,
     half_sq_l2,
     identity_operator,
-    inner_l2,
     is_eps_minimizer,
     linf_penalty,
     make_approx_sequence,
@@ -39,78 +36,30 @@ from gammareg import (
     PenaltySpec,
 )
 
-# ---------------------------------------------------------- extended reals
-
-
-def test_finite_arithmetic():
-    assert (ExtReal.finite(3.0) + ExtReal.finite(4.0)).as_float() == 7.0
-    assert (ExtReal.finite(3.0) + 1.5).as_float() == 4.5
-
-
-def test_infinities_absorb_finite_values():
-    assert (POS_INF + ExtReal.finite(-100.0)).sign == 1
-    assert (NEG_INF + 100.0).sign == -1
-
-
-def test_opposite_infinities_do_not_add():
-    with pytest.raises(ArithmeticError):
-        POS_INF + NEG_INF
-    with pytest.raises(ArithmeticError):
-        NEG_INF + POS_INF
-
-
-def test_scalar_multiplication():
-    assert (2.0 * POS_INF).sign == 1
-    assert (-1.0 * POS_INF).sign == -1
-    assert (3.0 * ExtReal.finite(2.0)).as_float() == 6.0
-
-
-def test_zero_times_infinity_is_undefined():
-    with pytest.raises(ArithmeticError):
-        0.0 * POS_INF
-
-
-def test_extreal_times_extreal_is_rejected():
-    with pytest.raises(TypeError):
-        ExtReal.finite(2.0) * ExtReal.finite(3.0)
-
-
-def test_ordering():
-    assert NEG_INF < ExtReal.finite(-1e300) < ExtReal.finite(0.0) < POS_INF
-    assert POS_INF <= POS_INF
-    assert NEG_INF <= NEG_INF
-
-
-def test_as_float_round_trips():
-    assert ExtReal.finite(2.5).as_float() == 2.5
-    assert POS_INF.as_float() == float("inf")
-    assert NEG_INF.as_float() == float("-inf")
-
-
-def test_finite_constructor_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ExtReal.finite(float("inf"))
-
-
 # ------------------------------------------------------ epsilon minimizers
+
+
+_EPS_TABLE = [
+    # finite inf: the bar is inf + eps
+    (0.5, 0.0, 0.5, True),
+    (0.6, 0.0, 0.5, False),
+    # the -1/eps floor keeps the test meaningful at inf = -infinity
+    (-3.0, -math.inf, 0.5, True),  # -3 <= -1/0.5 = -2
+    (-0.4, -math.inf, 2.0, False),  # -0.4 > -1/2
+    (-math.inf, -math.inf, 2.0, True),
+    # inf = +infinity certifies anything
+    (math.inf, math.inf, 0.1, True),
+    (5.0, math.inf, 0.1, True),
+    # the floor can rescue a value far below a finite inf bar
+    (-10.0, 0.0, 0.1, True),
+]
 
 
 @pytest.mark.parametrize(
     "value, inf_estimate, eps, expected",
-    [
-        # finite inf: the bar is inf + eps
-        (ExtReal.finite(0.5), ExtReal.finite(0.0), 0.5, True),
-        (ExtReal.finite(0.6), ExtReal.finite(0.0), 0.5, False),
-        # the -1/eps floor keeps the test meaningful at inf = -infinity
-        (ExtReal.finite(-3.0), NEG_INF, 0.5, True),  # -3 <= -1/0.5 = -2
-        (ExtReal.finite(-0.4), NEG_INF, 2.0, False),  # -0.4 > -1/2
-        (NEG_INF, NEG_INF, 2.0, True),
-        # inf = +infinity certifies anything
-        (POS_INF, POS_INF, 0.1, True),
-        (ExtReal.finite(5.0), POS_INF, 0.1, True),
-        # the floor can rescue a value far below a finite inf bar
-        (ExtReal.finite(-10.0), ExtReal.finite(0.0), 0.1, True),
-    ],
+    _EPS_TABLE,
+    # row ids name the row index, so they do not depend on how values print
+    ids=[f"value{i}-inf_estimate{i}-{e}-{x}" for i, (_, _, e, x) in enumerate(_EPS_TABLE)],
 )
 def test_eps_minimizer_table(value, inf_estimate, eps, expected):
     assert is_eps_minimizer(value, inf_estimate, eps) is expected
@@ -118,9 +67,9 @@ def test_eps_minimizer_table(value, inf_estimate, eps, expected):
 
 def test_eps_must_be_positive():
     with pytest.raises(GridCompatibilityError):
-        is_eps_minimizer(ExtReal.finite(0.0), ExtReal.finite(0.0), 0.0)
+        is_eps_minimizer(0.0, 0.0, 0.0)
     with pytest.raises(GridCompatibilityError):
-        is_eps_minimizer(ExtReal.finite(0.0), ExtReal.finite(0.0), -1.0)
+        is_eps_minimizer(0.0, 0.0, -1.0)
 
 
 def test_eps_minimizer_accepts_plain_floats():
@@ -135,16 +84,15 @@ def test_eps_minimizer_accepts_plain_floats():
 )
 def test_eps_minimizer_is_monotone_in_eps(inf_value, eps, extra):
     # once certified at eps, a candidate stays certified at any larger eps
-    value = ExtReal.finite(inf_value + eps * 0.5)
-    inf_est = ExtReal.finite(inf_value)
+    value = inf_value + eps * 0.5
+    inf_est = inf_value
     assert is_eps_minimizer(value, inf_est, eps)
     assert is_eps_minimizer(value, inf_est, eps + extra)
 
 
 @given(st.floats(min_value=-50.0, max_value=50.0), st.floats(min_value=0.01, max_value=5.0))
 def test_true_minimizer_is_always_certified(inf_value, eps):
-    v = ExtReal.finite(inf_value)
-    assert is_eps_minimizer(v, v, eps)
+    assert is_eps_minimizer(inf_value, inf_value, eps)
 
 
 # --------------------------------------------------------------- penalties
@@ -176,20 +124,6 @@ def test_shifted_penalty_resamples_shift():
     shift = GridFunction(np.full(5, 1.0))
     x = GridFunction(np.full(9, 1.0))
     assert shifted_half_sq(shift).evaluate(x) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_sublevel_radius_formulas():
-    assert half_sq_l2().sublevel_radius(2.0) == pytest.approx(2.0)
-    assert p_power_norm(3.0).sublevel_radius(9.0) == pytest.approx(3.0)
-    assert linf_penalty().sublevel_radius(0.7) == 0.7
-    assert half_sq_l2().sublevel_radius(-1.0) == 0.0
-
-
-def test_sublevel_radius_contains_sublevel_set():
-    pen = p_power_norm(4.0)
-    x = GridFunction(np.full(9, 0.8))
-    t = pen.evaluate(x)
-    assert norm(x) <= pen.sublevel_radius(t) + 1e-12
 
 
 def test_unknown_penalty_kind_rejected():
@@ -244,7 +178,7 @@ def test_scalar_surrogate_value_by_grid_search():
     problem = scalar_surrogate()
     cs = np.linspace(-1.0, 1.0, 20001)
     values = [
-        eval_T(problem, GridFunction(np.full(2, c))).as_float() for c in (0.3, 0.4, 0.5)
+        eval_T(problem, GridFunction(np.full(2, c))) for c in (0.3, 0.4, 0.5)
     ]
     assert values[1] == pytest.approx(0.1, abs=1e-12)
     assert values[1] < values[0] and values[1] < values[2]
@@ -258,9 +192,17 @@ def test_functional_is_plus_infinity_outside_domain():
         op, GridFunction(np.zeros(5)), alpha=1.0, domain=norm_ball(0.1)
     )
     outside = GridFunction(np.full(5, 0.2))
-    assert eval_T(problem, outside).sign == 1
+    assert eval_T(problem, outside) == math.inf
     inside = GridFunction(np.full(5, 0.05))
-    assert eval_T(problem, inside).is_finite
+    value = eval_T(problem, inside)
+    assert type(value) is float and math.isfinite(value)
+
+
+def test_overflowing_functional_is_refused():
+    # inside the domain T is finite; an overflow must not pass for +inf
+    problem = TikhonovProblem(identity_operator(5), GridFunction(np.zeros(5)), alpha=1.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        eval_T(problem, GridFunction(np.full(5, 1e200)))
 
 
 def test_alpha_zero_functional_is_pure_discrepancy():
@@ -269,7 +211,7 @@ def test_alpha_zero_functional_is_pure_discrepancy():
     problem = TikhonovProblem(op, y, alpha=0.0)
     x = from_callable(np.cos, 9)
     expected = 0.5 * norm(GridFunction(x.values - y.values)) ** 2
-    assert eval_T(problem, x).as_float() == pytest.approx(expected, rel=1e-13)
+    assert eval_T(problem, x) == pytest.approx(expected, rel=1e-13)
 
 
 def test_problem_validation():
@@ -370,15 +312,7 @@ def test_eval_level_functional_matches_manual_formula(gaussian_sequence):
         ** 2
         + gaussian_sequence.alpha_at(n) * half_sq_l2().evaluate(x)
     )
-    assert eval_Tn(gaussian_sequence, n, x).as_float() == pytest.approx(manual, rel=1e-13)
-
-
-def test_scaled_evaluation_divides_by_alpha(gaussian_sequence):
-    n = 9
-    x = from_callable(lambda t: 0.01 * np.sin(np.pi * t), 65)
-    plain = eval_Tn(gaussian_sequence, n, x).as_float()
-    scaled = eval_scaled(gaussian_sequence, n, x).as_float()
-    assert scaled == pytest.approx(plain / gaussian_sequence.alpha_at(n), rel=1e-13)
+    assert eval_Tn(gaussian_sequence, n, x) == pytest.approx(manual, rel=1e-13)
 
 
 # ------------------------------------------------------------- properties
@@ -401,7 +335,7 @@ coeff_boxes = st.lists(
 @given(coeff_boxes)
 def test_functional_dominates_alpha_times_penalty(values):
     x = GridFunction(np.asarray(values))
-    total = eval_T(_PROP_TARGET, x).as_float()
+    total = eval_T(_PROP_TARGET, x)
     assert total >= _PROP_TARGET.alpha * half_sq_l2().evaluate(x) - 1e-12
 
 
@@ -410,7 +344,7 @@ def test_functional_is_monotone_in_alpha(values, bump):
     x = GridFunction(np.asarray(values))
     lo = TikhonovProblem(_PROP_FAMILY.reference, _PROP_Y, alpha=0.2)
     hi = TikhonovProblem(_PROP_FAMILY.reference, _PROP_Y, alpha=0.2 + bump)
-    assert eval_T(lo, x).as_float() <= eval_T(hi, x).as_float() + 1e-12
+    assert eval_T(lo, x) <= eval_T(hi, x) + 1e-12
 
 
 @settings(deadline=None)
@@ -426,9 +360,7 @@ def test_level_deviation_obeys_triangle_bound(values, n):
     gap_y = norm(seq.data_at(n) - seq.target.data_y)
     omega = half_sq_l2().evaluate(x)
     bound = 0.5 * (rn + r) * (gap_f + gap_y) + abs(seq.alpha_at(n) - seq.target.alpha) * omega
-    deviation = abs(
-        eval_Tn(seq, n, x).as_float() - eval_T(seq.target, x).as_float()
-    )
+    deviation = abs(eval_Tn(seq, n, x) - eval_T(seq.target, x))
     assert deviation <= bound + 1e-10
 
 
@@ -437,7 +369,7 @@ def test_quadratic_functional_midpoint_convexity(a_vals, b_vals):
     a = GridFunction(np.asarray(a_vals))
     b = GridFunction(np.asarray(b_vals))
     mid = GridFunction(0.5 * (a.values + b.values))
-    fa = eval_T(_PROP_TARGET, a).as_float()
-    fb = eval_T(_PROP_TARGET, b).as_float()
-    fm = eval_T(_PROP_TARGET, mid).as_float()
+    fa = eval_T(_PROP_TARGET, a)
+    fb = eval_T(_PROP_TARGET, b)
+    fm = eval_T(_PROP_TARGET, mid)
     assert fm <= 0.5 * (fa + fb) + 1e-10

@@ -13,7 +13,6 @@ from gammareg import (
     NormTag,
     from_callable,
     grid_nodes,
-    inner_l2,
     norm,
     resample,
     resample_matrix,
@@ -104,18 +103,6 @@ def test_h1_norm_of_unit_tent():
 def test_h1_norm_rejects_endpoint_grids():
     with pytest.raises(GridCompatibilityError):
         norm(GridFunction(np.zeros(3)), NormTag.H1_0)
-
-
-def test_inner_product_hand_value():
-    a = GridFunction(np.array([1.0, 2.0, 3.0]))
-    b = GridFunction(np.ones(3))
-    # weights (1/4, 1/2, 1/4): 0.25*1 + 0.5*2 + 0.25*3 = 2
-    assert inner_l2(a, b) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_inner_product_requires_matching_grids():
-    with pytest.raises(GridCompatibilityError):
-        inner_l2(GridFunction(np.ones(3)), GridFunction(np.ones(5)))
 
 
 # ------------------------------------------------------------ container
@@ -217,13 +204,6 @@ def test_norm_triangle_inequality(pair):
     a, b = pair
     lhs = norm(GridFunction(a + b))
     assert lhs <= norm(GridFunction(a)) + norm(GridFunction(b)) + 1e-9
-
-
-@given(value_pairs())
-def test_cauchy_schwarz(pair):
-    a, b = pair
-    lhs = abs(inner_l2(GridFunction(a), GridFunction(b)))
-    assert lhs <= norm(GridFunction(a)) * norm(GridFunction(b)) + 1e-9
 
 
 @given(

@@ -20,7 +20,6 @@ from gammareg import (
     gaussian_kernel,
     grid_nodes,
     identity_operator,
-    integral_apply,
     integral_matrix,
     make_constant_family,
     make_fem_family,
@@ -30,7 +29,6 @@ from gammareg import (
     norm,
     norm_ball,
     norm_ball_nonneg,
-    resample,
     resample_matrix,
     separable_kernel,
     standard_samples,
@@ -52,8 +50,8 @@ def test_constant_kernel_rows_are_kappa_times_weights():
 
 def test_constant_kernel_integrates_constants_exactly():
     # k(s,t) = 2: (Fx)(s) = 2 * integral of x; for x = 1 that is 2
-    out = integral_apply(constant_kernel(2.0), GridFunction(np.ones(5)), 5)
-    assert np.allclose(out.values, 2.0, atol=1e-15)
+    out = integral_matrix(constant_kernel(2.0), 5) @ np.ones(5)
+    assert np.allclose(out, 2.0, atol=1e-15)
 
 
 def test_separable_kernel_matrix_has_rank_one():
@@ -66,8 +64,8 @@ def test_separable_kernel_matrix_has_rank_one():
 def test_separable_kernel_hand_value():
     # k(s,t) = s*t applied to x(t) = t: (Fx)(s) = s * integral t^2 dt.
     # Trapezoid at 3 nodes integrates t^2 to 3/8 (h^2/6 overshoot of 1/3).
-    out = integral_apply(separable_kernel(), from_callable(lambda t: t, 3), 3)
-    assert np.allclose(out.values, 0.375 * grid_nodes(3), atol=1e-15)
+    out = integral_matrix(separable_kernel(), 3) @ grid_nodes(3)
+    assert np.allclose(out, 0.375 * grid_nodes(3), atol=1e-15)
 
 
 def test_gaussian_kernel_is_symmetric():
@@ -181,14 +179,6 @@ def test_family_operators_equal_the_dense_products(kernel, m_ref, levels):
     for n in levels:
         dense = resample_matrix(n, m_ref) @ integral_matrix(kernel, n) @ resample_matrix(65, n)
         _assert_rel_close(family.operator_at(n).matrix, dense, 1e-13)
-
-
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
-def test_integral_apply_over_several_row_blocks(kernel):
-    quad_m = 3 * _BLOCK_ROWS + 7
-    x = from_callable(lambda t: np.cos(5.0 * t) - t, 65)
-    dense = integral_matrix(kernel, quad_m) @ resample(x, quad_m).values
-    _assert_rel_close(integral_apply(kernel, x, quad_m).values, dense, 1e-13)
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():

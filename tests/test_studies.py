@@ -76,7 +76,7 @@ def test_infima_approach_the_reference_minimum(gaussian_sequence):
     assert report.gaps[-1] < 1e-3
     assert report.verdict is True
     # the reference minimum matches an independent direct solve
-    direct = minimize_problem(gaussian_sequence.target).value.as_float()
+    direct = minimize_problem(gaussian_sequence.target).value
     assert report.reference_min == pytest.approx(direct, rel=1e-13)
 
 
@@ -99,7 +99,7 @@ def test_eps_chain_certifies_and_clusters(gaussian_sequence):
     # steps contract as the levels refine
     assert report.step_distances[-1] < report.step_distances[0]
     # the recorded exact value is T evaluated at the cluster point
-    recomputed = eval_T(gaussian_sequence.target, report.cluster_point).as_float()
+    recomputed = eval_T(gaussian_sequence.target, report.cluster_point)
     assert report.exact_value_at_cluster == pytest.approx(recomputed, rel=1e-13)
 
 
