@@ -176,7 +176,8 @@ def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     op = problem.operator
     if not x.includes_endpoints or x.node_count != op.input_m:
         x = resample(x, op.input_m)
-    value = float(problem.value_at(x.values))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        value = float(problem.value_at(x.values))
     if not math.isfinite(value):
         raise ValueError(f"T is not finite inside its domain: {value!r}")
     return value

@@ -9,6 +9,7 @@ spacing 1/(n+1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,18 +53,22 @@ def grid_nodes(m: int, includes_endpoints: bool = True) -> np.ndarray:
     return h * np.arange(1, m + 1)
 
 
+@functools.lru_cache(maxsize=128)
 def trapezoid_weights(m: int, includes_endpoints: bool = True) -> np.ndarray:
     """Composite-trapezoid quadrature weights matching `grid_nodes`.
 
     Interior-node grids inherit the weights of the full trapezoid rule
     with the implicit zero endpoints dropped, i.e. weight h per node.
+    One read-only vector per grid is built and shared by every caller.
     """
     if includes_endpoints:
         h = 1.0 / (m - 1)
         w = np.full(m, h)
         w[0] = w[-1] = 0.5 * h
-        return w
-    return np.full(m, 1.0 / (m + 1))
+    else:
+        w = np.full(m, 1.0 / (m + 1))
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

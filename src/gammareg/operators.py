@@ -141,6 +141,19 @@ class ForwardOperator:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_gram", None)
+
+    def gram(self) -> np.ndarray:
+        """A^T W A, W the output trapezoid weights; read-only, formed on first call.
+
+        Solves on the same operator differ only in alpha W_X and the right
+        side, so the operator keeps this input_m x input_m product.
+        """
+        if self._gram is None:
+            gram = _weighted_gram(self.matrix, trapezoid_weights(self.output_m))
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram", gram)
+        return self._gram
 
     def apply(self, x: GridFunction) -> GridFunction:
         if not x.includes_endpoints or x.node_count != self.input_m:
@@ -153,6 +166,7 @@ def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperat
 
 
 _BLOCK_ROWS = 64  # kernel rows evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
+_GRAM_ROWS = 1024  # operator rows weighted at once by `_weighted_gram`
 
 
 def _kernel_rows(kernel: KernelSpec, quad_m: int, rows: slice) -> np.ndarray:
@@ -162,8 +176,23 @@ def _kernel_rows(kernel: KernelSpec, quad_m: int, rows: slice) -> np.ndarray:
     return k * trapezoid_weights(quad_m)
 
 
-def _row_blocks(m: int):
-    return (slice(i, min(i + _BLOCK_ROWS, m)) for i in range(0, m, _BLOCK_ROWS))
+def _row_blocks(m: int, block: int = _BLOCK_ROWS):
+    return (slice(i, min(i + block, m)) for i in range(0, m, block))
+
+
+def _weighted_gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a.T @ (w[:, None] * a)` as a sum of (sqrt(w) a)^T (sqrt(w) a) over row blocks.
+
+    Each block product is a symmetric rank-k update, so the sum is exactly
+    symmetric, and the scratch is one block of rows, not a copy of `a`.
+    """
+    sqrt_w = np.sqrt(w)
+    gram = np.zeros((a.shape[1], a.shape[1]))
+    for rows in _row_blocks(a.shape[0], _GRAM_ROWS):
+        block = sqrt_w[rows, None] * a[rows]
+        gram += block.T @ block
+        del block  # else the next block is built while this one is alive
+    return gram
 
 
 def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:

@@ -126,19 +126,30 @@ def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix A^T W A + alpha W_X and right side A^T W y + alpha W_X x0.
 
     W and W_X are the trapezoid weights of the output and input grids; x0
-    is the penalty shift, or 0.
+    is the penalty shift, or 0. A^T W A is the operator's kept Gram.
     """
-    op, a, alpha = problem.operator, problem.operator.matrix, problem.alpha
-    w_out = trapezoid_weights(op.output_m)
+    op, alpha = problem.operator, problem.alpha
     w_in = trapezoid_weights(op.input_m)
-    gram = a.T @ (w_out[:, None] * a) + alpha * np.diag(w_in)
-    rhs = a.T @ (w_out * problem.data_y.values)
+    gram = op.gram().copy()
+    gram.flat[:: op.input_m + 1] += alpha * w_in
+    rhs = op.matrix.T @ (trapezoid_weights(op.output_m) * problem.data_y.values)
     if problem.penalty.kind == "shifted_half_sq":
         shift = problem.penalty.shift
         if shift.node_count != op.input_m or not shift.includes_endpoints:
             raise GridCompatibilityError("penalty shift must live on the input grid")
         rhs = rhs + alpha * w_in * shift.values
     return gram, rhs
+
+
+def _relative_residual(gram: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
+    """||gram x - rhs|| / ||rhs||, with ||rhs|| floored at 1e-30.
+
+    Both vectors are divided by max|rhs| before their norms are taken, so
+    neither norm overflows while the entries of rhs are finite.
+    """
+    peak = float(np.max(np.abs(rhs))) or 1.0
+    residual = float(np.linalg.norm((gram @ x - rhs) / peak))
+    return residual / max(float(np.linalg.norm(rhs / peak)), 1e-30)
 
 
 def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
@@ -160,12 +171,11 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
 
     gram, rhs = normal_equations(problem)
     x = np.linalg.solve(gram, rhs)
-    scale = max(float(np.linalg.norm(rhs)), 1e-30)
-    residual = float(np.linalg.norm(gram @ x - rhs))
-    if residual > 1e-10 * scale:
+    residual = _relative_residual(gram, x, rhs)
+    if residual > 1e-10:
         x = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        residual = float(np.linalg.norm(gram @ x - rhs))
-        if residual > 1e-10 * scale:
+        residual = _relative_residual(gram, x, rhs)
+        if residual > 1e-10:
             raise NumericalError(
                 f"normal equations residual {residual:.2e} exceeds 1e-10 relative"
             )

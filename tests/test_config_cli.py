@@ -393,6 +393,15 @@ def test_overflowing_functional_exits_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("amplitude", ["1e160", "1e200"])
+def test_overflow_prints_one_error_line(tmp_path, amplitude):
+    # stderr carries the refusal alone, with no numpy warnings before it
+    huge = FAST_INF_STUDY.replace("truth_amplitude = 0.01", f"truth_amplitude = {amplitude}")
+    proc = cli("run", "--config", write_config(tmp_path, huge))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: T is not finite inside its domain: inf\n"
+
+
 def test_refused_study_exits_three(tmp_path):
     refusal = """
         [study]

@@ -66,6 +66,13 @@ def test_endpoint_weights_sum_to_interval_length():
     assert trapezoid_weights(65).sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def test_trapezoid_weights_are_shared_and_read_only():
+    for endpoints in (True, False):
+        w = trapezoid_weights(17, endpoints)
+        assert trapezoid_weights(17, endpoints) is w
+        assert not w.flags.writeable
+
+
 def test_interior_weights_sum():
     # interior rule integrates the constant 1 to m/(m+1)
     assert trapezoid_weights(9, includes_endpoints=False).sum() == pytest.approx(

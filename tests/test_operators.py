@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammareg import (
@@ -36,7 +36,7 @@ from gammareg import (
     uniform_gap,
     whole_space,
 )
-from gammareg.operators import _BLOCK_ROWS
+from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS
 
 
 # ------------------------------------------------------------- kernels
@@ -357,3 +357,39 @@ def test_fem_family_memory_follows_kept_operators():
     bound = kept + 12 * largest
     assert bound < n_ref * n_ref * F64 / 2  # a dense prolongation cannot fit
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+# ------------------------------------------------------------------ Gram
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=2, max_value=3 * _GRAM_ROWS),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_gram_matches_the_dense_weighted_product(output_m, input_m, seed):
+    a = np.random.default_rng(seed).standard_normal((output_m, input_m))
+    op = ForwardOperator(a, input_m, output_m)
+    w = trapezoid_weights(output_m)
+    dense = a.T @ (w[:, None] * a)
+    gram = op.gram()
+    assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert np.array_equal(gram, gram.T)
+    assert not gram.flags.writeable
+    assert op.gram() is gram
+
+
+def test_gram_memory_is_the_gram_plus_one_block():
+    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=257).reference
+    tracemalloc.start()
+    try:
+        op.gram()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the kept Gram, one weighted block of rows, and the block's product,
+    # which is input_m x input_m and so no larger than the block here
+    bound = op.input_m**2 * F64 + 2 * _GRAM_ROWS * op.input_m * F64
+    assert bound < op.matrix.nbytes  # a weighted copy of the operator cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"

@@ -14,6 +14,7 @@ from gammareg import (
     GridCompatibilityError,
     GridFunction,
     InconsistentDataError,
+    NumericalError,
     SolveConfig,
     TikhonovProblem,
     UnsupportedPenaltyError,
@@ -113,6 +114,32 @@ def test_shifted_penalty_recenters_the_solution():
 def test_closed_form_gradient_is_small_at_solution():
     res = solve_linear_quadratic(gaussian_problem())
     assert res.grad_norm_final < 1e-10
+
+
+def test_closed_form_gradient_goes_through_the_operator(monkeypatch):
+    # the gradient is taken through A, not through the Gram the solve used,
+    # so a Gram off by a relative 1e-6 shows up in grad_norm_final
+    gram = ForwardOperator.gram
+    monkeypatch.setattr(ForwardOperator, "gram", lambda op: gram(op) * (1.0 + 1e-6))
+    assert solve_linear_quadratic(gaussian_problem()).grad_norm_final > 1e-8
+
+
+def test_residual_check_survives_huge_right_sides(monkeypatch):
+    # entries of rhs near 1e157 overflow ||rhs||^2; the check must still
+    # accept the true solution and refuse one that is off by 1e-6
+    op = identity_operator(9)
+    y = from_callable(lambda t: 1e158 * (1.0 + t), 9)
+    problem = TikhonovProblem(op, y, alpha=0.5)
+    gram, rhs = solvers.normal_equations(problem)
+    assert np.max(np.abs(rhs)) > 1e157
+    assert solvers._relative_residual(gram, np.linalg.solve(gram, rhs), rhs) < 1e-15
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "solve", lambda g, r: solve(g, r) * (1.0 + 1e-6))
+    monkeypatch.setattr(
+        np.linalg, "lstsq", lambda g, r, rcond: (lstsq(g, r, rcond=rcond)[0] * (1.0 + 1e-6),)
+    )
+    with pytest.raises(NumericalError):
+        solve_linear_quadratic(problem)
 
 
 # ------------------------------------------------------- projected gradient

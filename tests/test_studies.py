@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,9 @@ from gammareg import (
     shifted_half_sq,
     standard_samples,
 )
+from gammareg import operators
+
+from conftest import build_gaussian_sequence
 
 
 # -------------------------------------------------------------- richardson
@@ -291,3 +296,23 @@ def test_scaling_check_needs_closed_form_target():
     seq = make_approx_sequence(target, make_constant_family(op, (4, 8)))
     with pytest.raises(UnsupportedPenaltyError):
         scaling_invariance_check(seq, lambda n: 2.0, 2.0)
+
+
+def test_each_operator_forms_its_gram_once(monkeypatch):
+    # the closed-form solves of three studies, the scaled solve of the
+    # scaling check among them, share one Gram per operator
+    formed = Counter()
+    weighted_gram = operators._weighted_gram
+
+    def counting(a, w):
+        formed[id(a)] += 1
+        return weighted_gram(a, w)
+
+    monkeypatch.setattr(operators, "_weighted_gram", counting)
+    seq = build_gaussian_sequence()
+    inf_convergence_study(seq)
+    eps_minimizer_chain(seq)
+    scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
+    family = seq.family
+    ops = [family.reference] + [family.operator_at(n) for n in family.levels]
+    assert formed == Counter(id(op.matrix) for op in ops)
