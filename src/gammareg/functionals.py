@@ -148,11 +148,23 @@ class TikhonovProblem:
         """T at nodal values on the operator's input grid, domain not checked."""
         op = self.operator
         residual = op.matrix @ vals - self.data_y.values
+        return self._value(weighted_l2(residual, trapezoid_weights(op.output_m)), vals)
+
+    def _value(self, misfit: float, vals: np.ndarray) -> float:
+        """T at nodal values whose weighted misfit ||F x - y||_W is `misfit`."""
         p = self.exponent_p
-        value = weighted_l2(residual, trapezoid_weights(op.output_m)) ** p / p
+        value = _power(misfit, p) / p
         if self.alpha > 0.0:
             value += self.alpha * self.penalty.evaluate(GridFunction(vals))
         return value
+
+
+def _power(base: float, p: float) -> float:
+    """base ** p for base >= 0, inf where the float result overflows."""
+    try:
+        return base**p
+    except OverflowError:
+        return math.inf
 
 
 def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec) -> bool:

@@ -195,6 +195,27 @@ def _weighted_gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _weighted_r(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R factor of the QR of [sqrt(w) a | sqrt(w) y], folded in over row blocks.
+
+    Each step factors the R of the rows so far stacked on the next weighted
+    block (TSQR), so the scratch is about two blocks of rows, not a copy of
+    `a`. Q is not formed. The result has min(rows, cols + 1) rows.
+    """
+    cols = a.shape[1] + 1
+    sqrt_w = np.sqrt(w)
+    r = np.zeros((0, cols))
+    for rows in _row_blocks(a.shape[0], _GRAM_ROWS):
+        top = r.shape[0]
+        stack = np.empty((top + rows.stop - rows.start, cols))
+        stack[:top] = r
+        stack[top:, :-1] = a[rows]
+        stack[top:, -1] = y[rows]
+        stack[top:] *= sqrt_w[rows, None]
+        r = np.linalg.qr(stack, mode="r")
+    return r
+
+
 def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:
     """Collocation matrix of x |-> integral K(s, .) x(s) ds.
 

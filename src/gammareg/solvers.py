@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .errors import (
@@ -19,9 +21,9 @@ from .errors import (
     NumericalError,
     UnsupportedPenaltyError,
 )
-from .functionals import TikhonovProblem, eval_T
+from .functionals import TikhonovProblem, _power, eval_T
 from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
-from .operators import DomainSpec, ForwardOperator, membership
+from .operators import DomainSpec, ForwardOperator, _weighted_r, membership
 
 __all__ = [
     "SolveConfig",
@@ -83,20 +85,61 @@ class TikhonovObjective:
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
         pr, a = self.problem, self.problem.operator.matrix
-        p = pr.exponent_p
-        if p <= 1.0:
+        if pr.exponent_p <= 1.0:
             raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
         r = a @ vals - pr.data_y.values
-        g = a.T @ (self.w_out * r)
-        if p != 2.0:
-            misfit = weighted_l2(r, self.w_out)
-            g = misfit ** (p - 2.0) * g if misfit > 0.0 else 0.0 * g
-        if pr.alpha > 0.0:
-            g = g + pr.alpha * pr.penalty.coordinate_gradient(GridFunction(vals))
-        return g
+        return _gradient(pr, vals, a.T @ (self.w_out * r), lambda: weighted_l2(r, self.w_out))
 
     def riesz_gradient(self, vals: np.ndarray) -> np.ndarray:
         return self.coordinate_gradient(vals) / self.w_in
+
+
+def _gradient(
+    problem: TikhonovProblem, vals: np.ndarray, half_sq: np.ndarray, misfit: Callable[[], float]
+) -> np.ndarray:
+    """Coordinate gradient of T from `half_sq`, that of 0.5 ||F x - y||_W^2.
+
+    `misfit()` gives ||F x - y||_W; it is needed, and called, for p != 2 only.
+    """
+    p, g = problem.exponent_p, half_sq
+    if p != 2.0:
+        size = misfit()
+        g = _power(size, p - 2.0) * g if size > 0.0 else 0.0 * g
+    if problem.alpha > 0.0:
+        g = g + problem.alpha * problem.penalty.coordinate_gradient(GridFunction(vals))
+    return g
+
+
+class _RangeModel:
+    """Value and gradient of T through the R factor of the weighted operator.
+
+    With [sqrt(W) A | sqrt(W) y] = Q [[R, z], [0, rho]] (W the output
+    weights), ||A x - y||_W^2 = ||R x - z||^2 + rho^2 and A^T W (A x - y)
+    = R^T (R x - z), so both cost input_m^2 flops instead of
+    output_m * input_m. Neither Q nor a solve with R is used, so this holds
+    for a rank-deficient A too.
+    """
+
+    def __init__(self, objective: TikhonovObjective):
+        pr = objective.problem
+        n = pr.operator.input_m
+        tri = _weighted_r(pr.operator.matrix, pr.data_y.values, objective.w_out)
+        self.problem = pr
+        self.r, self.z = tri[:n, :n], tri[:n, n]
+        corner = float(tri[n, n]) if tri.shape[0] > n else 0.0
+        self.rho_sq = corner * corner
+
+    def _misfit(self, residual: np.ndarray) -> float:
+        return math.sqrt(float(residual @ residual) + self.rho_sq)
+
+    def value_at(self, vals: np.ndarray) -> float:
+        return self.problem._value(self._misfit(self.r @ vals - self.z), vals)
+
+    def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
+        residual = self.r @ vals - self.z
+        return _gradient(
+            self.problem, vals, self.r.T @ residual, lambda: self._misfit(residual)
+        )
 
 
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -191,6 +234,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
     )
 
 
+@np.errstate(over="ignore")  # a candidate that overflows is worth inf, and rejected
 def projected_gradient(
     problem: TikhonovProblem,
     x0: GridFunction,
@@ -199,7 +243,10 @@ def projected_gradient(
     """Monotone projected gradient descent with Armijo backtracking.
 
     Smooth objectives only. Convergence is declared when the projected
-    gradient norm drops below grad_tol.
+    gradient norm drops below grad_tol. Gradients come from the range
+    model of the problem (`_RangeModel`), and each candidate must pass the
+    Armijo test on the model before the same test on T itself decides it,
+    so every accepted step decreases T as `eval_T` computes it.
     """
     if not problem.penalty.is_smooth and problem.alpha > 0.0:
         raise UnsupportedPenaltyError(
@@ -215,7 +262,9 @@ def projected_gradient(
 
     w_in = objective.w_in
     x = x0.values.copy()
-    f = objective.value_at(x)
+    f = eval_T(problem, x0)  # refuses a start where T overflows
+    model = _RangeModel(objective)
+    f_model = model.value_at(x)
     iterations = 0
     status = "max_iter"
     grad_norm = math.inf
@@ -223,7 +272,7 @@ def projected_gradient(
     for attempt in range(config.restarts + 1):
         step = _STEP0
         for _ in range(config.max_iter):
-            g = objective.riesz_gradient(x)
+            g = model.coordinate_gradient(x) / w_in
             moved = _project(problem.domain, x - g, w_in)
             grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
@@ -236,12 +285,15 @@ def projected_gradient(
                 candidate = _project(problem.domain, x - t * g, w_in)
                 delta = candidate - x
                 move = float(delta * delta @ w_in)
-                f_new = objective.value_at(candidate)
-                if f_new <= f - _SUFFICIENT_DECREASE / max(t, 1e-30) * move and move > 0.0:
-                    x, f = candidate, f_new
-                    accepted = True
-                    step = min(t * 2.0, 1e6)
-                    break
+                decrease = _SUFFICIENT_DECREASE / max(t, 1e-30) * move
+                f_model_new = model.value_at(candidate)
+                if f_model_new <= f_model - decrease and move > 0.0:
+                    f_new = objective.value_at(candidate)
+                    if f_new <= f - decrease:
+                        x, f, f_model = candidate, f_new, f_model_new
+                        accepted = True
+                        step = min(t * 2.0, 1e6)
+                        break
                 t *= _SHRINK
             if not accepted:
                 break

@@ -402,6 +402,17 @@ def test_overflow_prints_one_error_line(tmp_path, amplitude):
     assert proc.stderr == "error: T is not finite inside its domain: inf\n"
 
 
+def test_overflowing_power_exits_two(tmp_path):
+    # for p = 3 the misfit is finite but its cube overflows; the run refuses
+    # T = inf with the documented exit code instead of a traceback
+    huge = FAST_INF_STUDY.replace(
+        "truth_amplitude = 0.01", "truth_amplitude = 1e120\n    exponent_p = 3"
+    )
+    proc = cli("run", "--config", write_config(tmp_path, huge))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: T is not finite inside its domain: inf\n"
+
+
 def test_refused_study_exits_three(tmp_path):
     refusal = """
         [study]

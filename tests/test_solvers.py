@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ from gammareg import (
     trapezoid_weights,
 )
 from gammareg import solvers
-from gammareg.solvers import _project
+from gammareg.grids import weighted_l2
+from gammareg.operators import _GRAM_ROWS
+from gammareg.solvers import TikhonovObjective, _project, _RangeModel
 
 from conftest import uphill_steps
 
@@ -226,6 +229,98 @@ def test_solver_config_validation():
         SolveConfig(grad_tol=0.0)
     with pytest.raises(GridCompatibilityError):
         SolveConfig(restarts=-1)
+
+
+def test_overflowing_start_is_refused():
+    # T(0) = ||y||^3 / 3 overflows although ||y|| is finite; the solve
+    # refuses it as eval_T does instead of raising OverflowError
+    y = GridFunction(np.full(9, 1e120))
+    problem = TikhonovProblem(identity_operator(9), y, alpha=0.1, exponent_p=3.0)
+    with pytest.raises(ValueError, match="not finite"):
+        projected_gradient(problem, GridFunction(np.zeros(9)))
+
+
+# ------------------------------------------------------------- range model
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["identity", "gaussian", "constant"]),
+    st.sampled_from([2.0, 3.0, 4.0]),
+    st.booleans(),
+)
+def test_range_model_matches_the_full_formula(seed, kind, p, in_range):
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        op = identity_operator(int(rng.integers(2, 40)))
+    else:
+        kernel = gaussian_kernel(0.6) if kind == "gaussian" else constant_kernel(1.0)
+        m_ref = int(rng.integers(3, 120))
+        op = make_quadrature_family(
+            kernel, (m_ref,), m_ref, input_m=int(rng.integers(2, 40))
+        ).reference
+    a = op.matrix
+    y = a @ rng.standard_normal(op.input_m) if in_range else rng.standard_normal(op.output_m)
+    problem = TikhonovProblem(op, GridFunction(y), alpha=0.1, exponent_p=p)
+    objective = TikhonovObjective(problem)
+    model = _RangeModel(objective)
+    x = rng.standard_normal(op.input_m)
+    # |A||x| + |y| bounds every partial sum of the residual, so these scales
+    # bound what rounding can do to either formula
+    w = objective.w_out
+    bound = np.abs(a) @ np.abs(x) + np.abs(y)
+    size = weighted_l2(bound, w)
+    value = objective.value_at(x)
+    assert abs(model.value_at(x) - value) <= 1e-13 * (size**p + value)
+    grad_scale = size ** (p - 2.0) * (np.abs(a).T @ (w * bound)) + 0.1 * objective.w_in * np.abs(x)
+    gap = np.abs(model.coordinate_gradient(x) - objective.coordinate_gradient(x))
+    assert np.all(gap <= 1e-13 * grad_scale)
+
+
+def test_range_model_forms_no_weighted_copy_of_the_operator():
+    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=257).reference
+    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(257))), alpha=0.1)
+    objective = TikhonovObjective(problem)
+    tracemalloc.start()
+    try:
+        _RangeModel(objective)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the R factor so far stacked on one weighted block of rows and numpy's
+    # copy of that stack inside the QR; the old R, the new one and QR's
+    # upper-triangle scratch; the square roots of the weights
+    cols = op.input_m + 1
+    bound = 2 * (cols + _GRAM_ROWS) * cols * 8 + 3 * cols * cols * 8 + op.output_m * 8
+    assert bound < op.matrix.nbytes  # a weighted copy of the operator cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+
+def _gradient_mapping(problem, x):
+    """||x - P(x - grad T(x))|| with the full-formula gradient."""
+    objective = TikhonovObjective(problem)
+    g = objective.riesz_gradient(x.values)
+    moved = _project(problem.domain, x.values - g, objective.w_in)
+    return weighted_l2(x.values - moved, objective.w_in)
+
+
+def test_a_model_without_rho_is_caught_at_the_minimizer(monkeypatch):
+    # data far outside the range of a smoothing operator, so rho is as large
+    # as the misfit inside the range; for p = 3 it scales the gradient
+    op = make_quadrature_family(gaussian_kernel(0.6), (17,), 65, input_m=17).reference
+    y = GridFunction(np.random.default_rng(7).standard_normal(65))
+    problem = TikhonovProblem(op, y, alpha=0.1, exponent_p=3.0)
+    x0, config = GridFunction(np.zeros(17)), SolveConfig(max_iter=2000, grad_tol=1e-9)
+    assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) < 1e-8
+
+    class WithoutRho(_RangeModel):
+        def __init__(self, objective):
+            super().__init__(objective)
+            self.rho_sq = 0.0
+
+    monkeypatch.setattr(solvers, "_RangeModel", WithoutRho)
+    assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) > 1e-4
 
 
 # ----------------------------------------------------------- gradient check
