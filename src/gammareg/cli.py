@@ -114,6 +114,12 @@ def _gamma_family(name: str):
     return lambda j, x: np.sin(j * x)
 
 
+def _samples(run: RunSpec):
+    """The standard samples on the input grid, scaled to the domain's radius."""
+    radius = run.problem.radius if run.problem.domain != "whole_space" else 1.0
+    return standard_samples(run.problem.input_m, radius)
+
+
 def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], bool | None]:
     """Execute the configured study; return its rows and overall verdict.
 
@@ -134,9 +140,8 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
 
     if kind == "gamma-estimate":
         st = run.study
-        grid = np.linspace(0.0, 2.0 * np.pi, st.grid_m)
         estimate = estimate_gamma_limits(
-            _gamma_family(st.gamma_family), grid, st.point, st.radii, st.index_window
+            _gamma_family(st.gamma_family), st.grid, st.point, st.radii, st.index_window
         )
         for r, lo, up in zip(estimate.radii, estimate.lower_by_radius, estimate.upper_by_radius):
             rows.append(ReportRow(kind, None, f"lower@r={r:g}", lo))
@@ -154,8 +159,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
 
     if kind == "integral-demo":
         family = build_family(run)
-        radius = run.problem.radius if run.problem.domain != "whole_space" else 1.0
-        samples = standard_samples(run.problem.input_m, radius)
+        samples = _samples(run)
         gaps = [uniform_gap(family, n, samples) for n in family.levels]
         for n, gap in zip(family.levels, gaps):
             rows.append(ReportRow(kind, n, "uniform_gap", gap))
@@ -208,9 +212,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
         return rows, report.verdict
 
     if kind == "coercivity":
-        radius = run.problem.radius if run.problem.domain != "whole_space" else 1.0
-        samples = standard_samples(run.problem.input_m, radius)
-        probe = equi_coercivity_probe(seq, samples, run.study.thresholds, solver)
+        probe = equi_coercivity_probe(seq, _samples(run), run.study.thresholds, solver)
         rows.append(ReportRow(kind, None, "delta", probe.delta))
         rows.append(ReportRow(kind, None, "antecedent_hits", float(probe.antecedent_hits)))
         rows.append(ReportRow(kind, None, "violations", float(len(probe.violations))))
@@ -247,30 +249,35 @@ def _write_output(text: str, out_path: str | None) -> None:
         handle.write(text)
 
 
-def _cmd_validate(args) -> int:
+def _report_problems(exc: ConfigError) -> int:
+    for problem in exc.problems:
+        print(problem, file=sys.stderr)
+    return EXIT_FAIL
+
+
+def _load(path: str) -> RunSpec | int:
+    """The config at `path`, or the exit code once its problems are on stderr."""
     try:
-        run = load_config(args.config)
+        return load_config(path)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem, file=sys.stderr)
-        return EXIT_FAIL
+        return _report_problems(exc)
+
+
+def _cmd_validate(args) -> int:
+    run = _load(args.config)
+    if isinstance(run, int):
+        return run
     print(f"config ok: {run.study.kind}")
     return EXIT_PASS
 
 
 def _cmd_run(args) -> int:
-    try:
-        run = load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem, file=sys.stderr)
-        return EXIT_FAIL
+    run = _load(args.config)
+    if isinstance(run, int):
+        return run
 
     want_timings = args.timings or run.output.timings
     seed = args.seed if args.seed is not None else run.output.seed
@@ -283,9 +290,7 @@ def _cmd_run(args) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(problem, file=sys.stderr)
-        return EXIT_FAIL
+        return _report_problems(exc)
     except (ValueError, NumericalError) as exc:
         # domain errors surfaced while assembling or running the study
         print(f"error: {exc}", file=sys.stderr)

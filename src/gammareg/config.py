@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResolutionError
 from .fem import make_fem_family
 from .functionals import (
     AlphaSchedule,
@@ -45,6 +45,7 @@ from .operators import (
     whole_space,
 )
 from .solvers import SolveConfig
+from .studies import _neighborhood
 
 __all__ = [
     "StudySpec",
@@ -98,6 +99,11 @@ class StudySpec:
     grid_m: int = 4096
     # coercivity parameters
     thresholds: tuple[float, ...] = (0.5, 1.0, 2.0)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The gamma-estimate grid: grid_m nodes on [0, 2 pi]."""
+        return np.linspace(0.0, 2.0 * np.pi, self.grid_m)
 
 
 @dataclass(frozen=True)
@@ -437,13 +443,26 @@ def parse_config(text: str) -> RunSpec:
 
     # cross-field checks
     if (
-        problem.kernel not in ("fem", "identity")
+        kind not in ("fem-rate", "gamma-estimate")  # the kinds that build no family
+        and problem.kernel not in ("fem", "identity")
         and not schedule.exact_family
         and max(schedule.levels) > problem.quad_m
     ):
         col.complain(
             "schedule", "levels", f"largest level exceeds quad_m = {problem.quad_m}"
         )
+    if kind == "fem-rate" and len(schedule.levels) < 3:
+        col.complain("schedule", "levels", "fem-rate needs at least three levels")
+    if kind == "gamma-estimate":
+        grid = study.grid
+        if not grid[0] < study.point < grid[-1]:
+            col.complain("study", "point", f"must lie inside the grid (0, {grid[-1]:g})")
+        else:
+            for r in study.radii:
+                try:
+                    _neighborhood(grid, study.point, r)
+                except ResolutionError as exc:
+                    col.complain("study", "radii", f"{exc} with grid_m = {study.grid_m}")
     if problem.alpha == 0.0 and schedule.alpha_kind == "constant" and kind != "fem-rate":
         col.complain(
             "schedule", "alpha_kind", "alpha = 0 with a constant schedule gives alpha_n = 0"

@@ -1,6 +1,7 @@
 """Galerkin solver for -u'' + c u = f on (0,1) with zero Dirichlet data.
 
-Piecewise-linear hats on uniform interior grids. The stiffness part is
+Piecewise-linear hats at the n interior nodes of a uniform grid; a
+solution stores its two zero boundary values as well. The stiffness part is
 assembled exactly; potential and load terms use a composite two-point
 Gauss rule per element, which is exact for the polynomial degrees that
 appear when c and f are piecewise linear.
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import EllipticityError, GridCompatibilityError, NumericalError
 from .grids import (
     GridFunction,
-    _effective_nodes_values,
     grid_nodes,
     interpolate_rows,
     interpolation_matrix,
@@ -69,8 +69,7 @@ PointFunction = Callable[[np.ndarray], np.ndarray]
 
 def _as_point_evaluator(obj) -> PointFunction:
     if isinstance(obj, GridFunction):
-        xs, vs = _effective_nodes_values(obj)
-        return lambda x: np.interp(x, xs, vs)
+        return lambda x: np.interp(x, obj.nodes, obj.values)
     if callable(obj):
         return lambda x: np.asarray(obj(x), dtype=float)
     raise GridCompatibilityError("expected a GridFunction or a vectorized callable")
@@ -190,8 +189,9 @@ def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray | None = None) -> np
 
 
 def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
-    """Solve one level and verify the normwise backward error of the solve.
+    """Solve one level: n + 2 nodal values, the two boundary zeros included.
 
+    Verifies the normwise backward error of the solve:
     ||Au - b|| / (||A|| ||u|| + ||b||) in the sup norm must stay below 1e-12;
     unlike ||Au - b|| / ||b||, it does not grow with the condition number.
     """
@@ -203,7 +203,7 @@ def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
     scale = np.max(rows) * np.max(np.abs(u)) + np.max(np.abs(system.rhs))
     if res > 1e-12 * scale:
         raise NumericalError(f"tridiagonal solve backward error {res / scale:.2e} exceeds 1e-12")
-    return GridFunction(u, includes_endpoints=False)
+    return GridFunction(np.pad(u, 1))
 
 
 def fem_operator_matrix(
@@ -251,7 +251,7 @@ def make_fem_family(
 
 def l2_error_vs_exact(u: GridFunction, exact: Callable) -> float:
     """L2 distance between a FEM solution and a callable on a finer grid."""
-    m_fine = _OVERSAMPLE * (u.node_count + 1) + 1
+    m_fine = _OVERSAMPLE * (u.node_count - 1) + 1
     uh = resample(u, m_fine)
     diff = uh.values - np.asarray(exact(uh.nodes), dtype=float)
     return weighted_l2(diff, trapezoid_weights(m_fine))

@@ -80,7 +80,7 @@ class PenaltySpec:
         if self.kind == "shifted_half_sq":
             shift = self.shift
             if not x.same_grid(shift):
-                shift = resample(shift, x.node_count, x.includes_endpoints)
+                shift = resample(shift, x.node_count)
             return 0.5 * norm(x - shift, NormTag.L2) ** 2
         if self.kind == "linf":
             return norm(x, NormTag.LINF)
@@ -90,13 +90,13 @@ class PenaltySpec:
         """Gradient with respect to the nodal values (not the L2 metric)."""
         if not self.is_smooth:
             raise UnsupportedPenaltyError(f"penalty {self.kind!r} is not smooth")
-        w = trapezoid_weights(x.node_count, x.includes_endpoints)
+        w = trapezoid_weights(x.node_count)
         if self.kind == "half_sq_l2":
             return w * x.values
         if self.kind == "shifted_half_sq":
             shift = self.shift
             if not x.same_grid(shift):
-                shift = resample(shift, x.node_count, x.includes_endpoints)
+                shift = resample(shift, x.node_count)
             return w * (x.values - shift.values)
         size = norm(x, NormTag.L2)
         if size == 0.0 and self.q < 2.0:
@@ -136,7 +136,7 @@ class TikhonovProblem:
             raise GridCompatibilityError("alpha must be nonnegative")
         if self.exponent_p < 1.0:
             raise GridCompatibilityError("discrepancy exponent p must be >= 1")
-        if self.data_y.node_count != self.operator.output_m or not self.data_y.includes_endpoints:
+        if self.data_y.node_count != self.operator.output_m:
             raise GridCompatibilityError("data must live on the operator output grid")
 
     @property
@@ -179,15 +179,16 @@ def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec
 def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     """Evaluate the target functional, +inf outside the domain.
 
-    An x off the operator's input grid is first resampled onto it. Inside
-    the domain T is finite, so a value that overflowed is refused with a
-    ValueError instead of passing for +inf.
+    An x off the operator's input grid is first resampled onto it, and
+    membership is tested on the resampled x, the one T is evaluated at.
+    Inside the domain T is finite, so a value that overflowed is refused
+    with a ValueError instead of passing for +inf.
     """
+    op = problem.operator
+    if x.node_count != op.input_m:
+        x = resample(x, op.input_m)
     if not membership(problem.domain, x):
         return math.inf
-    op = problem.operator
-    if not x.includes_endpoints or x.node_count != op.input_m:
-        x = resample(x, op.input_m)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         value = float(problem.value_at(x.values))
     if not math.isfinite(value):

@@ -1,9 +1,8 @@
 """Grid functions on [0, 1] with discrete L2, sup, and H1_0 structure.
 
-Two grid flavors cover every consumer in the package: full grids include
-both endpoints and have spacing 1/(m-1); interior-node grids (the FEM
-unknowns) omit the endpoints, carry an implicit zero boundary, and have
-spacing 1/(n+1).
+Every grid function lives on a uniform grid of [0, 1] that includes both
+endpoints: m stored values, spacing 1/(m-1). FEM solutions store their
+zero boundary values too, so one grid flavor covers every consumer.
 """
 
 from __future__ import annotations
@@ -41,32 +40,22 @@ class NormTag(enum.Enum):
     H1_0 = "h1_0"
 
 
-def grid_nodes(m: int, includes_endpoints: bool = True) -> np.ndarray:
+def grid_nodes(m: int) -> np.ndarray:
     """Node coordinates of the uniform grid with `m` stored values."""
-    if includes_endpoints:
-        if m < 2:
-            raise GridCompatibilityError("full grid needs at least 2 nodes")
-        return np.linspace(0.0, 1.0, m)
-    if m < 1:
-        raise GridCompatibilityError("interior grid needs at least 1 node")
-    h = 1.0 / (m + 1)
-    return h * np.arange(1, m + 1)
+    if m < 2:
+        raise GridCompatibilityError("grid needs at least 2 nodes")
+    return np.linspace(0.0, 1.0, m)
 
 
 @functools.lru_cache(maxsize=128)
-def trapezoid_weights(m: int, includes_endpoints: bool = True) -> np.ndarray:
+def trapezoid_weights(m: int) -> np.ndarray:
     """Composite-trapezoid quadrature weights matching `grid_nodes`.
 
-    Interior-node grids inherit the weights of the full trapezoid rule
-    with the implicit zero endpoints dropped, i.e. weight h per node.
     One read-only vector per grid is built and shared by every caller.
     """
-    if includes_endpoints:
-        h = 1.0 / (m - 1)
-        w = np.full(m, h)
-        w[0] = w[-1] = 0.5 * h
-    else:
-        w = np.full(m, 1.0 / (m + 1))
+    h = 1.0 / (m - 1)
+    w = np.full(m, h)
+    w[0] = w[-1] = 0.5 * h
     w.setflags(write=False)
     return w
 
@@ -80,16 +69,13 @@ class GridFunction:
     """
 
     values: np.ndarray
-    includes_endpoints: bool = True
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise GridCompatibilityError("grid values must be one-dimensional")
-        if self.includes_endpoints and vals.size < 2:
-            raise GridCompatibilityError("full grid needs at least 2 nodes")
-        if not self.includes_endpoints and vals.size < 1:
-            raise GridCompatibilityError("interior grid needs at least 1 node")
+        if vals.size < 2:
+            raise GridCompatibilityError("grid needs at least 2 nodes")
         if not np.all(np.isfinite(vals)):
             raise GridCompatibilityError("grid values must be finite")
         vals.setflags(write=False)
@@ -101,50 +87,41 @@ class GridFunction:
 
     @property
     def spacing(self) -> float:
-        m = self.values.size
-        return 1.0 / (m - 1) if self.includes_endpoints else 1.0 / (m + 1)
+        return 1.0 / (self.values.size - 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        return grid_nodes(self.node_count, self.includes_endpoints)
+        return grid_nodes(self.node_count)
 
     def same_grid(self, other: "GridFunction") -> bool:
-        return (
-            self.node_count == other.node_count
-            and self.includes_endpoints == other.includes_endpoints
-        )
+        return self.node_count == other.node_count
 
     def _require_same_grid(self, other: "GridFunction"):
         if not self.same_grid(other):
             raise GridCompatibilityError(
-                f"grid mismatch: {self.node_count} nodes "
-                f"(endpoints={self.includes_endpoints}) vs {other.node_count} "
-                f"(endpoints={other.includes_endpoints})"
+                f"grid mismatch: {self.node_count} nodes vs {other.node_count}"
             )
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._require_same_grid(other)
-        return GridFunction(self.values + other.values, self.includes_endpoints)
+        return GridFunction(self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._require_same_grid(other)
-        return GridFunction(self.values - other.values, self.includes_endpoints)
+        return GridFunction(self.values - other.values)
 
     def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.values * float(scalar), self.includes_endpoints)
+        return GridFunction(self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(-self.values, self.includes_endpoints)
+        return GridFunction(-self.values)
 
 
-def from_callable(
-    f: Callable[[np.ndarray], np.ndarray], m: int, includes_endpoints: bool = True
-) -> GridFunction:
+def from_callable(f: Callable[[np.ndarray], np.ndarray], m: int) -> GridFunction:
     """Sample a vectorized callable on the uniform grid."""
-    x = grid_nodes(m, includes_endpoints)
-    return GridFunction(np.asarray(f(x), dtype=float), includes_endpoints)
+    return GridFunction(np.asarray(f(grid_nodes(m)), dtype=float))
 
 
 def weighted_l2(vals: np.ndarray, w: np.ndarray) -> float:
@@ -157,42 +134,26 @@ def norm(g: GridFunction, tag: NormTag = NormTag.L2) -> float:
     """Discrete norm of a grid function.
 
     L2 uses the composite trapezoid rule, the sup norm is the max of
-    |values|, and H1_0 is the broken-gradient norm with the implicit
-    zero boundary; the latter is defined for interior-node grids only.
+    |values|, and H1_0 is the broken-gradient norm; the latter is defined
+    for grid functions with a zero boundary only.
     """
     v = g.values
     if tag is NormTag.L2:
-        return weighted_l2(v, trapezoid_weights(g.node_count, g.includes_endpoints))
+        return weighted_l2(v, trapezoid_weights(g.node_count))
     if tag is NormTag.LINF:
         return float(np.max(np.abs(v)))
     if tag is NormTag.H1_0:
-        if g.includes_endpoints:
-            raise GridCompatibilityError(
-                "H1_0 norm applies to interior-node grid functions only"
-            )
+        if v[0] != 0.0 or v[-1] != 0.0:
+            raise GridCompatibilityError("H1_0 norm needs zero boundary values")
         h = g.spacing
-        d = np.diff(np.concatenate(([0.0], v, [0.0]))) / h
+        d = np.diff(v) / h
         return float(np.sqrt(d @ d * h))
     raise GridCompatibilityError(f"unknown norm tag {tag!r}")
 
 
-def _effective_nodes_values(g: GridFunction):
-    # Interior functions get their zero boundary made explicit so that
-    # piecewise-linear interpolation sees the whole of [0, 1].
-    if g.includes_endpoints:
-        return g.nodes, g.values
-    xs = np.concatenate(([0.0], g.nodes, [1.0]))
-    vs = np.concatenate(([0.0], g.values, [0.0]))
-    return xs, vs
-
-
-def resample(
-    g: GridFunction, target_m: int, includes_endpoints: bool = True
-) -> GridFunction:
+def resample(g: GridFunction, target_m: int) -> GridFunction:
     """Piecewise-linear interpolation onto another uniform grid."""
-    xs, vs = _effective_nodes_values(g)
-    xt = grid_nodes(target_m, includes_endpoints)
-    return GridFunction(np.interp(xt, xs, vs), includes_endpoints)
+    return GridFunction(np.interp(grid_nodes(target_m), g.nodes, g.values))
 
 
 def interpolation_weights(
@@ -249,17 +210,6 @@ def restrict_columns(
     return out
 
 
-def resample_matrix(
-    src_m: int,
-    dst_m: int,
-    src_endpoints: bool = True,
-    dst_endpoints: bool = True,
-) -> np.ndarray:
+def resample_matrix(src_m: int, dst_m: int) -> np.ndarray:
     """Dense matrix realization of `resample` (it is a linear map)."""
-    xs = grid_nodes(src_m, src_endpoints)
-    if not src_endpoints:
-        xs = np.concatenate(([0.0], xs, [1.0]))
-    mat = interpolation_matrix(xs, grid_nodes(dst_m, dst_endpoints))
-    if not src_endpoints:
-        mat = mat[:, 1:-1]  # implicit zero boundary carries no unknowns
-    return mat
+    return interpolation_matrix(grid_nodes(src_m), grid_nodes(dst_m))

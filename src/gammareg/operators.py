@@ -156,7 +156,7 @@ class ForwardOperator:
         return self._gram
 
     def apply(self, x: GridFunction) -> GridFunction:
-        if not x.includes_endpoints or x.node_count != self.input_m:
+        if x.node_count != self.input_m:
             x = resample(x, self.input_m)
         return GridFunction(self.matrix @ x.values)
 

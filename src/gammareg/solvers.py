@@ -178,7 +178,7 @@ def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
     rhs = op.matrix.T @ (trapezoid_weights(op.output_m) * problem.data_y.values)
     if problem.penalty.kind == "shifted_half_sq":
         shift = problem.penalty.shift
-        if shift.node_count != op.input_m or not shift.includes_endpoints:
+        if shift.node_count != op.input_m:
             raise GridCompatibilityError("penalty shift must live on the input grid")
         rhs = rhs + alpha * w_in * shift.values
     return gram, rhs
@@ -255,7 +255,7 @@ def projected_gradient(
     if problem.exponent_p <= 1.0:
         raise UnsupportedPenaltyError("projected gradient needs p > 1")
     objective = TikhonovObjective(problem)
-    if not x0.includes_endpoints or x0.node_count != problem.operator.input_m:
+    if x0.node_count != problem.operator.input_m:
         raise GridCompatibilityError("x0 must live on the operator input grid")
     if not membership(problem.domain, x0):
         return SolveResult(x0, math.inf, 0, "infeasible", math.inf)
@@ -326,7 +326,6 @@ def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunc
     the least-squares residual must be below 1e-8.
     """
     a = operator.matrix
-    w_in = trapezoid_weights(operator.input_m)
     sqrt_w = np.sqrt(trapezoid_weights(operator.output_m))
     x_ls = np.linalg.lstsq(sqrt_w[:, None] * a, sqrt_w * y.values, rcond=None)[0]
     ls_residual = float(np.linalg.norm(sqrt_w * (a @ x_ls - y.values)))
@@ -335,8 +334,10 @@ def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunc
             f"y is not attainable: least-squares residual {ls_residual:.2e} > 1e-8"
         )
 
-    gram_base, rhs = normal_equations(TikhonovProblem(operator, y, alpha=0.0))
-    x1, x2, x3 = (np.linalg.solve(gram_base + alpha * np.diag(w_in), rhs) for alpha in _LADDER)
+    x1, x2, x3 = (
+        np.linalg.solve(*normal_equations(TikhonovProblem(operator, y, alpha)))
+        for alpha in _LADDER
+    )
     ratio = _LADDER[1] / _LADDER[2]
     e12 = x2 + (x2 - x1) / (ratio - 1.0)
     e23 = x3 + (x3 - x2) / (ratio - 1.0)

@@ -237,6 +237,18 @@ class GammaEstimate:
         return self.upper - self.lower
 
 
+def _neighborhood(grid: np.ndarray, point: float, r: float) -> np.ndarray:
+    """Mask of the grid nodes x with |x - point| < r.
+
+    Refuses (ResolutionError) a neighborhood that resolves fewer than two
+    grid nodes.
+    """
+    mask = np.abs(grid - point) < r
+    if int(mask.sum()) < 2:
+        raise ResolutionError(f"radius {r:g} resolves fewer than two grid nodes near {point:g}")
+    return mask
+
+
 def estimate_gamma_limits(
     family: Callable[[int, np.ndarray], np.ndarray],
     grid: np.ndarray,
@@ -274,12 +286,7 @@ def estimate_gamma_limits(
 
     lower_by_radius, upper_by_radius = [], []
     for r in radii:
-        mask = np.abs(grid - point) < r
-        if int(mask.sum()) < 2:
-            raise ResolutionError(
-                f"radius {r:g} resolves fewer than two grid nodes near {point:g}"
-            )
-        neigh_inf = values[:, mask].min(axis=1)
+        neigh_inf = values[:, _neighborhood(grid, point, r)].min(axis=1)
         lower_by_radius.append(float(neigh_inf.min()))
         upper_by_radius.append(float(neigh_inf.max()))
 

@@ -160,6 +160,27 @@ def test_levels_must_not_exceed_quadrature_resolution():
     assert any("quad_m" in p for p in err.value.problems)
 
 
+@pytest.mark.parametrize(
+    "text, refused_key",
+    [
+        ("[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", "[schedule] levels"),
+        ("[study]\nkind = gamma-estimate\npoint = 7\n", "[study] point"),
+        ("[study]\nkind = gamma-estimate\nradii = 0.2, 0.001\ngrid_m = 64\n", "[study] radii"),
+        # fem-rate builds no quadrature family, so quad_m does not bound its levels
+        ("[study]\nkind = fem-rate\n[schedule]\nlevels = doubling:8:6\n", None),
+    ],
+    ids=["fem-rate-two-levels", "gamma-point-off-grid", "gamma-radius-unresolved",
+         "fem-rate-levels-past-quad-m"],
+)
+def test_validate_agrees_with_run_on_grids(text, refused_key):
+    if refused_key is None:
+        assert run_study(parse_config(text))[1] is True
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [p.split(":")[0] for p in err.value.problems] == [refused_key]
+
+
 def test_alpha_zero_study_needs_zero_alpha():
     with pytest.raises(ConfigError):
         parse_config(

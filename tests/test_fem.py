@@ -70,7 +70,7 @@ def test_energy_identity_without_potential():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(level.n)
     quad = float(v @ system.matvec(v))
-    g = GridFunction(v, includes_endpoints=False)
+    g = GridFunction(np.pad(v, 1))
     assert quad == pytest.approx(norm(g, NormTag.H1_0) ** 2, rel=1e-12)
 
 
@@ -128,9 +128,14 @@ def test_parabola_is_reproduced_exactly():
 
 
 def test_solution_is_interior_grid_function():
-    u = solve_bvp(manufactured_sine(ONE), GalerkinLevel(5))
-    assert not u.includes_endpoints
-    assert u.node_count == 5
+    # the n interior values are the level's unknowns; the two ends are the
+    # zero boundary, stored on the grid of n + 2 nodes
+    problem, level = manufactured_sine(ONE), GalerkinLevel(5)
+    u = solve_bvp(problem, level)
+    assert u.node_count == 7
+    assert u.values[0] == 0.0 and u.values[-1] == 0.0
+    assert np.array_equal(u.values[1:-1], thomas_solve(assemble(problem, level)))
+    assert np.array_equal(u.nodes[1:-1], level.h * np.arange(1, 6))
 
 
 def test_errors_shrink_at_second_order():
@@ -232,7 +237,7 @@ def _dense_fem_operator(potential, n, input_m, output_m):
         level, interpolation_matrix(src, p1), interpolation_matrix(src, p2)
     )
     u_cols = thomas_solve(assemble(EllipticProblem(potential, None), level), rhs)
-    return resample_matrix(n, output_m, src_endpoints=False) @ u_cols
+    return resample_matrix(n + 2, output_m)[:, 1:-1] @ u_cols
 
 
 @pytest.mark.parametrize("potential", [ONE, lambda t: 1.0 + np.cos(3.0 * t)], ids=["one", "cos"])

@@ -32,6 +32,7 @@ from gammareg import (
     norm,
     norm_ball,
     p_power_norm,
+    resample,
     shifted_half_sq,
     PenaltySpec,
 )
@@ -196,6 +197,18 @@ def test_functional_is_plus_infinity_outside_domain():
     inside = GridFunction(np.full(5, 0.05))
     value = eval_T(problem, inside)
     assert type(value) is float and math.isfinite(value)
+
+
+def test_membership_is_tested_on_the_resampled_x():
+    # the tent has L2 norm 0.707 on its own 3 nodes, above the radius, but
+    # 0.577 resampled onto the 65-node input grid, where T is evaluated
+    problem = TikhonovProblem(
+        identity_operator(65), GridFunction(np.zeros(65)), alpha=0.1, domain=norm_ball(0.6)
+    )
+    tent = GridFunction(np.array([0.0, 1.0, 0.0]))
+    assert norm(tent) > 0.6 > norm(resample(tent, 65))
+    value = eval_T(problem, tent)
+    assert math.isfinite(value) and value == eval_T(problem, resample(tent, 65))
 
 
 def test_overflowing_functional_is_refused():

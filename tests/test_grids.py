@@ -33,18 +33,11 @@ def test_nodes_with_endpoints_hand_values():
     assert np.array_equal(grid_nodes(3), np.array([0.0, 0.5, 1.0]))
 
 
-def test_nodes_interior_hand_values():
-    # 3 interior nodes: spacing 1/4, endpoints excluded
-    assert np.allclose(
-        grid_nodes(3, includes_endpoints=False), [0.25, 0.5, 0.75], rtol=0, atol=1e-16
-    )
-
-
 def test_too_few_nodes_rejected():
     with pytest.raises(GridCompatibilityError):
         grid_nodes(1)
     with pytest.raises(GridCompatibilityError):
-        grid_nodes(0, includes_endpoints=False)
+        GridFunction(np.zeros(1))
 
 
 # -------------------------------------------------------------- weights
@@ -55,29 +48,14 @@ def test_trapezoid_weights_hand_values():
     assert np.allclose(trapezoid_weights(3), [0.25, 0.5, 0.25], rtol=0, atol=0)
 
 
-def test_interior_weights_hand_values():
-    # interior rule: every node carries its spacing h = 1/(m+1)
-    assert np.allclose(
-        trapezoid_weights(3, includes_endpoints=False), [0.25, 0.25, 0.25], rtol=0, atol=0
-    )
-
-
 def test_endpoint_weights_sum_to_interval_length():
     assert trapezoid_weights(65).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_trapezoid_weights_are_shared_and_read_only():
-    for endpoints in (True, False):
-        w = trapezoid_weights(17, endpoints)
-        assert trapezoid_weights(17, endpoints) is w
-        assert not w.flags.writeable
-
-
-def test_interior_weights_sum():
-    # interior rule integrates the constant 1 to m/(m+1)
-    assert trapezoid_weights(9, includes_endpoints=False).sum() == pytest.approx(
-        0.9, abs=1e-14
-    )
+    w = trapezoid_weights(17)
+    assert trapezoid_weights(17) is w
+    assert not w.flags.writeable
 
 
 # ---------------------------------------------------------------- norms
@@ -103,13 +81,14 @@ def test_sup_norm():
 def test_h1_norm_of_unit_tent():
     # one interior node of value 1: slopes +/-2 over two cells of width 1/2,
     # so the squared broken-gradient norm is 4 and the norm is 2
-    tent = GridFunction(np.array([1.0]), includes_endpoints=False)
+    tent = GridFunction(np.array([0.0, 1.0, 0.0]))
     assert norm(tent, NormTag.H1_0) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_h1_norm_rejects_endpoint_grids():
-    with pytest.raises(GridCompatibilityError):
-        norm(GridFunction(np.zeros(3)), NormTag.H1_0)
+def test_h1_norm_rejects_nonzero_boundary():
+    for values in ([1.0, 1.0, 0.0], [0.0, 1.0, -1e-300]):
+        with pytest.raises(GridCompatibilityError):
+            norm(GridFunction(np.array(values)), NormTag.H1_0)
 
 
 # ------------------------------------------------------------ container
@@ -139,14 +118,11 @@ def test_spacing_and_nodes():
     g = GridFunction(np.zeros(5))
     assert g.spacing == pytest.approx(0.25, abs=0)
     assert np.array_equal(g.nodes, grid_nodes(5))
-    gi = GridFunction(np.zeros(5), includes_endpoints=False)
-    assert gi.spacing == pytest.approx(1.0 / 6.0, abs=1e-16)
 
 
 def test_same_grid():
     a = GridFunction(np.zeros(4))
     assert a.same_grid(GridFunction(np.ones(4)))
-    assert not a.same_grid(GridFunction(np.ones(4), includes_endpoints=False))
     assert not a.same_grid(GridFunction(np.ones(5)))
 
 
@@ -174,16 +150,6 @@ def test_resample_matrix_agrees_with_resample():
     g = from_callable(np.cos, 9)
     mat = resample_matrix(9, 33)
     assert np.allclose(mat @ g.values, resample(g, 33).values, atol=1e-14)
-
-
-def test_resample_interior_to_full():
-    # interior tent prolongs with zero boundary values
-    tent = GridFunction(np.array([1.0]), includes_endpoints=False)
-    full = resample(tent, 5)
-    assert full.includes_endpoints
-    assert full.values[0] == pytest.approx(0.0, abs=1e-15)
-    assert full.values[-1] == pytest.approx(0.0, abs=1e-15)
-    assert full.values[2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_resample_roundtrip_on_coarse_profile():
@@ -250,7 +216,7 @@ def test_interpolation_matrix_at_arbitrary_points(m, points, data):
 
 def _source_nodes(m, interior):
     # interior-node sources: the FEM unknowns, extrapolated beyond them
-    return grid_nodes(m, includes_endpoints=not interior)
+    return grid_nodes(m + 2)[1:-1] if interior else grid_nodes(m)
 
 
 _SIZES = st.integers(min_value=2, max_value=200)

@@ -378,6 +378,20 @@ def test_min_penalty_solution_consistency_on_smoothing_kernel():
     assert half_sq_l2().evaluate(x) <= half_sq_l2().evaluate(truth) + 1e-6
 
 
+def test_min_penalty_rungs_come_from_normal_equations(monkeypatch):
+    # alpha W_X is added in one place: each rung is the system of its alpha
+    alphas = []
+    assemble = solvers.normal_equations
+
+    def spy(problem):
+        alphas.append(problem.alpha)
+        return assemble(problem)
+
+    monkeypatch.setattr(solvers, "normal_equations", spy)
+    min_penalty_solution(identity_operator(9), from_callable(np.sin, 9))
+    assert alphas == list(solvers._LADDER)
+
+
 def test_min_penalty_solution_refuses_unattainable_data():
     # a constant-kernel operator only produces constants; a ramp is out
     family = make_quadrature_family(constant_kernel(1.0), (33,), 33, input_m=33)
