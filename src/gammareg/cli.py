@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunSpec, build_family, build_sequence, load_config, resolve_potential
 from .errors import ConfigError, NumericalError, StudyRefusal
 from .fem import EllipticProblem, rate_study
-from .operators import standard_samples, uniform_gap
+from .operators import OperatorFamily, membership, standard_samples, uniform_gap
 from .studies import (
     alpha_zero_study,
     eps_minimizer_chain,
@@ -114,10 +114,12 @@ def _gamma_family(name: str):
     return lambda j, x: np.sin(j * x)
 
 
-def _samples(run: RunSpec):
-    """The standard samples on the input grid, scaled to the domain's radius."""
+def _samples(run: RunSpec, family: OperatorFamily):
+    """The standard samples on the input grid, scaled to the domain's radius, that lie
+    in the family's domain: a nonnegative ball drops the ones that change sign."""
     radius = run.problem.radius if run.problem.domain != "whole_space" else 1.0
-    return standard_samples(run.problem.input_m, radius)
+    samples = standard_samples(run.problem.input_m, radius)
+    return [x for x in samples if membership(family.reference.domain, x)]
 
 
 def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], bool | None]:
@@ -159,7 +161,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
 
     if kind == "integral-demo":
         family = build_family(run)
-        samples = _samples(run)
+        samples = _samples(run, family)
         gaps = [uniform_gap(family, n, samples) for n in family.levels]
         for n, gap in zip(family.levels, gaps):
             rows.append(ReportRow(kind, n, "uniform_gap", gap))
@@ -212,7 +214,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
         return rows, report.verdict
 
     if kind == "coercivity":
-        probe = equi_coercivity_probe(seq, _samples(run), run.study.thresholds, solver)
+        probe = equi_coercivity_probe(seq, _samples(run, seq.family), run.study.thresholds, solver)
         rows.append(ReportRow(kind, None, "delta", probe.delta))
         rows.append(ReportRow(kind, None, "antecedent_hits", float(probe.antecedent_hits)))
         rows.append(ReportRow(kind, None, "violations", float(len(probe.violations))))

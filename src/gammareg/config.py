@@ -45,7 +45,7 @@ from .operators import (
     whole_space,
 )
 from .solvers import SolveConfig
-from .studies import _neighborhood
+from .studies import ALPHA_ZERO_TOL, EPS_CHAIN_TOL, INF_STUDY_TOL, _neighborhood
 
 __all__ = [
     "StudySpec",
@@ -350,7 +350,9 @@ def parse_config(text: str) -> RunSpec:
         else:
             kind = kind_text
 
-    tol_default = {"inf-study": 1e-6, "alpha-zero": 1e-3, "eps-chain": 1e-4}.get(kind)
+    tol_default = {
+        "inf-study": INF_STUDY_TOL, "alpha-zero": ALPHA_ZERO_TOL, "eps-chain": EPS_CHAIN_TOL
+    }.get(kind)
     tol_text = col.raw("study", "tol") if parser.has_section("study") else None
     tol = (
         col.number("study", "tol", tol_default or 0.0, positive=True)
@@ -544,9 +546,8 @@ def build_family(run: RunSpec) -> OperatorFamily:
     p, s = run.problem, run.schedule
     domain = _domain_of(p)
     if p.kernel == "fem":
-        n_ref = 16 * max(s.levels) + 1
         family = make_fem_family(
-            resolve_potential(p.potential), s.levels, n_ref, input_m=p.input_m, domain=domain
+            resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain
         )
     elif p.kernel == "identity":
         family = make_constant_family(identity_operator(p.input_m, domain), s.levels)
@@ -576,9 +577,7 @@ def build_target(run: RunSpec, family: OperatorFamily | None = None) -> Tikhonov
         data = op.apply(truth)
     else:
         data = truth_profile(p, op.output_m)
-    return TikhonovProblem(
-        op, data, p.alpha, p.exponent_p, _penalty_of(p), _domain_of(p)
-    )
+    return TikhonovProblem(op, data, p.alpha, p.exponent_p, _penalty_of(p))
 
 
 def build_sequence(run: RunSpec, seed_override: int | None = None) -> ApproxSequence:

@@ -90,22 +90,23 @@ class EllipticProblem:
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    sub: np.ndarray
+    """Symmetric tridiagonal system: `off` is both the sub- and superdiagonal."""
+
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
         n = self.diag.size
-        if self.sub.size != n - 1 or self.sup.size != n - 1 or self.rhs.shape[0] != n:
+        if self.off.size != n - 1 or self.rhs.shape[0] != n:
             raise GridCompatibilityError("tridiagonal bands and rhs sizes disagree")
         if np.any(self.diag <= 0.0):
             raise NumericalError("assembled diagonal must be positive")
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         out = self.diag * u
-        out[:-1] += self.sup * u[1:]
-        out[1:] += self.sub * u[:-1]
+        out[:-1] += self.off * u[1:]
+        out[1:] += self.off * u[:-1]
         return out
 
 
@@ -164,7 +165,7 @@ def assemble(problem: EllipticProblem, level: GalerkinLevel) -> TridiagonalSyste
     else:
         f_eval = _as_point_evaluator(problem.source)
         rhs = _load_from_gauss_values(level, f_eval(p1), f_eval(p2))
-    return TridiagonalSystem(off.copy(), diag, off.copy(), rhs)
+    return TridiagonalSystem(diag, off, rhs)
 
 
 def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -172,19 +173,19 @@ def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray | None = None) -> np
     b = np.array(system.rhs if rhs is None else rhs, dtype=float)
     d = system.diag.copy()
     n = d.size
-    sub, sup = system.sub, system.sup
+    off = system.off
     for i in range(1, n):
         if abs(d[i - 1]) < 1e-300:
             raise NumericalError("zero pivot in tridiagonal elimination")
-        m = sub[i - 1] / d[i - 1]
-        d[i] = d[i] - m * sup[i - 1]
+        m = off[i - 1] / d[i - 1]
+        d[i] = d[i] - m * off[i - 1]
         b[i] = b[i] - m * b[i - 1]
     if abs(d[n - 1]) < 1e-300:
         raise NumericalError("zero pivot in tridiagonal elimination")
     x = np.empty_like(b)
     x[n - 1] = b[n - 1] / d[n - 1]
     for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - sup[i] * x[i + 1]) / d[i]
+        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
     return x
 
 
@@ -198,8 +199,8 @@ def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
     system = assemble(problem, level)
     u = thomas_solve(system)
     res = np.max(np.abs(system.matvec(u) - system.rhs))
-    rows = np.abs(system.diag) + np.pad(np.abs(system.sub), (1, 0))
-    rows += np.pad(np.abs(system.sup), (0, 1))  # absolute row sums of A
+    off = np.abs(system.off)
+    rows = np.abs(system.diag) + np.pad(off, (1, 0)) + np.pad(off, (0, 1))  # |A| row sums
     scale = np.max(rows) * np.max(np.abs(u)) + np.max(np.abs(system.rhs))
     if res > 1e-12 * scale:
         raise NumericalError(f"tridiagonal solve backward error {res / scale:.2e} exceeds 1e-12")
@@ -225,28 +226,24 @@ def fem_operator_matrix(
 def make_fem_family(
     potential,
     levels: Sequence[int],
-    n_ref: int,
     input_m: int = 65,
     domain: DomainSpec | None = None,
 ) -> OperatorFamily:
-    """Family of Galerkin forward maps with reference level n_ref.
+    """Family of Galerkin forward maps with reference level n_ref = 16 max(levels) + 1.
 
-    The reference must be substantially finer than every tested level;
-    the factory enforces the 16x margin the studies rely on.
+    The studies rely on a reference substantially finer than every tested
+    level; 16x the largest is that margin.
     """
     levels = tuple(int(n) for n in levels)
-    if n_ref < 16 * max(levels):
-        raise GridCompatibilityError("reference level must be >= 16x the largest level")
+    n_ref = 16 * max(levels) + 1
     dom = domain or whole_space()
     output_m = n_ref + 2
 
     def build(n: int) -> ForwardOperator:
         mat = fem_operator_matrix(potential, GalerkinLevel(n), input_m, output_m)
-        return ForwardOperator(mat, input_m, output_m, dom, f"fem@{n}")
+        return ForwardOperator(mat, dom)
 
-    ref_mat = fem_operator_matrix(potential, GalerkinLevel(n_ref), input_m, output_m)
-    reference = ForwardOperator(ref_mat, input_m, output_m, dom, f"fem@ref{n_ref}")
-    return OperatorFamily(levels, reference, build, lambda n: dom, "fem")
+    return OperatorFamily(levels, build(n_ref), build)
 
 
 def l2_error_vs_exact(u: GridFunction, exact: Callable) -> float:

@@ -23,7 +23,7 @@ from .grids import (
     trapezoid_weights,
     weighted_l2,
 )
-from .operators import DomainSpec, ForwardOperator, OperatorFamily, membership, whole_space
+from .operators import DomainSpec, ForwardOperator, OperatorFamily, membership
 
 __all__ = [
     "PenaltySpec",
@@ -122,14 +122,13 @@ def shifted_half_sq(x0: GridFunction) -> PenaltySpec:
 
 @dataclass(frozen=True)
 class TikhonovProblem:
-    """Target functional: operator, data, alpha >= 0, exponent p >= 1."""
+    """Target functional: operator, data, alpha >= 0, exponent p >= 1; +inf off operator.domain."""
 
     operator: ForwardOperator
     data_y: GridFunction
     alpha: float
     exponent_p: float = 2.0
     penalty: PenaltySpec = field(default_factory=half_sq_l2)
-    domain: DomainSpec = field(default_factory=whole_space)
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -142,7 +141,7 @@ class TikhonovProblem:
     @property
     def is_linear_quadratic(self) -> bool:
         """Solvable in closed form by the normal equations."""
-        return linear_quadratic(self.exponent_p, self.penalty, self.domain)
+        return linear_quadratic(self.exponent_p, self.penalty, self.operator.domain)
 
     def value_at(self, vals: np.ndarray) -> float:
         """T at nodal values on the operator's input grid, domain not checked."""
@@ -187,7 +186,7 @@ def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     op = problem.operator
     if x.node_count != op.input_m:
         x = resample(x, op.input_m)
-    if not membership(problem.domain, x):
+    if not membership(op.domain, x):
         return math.inf
     with np.errstate(over="ignore"):  # an overflow is refused just below
         value = float(problem.value_at(x.values))
@@ -299,7 +298,6 @@ class ApproxSequence:
             self.alpha_at(n),
             self.target.exponent_p,
             self.target.penalty,
-            self.family.domain_at(n),
         )
 
 

@@ -124,24 +124,26 @@ def membership(domain: DomainSpec, x: GridFunction) -> bool:
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Linear map between grid functions with an explicit dense matrix."""
+    """Linear map between grid functions: an output_m x input_m matrix and its domain D(F)."""
 
     matrix: np.ndarray
-    input_m: int
-    output_m: int
     domain: DomainSpec = field(default_factory=whole_space)
-    label: str = ""
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=float)
-        if mat.shape != (self.output_m, self.input_m):
-            raise GridCompatibilityError(
-                f"operator matrix shape {mat.shape} does not match "
-                f"({self.output_m}, {self.input_m})"
-            )
+        if mat.ndim != 2:
+            raise GridCompatibilityError(f"operator matrix must be 2-D, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_gram", None)
+
+    @property
+    def input_m(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def output_m(self) -> int:
+        return self.matrix.shape[0]
 
     def gram(self) -> np.ndarray:
         """A^T W A, W the output trapezoid weights; read-only, formed on first call.
@@ -162,7 +164,7 @@ class ForwardOperator:
 
 
 def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperator:
-    return ForwardOperator(np.eye(m), m, m, domain or whole_space(), "identity")
+    return ForwardOperator(np.eye(m), domain or whole_space())
 
 
 _BLOCK_ROWS = 64  # kernel rows evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
@@ -243,14 +245,13 @@ class OperatorFamily:
     """Approximating operators F_n plus the reference F they converge to.
 
     All levels share the reference output grid; `operator_at` caches the
-    assembled matrices because studies revisit levels repeatedly.
+    assembled matrices because studies revisit levels repeatedly. Each
+    level operator carries its own domain D(F_n).
     """
 
     levels: tuple[int, ...]
     reference: ForwardOperator
     _build: Callable[[int], ForwardOperator]
-    _domain_at: Callable[[int], DomainSpec]
-    label: str = ""
 
     def __post_init__(self):
         if not self.levels:
@@ -266,9 +267,6 @@ class OperatorFamily:
         if n not in cache:
             cache[n] = self._build(n)
         return cache[n]
-
-    def domain_at(self, n: int) -> DomainSpec:
-        return self._domain_at(n)
 
 
 def make_quadrature_family(
@@ -296,16 +294,15 @@ def make_quadrature_family(
     def build(n: int) -> ForwardOperator:
         to_ref = interpolation_weights(grid_nodes(n), grid_nodes(m_ref))
         mat = interpolate_rows(to_ref, _quadrature_matrix(kernel, n, input_m))
-        return ForwardOperator(mat, input_m, m_ref, domain_at(n), f"{kernel.label}@{n}")
+        return ForwardOperator(mat, domain_at(n))
 
     def domain_at(n: int) -> DomainSpec:
         if shrinking_domains:
             return DomainSpec(dom.kind, dom.radius * (1.0 - 1.0 / n), dom.tag)
         return dom
 
-    ref_mat = _quadrature_matrix(kernel, m_ref, input_m)
-    reference = ForwardOperator(ref_mat, input_m, m_ref, dom, f"{kernel.label}@ref{m_ref}")
-    return OperatorFamily(levels, reference, build, domain_at, kernel.label)
+    reference = ForwardOperator(_quadrature_matrix(kernel, m_ref, input_m), dom)
+    return OperatorFamily(levels, reference, build)
 
 
 def make_constant_family(
@@ -317,9 +314,7 @@ def make_constant_family(
     discretization; the uniform gap is exactly zero.
     """
     levels = tuple(int(n) for n in levels)
-    return OperatorFamily(
-        levels, operator, lambda n: operator, lambda n: operator.domain, "constant-family"
-    )
+    return OperatorFamily(levels, operator, lambda n: operator)
 
 
 def uniform_gap(
@@ -329,10 +324,9 @@ def uniform_gap(
     if not samples:
         raise GridCompatibilityError("uniform_gap needs at least one sample")
     op = family.operator_at(n)
-    dom = family.domain_at(n)
     gap = 0.0
     for i, x in enumerate(samples):
-        if not membership(dom, x):
+        if not membership(op.domain, x):
             raise GridCompatibilityError(f"sample {i} lies outside dom(F_{n})")
         gap = max(gap, norm(op.apply(x) - family.reference.apply(x)))
     return gap

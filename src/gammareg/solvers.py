@@ -257,7 +257,7 @@ def projected_gradient(
     objective = TikhonovObjective(problem)
     if x0.node_count != problem.operator.input_m:
         raise GridCompatibilityError("x0 must live on the operator input grid")
-    if not membership(problem.domain, x0):
+    if not membership(problem.operator.domain, x0):
         return SolveResult(x0, math.inf, 0, "infeasible", math.inf)
 
     w_in = objective.w_in
@@ -273,7 +273,7 @@ def projected_gradient(
         step = _STEP0
         for _ in range(config.max_iter):
             g = model.coordinate_gradient(x) / w_in
-            moved = _project(problem.domain, x - g, w_in)
+            moved = _project(problem.operator.domain, x - g, w_in)
             grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
                 status = "converged"
@@ -282,7 +282,7 @@ def projected_gradient(
             accepted = False
             t = step
             while t > 1e-18:
-                candidate = _project(problem.domain, x - t * g, w_in)
+                candidate = _project(problem.operator.domain, x - t * g, w_in)
                 delta = candidate - x
                 move = float(delta * delta @ w_in)
                 decrease = _SUFFICIENT_DECREASE / max(t, 1e-30) * move

@@ -7,7 +7,8 @@ Gamma-limits, the equi-coercivity inclusion, the vanishing-alpha limit
 toward minimum-penalty solutions, and invariance under positive scaling.
 
 Everything here works on fixed grids, so statements about topologies
-collapse to norm statements; reports carry that note in `topology`.
+collapse to norm statements (finite-dimensional collapse): every study
+measures in a norm.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "TOPOLOGY_NOTE",
     "InfConvergenceReport",
     "inf_convergence_study",
     "EpsChainReport",
@@ -52,7 +52,10 @@ __all__ = [
     "richardson_limit",
 ]
 
-TOPOLOGY_NOTE = "norm (finite-dimensional collapse)"
+# Contractual default tolerances of the study verdicts; `config` reads them too.
+INF_STUDY_TOL = 1e-6  # final gap |inf T_n - min T|
+ALPHA_ZERO_TOL = 1e-3  # final distance to the minimum-penalty solution
+EPS_CHAIN_TOL = 1e-4  # |T(cluster) - last chain value|
 
 _TAIL_SLACK = 0.1  # multiplicative slack per step of a tail-monotone sequence
 _GAMMA_TAIL_FRACTION = 0.5  # share of the index window that is the tail
@@ -93,13 +96,12 @@ class InfConvergenceReport:
     minimizer_distances: tuple[float, ...]
     verdict: bool | None
     failed_stage: str | None = None
-    topology: str = TOPOLOGY_NOTE
 
 
 def inf_convergence_study(
     seq: ApproxSequence,
     solver: SolveConfig = SolveConfig(),
-    tol: float = 1e-6,
+    tol: float = INF_STUDY_TOL,
 ) -> InfConvergenceReport:
     """Check inf T_n -> min T against a reference solve.
 
@@ -154,14 +156,13 @@ class EpsChainReport:
     exact_value_at_cluster: float
     final_value_gap: float
     verdict: bool | None
-    topology: str = TOPOLOGY_NOTE
 
 
 def eps_minimizer_chain(
     seq: ApproxSequence,
     eps_at: Callable[[int], float] | None = None,
     solver: SolveConfig = SolveConfig(),
-    value_gap_tol: float = 1e-4,
+    value_gap_tol: float = EPS_CHAIN_TOL,
     cauchy_tol: float = 1e-3,
     tail: int = 3,
 ) -> EpsChainReport:
@@ -323,7 +324,6 @@ class CoercivityProbe:
     violations: tuple[tuple[int, int, float], ...]
     witness_bound: float | None
     verdict: bool
-    topology: str = TOPOLOGY_NOTE
 
 
 def equi_coercivity_probe(
@@ -385,16 +385,14 @@ class AlphaZeroReport:
     operator_ratios: tuple[float, ...]
     distances: tuple[float, ...]
     omega_gaps: tuple[float, ...]
-    omega_excess_monotone: bool
     x_dagger: GridFunction
     verdict: bool
-    topology: str = TOPOLOGY_NOTE
 
 
 def alpha_zero_study(
     seq: ApproxSequence,
     solver: SolveConfig = SolveConfig(),
-    tol: float = 1e-3,
+    tol: float = ALPHA_ZERO_TOL,
 ) -> AlphaZeroReport:
     """Vanishing-alpha limit toward the minimum-penalty solution.
 
@@ -429,14 +427,11 @@ def alpha_zero_study(
 
     penalty = seq.target.penalty
     omega_dagger = penalty.evaluate(x_dagger)
-    distances, omega_gaps, excesses = [], [], []
+    distances, omega_gaps = [], []
     for n in levels:
         res = _solve_level(seq, n, solver)
         distances.append(norm(res.minimizer - x_dagger))
-        omega_n = penalty.evaluate(res.minimizer)
-        omega_gaps.append(abs(omega_n - omega_dagger))
-        excesses.append(max(omega_n - omega_dagger, 0.0))
-    excess_monotone = _tail_monotone([e + 1e-15 for e in excesses])
+        omega_gaps.append(abs(penalty.evaluate(res.minimizer) - omega_dagger))
     return AlphaZeroReport(
         tuple(levels),
         tuple(alphas),
@@ -444,7 +439,6 @@ def alpha_zero_study(
         tuple(op_ratios),
         tuple(distances),
         tuple(omega_gaps),
-        excess_monotone,
         x_dagger,
         distances[-1] <= tol,
     )
@@ -464,7 +458,6 @@ class ScalingReport:
     identity_ok: bool
     limit_ok: bool
     verdict: bool
-    topology: str = TOPOLOGY_NOTE
 
 
 def scaling_invariance_check(

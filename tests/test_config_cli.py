@@ -566,6 +566,33 @@ def test_integral_demo_study_runs(tmp_path):
     assert gaps[-1] < gaps[0]
 
 
+@pytest.mark.parametrize("kernel", ["identity", "constant", "separable", "gaussian"])
+def test_integral_demo_on_a_nonnegative_ball_runs_as_validated(tmp_path, kernel):
+    # sin 3 pi x and cos 2 pi x change sign: the demo measures the gap on
+    # the standard samples that lie in the nonnegative ball, not on all
+    config = f"""
+        [study]
+        kind = integral-demo
+
+        [problem]
+        kernel = {kernel}
+        input_m = 9
+        quad_m = 65
+        domain = l2_ball_nonneg
+        radius = 0.5
+
+        [schedule]
+        levels = 5, 9, 17
+    """
+    path = write_config(tmp_path, config)
+    assert cli("validate", "--config", path).returncode == 0
+    proc = cli("run", "--config", path)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert proc.stderr == ""
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert [r[2] for r in rows[1:]] == ["uniform_gap"] * 3 + ["final_gap"]
+
+
 def test_coercivity_study_runs(tmp_path):
     config = """
         [study]

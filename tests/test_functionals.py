@@ -169,7 +169,7 @@ def scalar_surrogate():
     """
     from gammareg import ForwardOperator
 
-    doubling = ForwardOperator(2.0 * np.eye(2), 2, 2)
+    doubling = ForwardOperator(2.0 * np.eye(2))
     return TikhonovProblem(
         doubling, GridFunction(np.ones(2)), alpha=1.0, penalty=half_sq_l2()
     )
@@ -188,10 +188,8 @@ def test_scalar_surrogate_value_by_grid_search():
 
 
 def test_functional_is_plus_infinity_outside_domain():
-    op = identity_operator(5)
-    problem = TikhonovProblem(
-        op, GridFunction(np.zeros(5)), alpha=1.0, domain=norm_ball(0.1)
-    )
+    op = identity_operator(5, norm_ball(0.1))
+    problem = TikhonovProblem(op, GridFunction(np.zeros(5)), alpha=1.0)
     outside = GridFunction(np.full(5, 0.2))
     assert eval_T(problem, outside) == math.inf
     inside = GridFunction(np.full(5, 0.05))
@@ -203,7 +201,7 @@ def test_membership_is_tested_on_the_resampled_x():
     # the tent has L2 norm 0.707 on its own 3 nodes, above the radius, but
     # 0.577 resampled onto the 65-node input grid, where T is evaluated
     problem = TikhonovProblem(
-        identity_operator(65), GridFunction(np.zeros(65)), alpha=0.1, domain=norm_ball(0.6)
+        identity_operator(65, norm_ball(0.6)), GridFunction(np.zeros(65)), alpha=0.1
     )
     tent = GridFunction(np.array([0.0, 1.0, 0.0]))
     assert norm(tent) > 0.6 > norm(resample(tent, 65))
@@ -245,7 +243,7 @@ def test_linear_quadratic_detection():
     assert TikhonovProblem(op, y, 1.0, penalty=shifted_half_sq(y)).is_linear_quadratic
     assert not TikhonovProblem(op, y, 1.0, exponent_p=3.0).is_linear_quadratic
     assert not TikhonovProblem(op, y, 1.0, penalty=p_power_norm(3.0)).is_linear_quadratic
-    constrained = TikhonovProblem(op, y, 1.0, domain=norm_ball(1.0))
+    constrained = TikhonovProblem(identity_operator(5, norm_ball(1.0)), y, 1.0)
     assert not constrained.is_linear_quadratic
 
 
@@ -314,6 +312,22 @@ def test_problem_at_wires_level_pieces(gaussian_sequence):
     assert np.array_equal(
         level_problem.data_y.values, gaussian_sequence.data_at(n).values
     )
+
+
+def test_level_problem_takes_its_level_operators_domain():
+    # shrinking level balls of radius 1 - 1/n: a point inside the reference
+    # ball but outside level 8's is feasible for T and +inf for T_8
+    family = make_quadrature_family(
+        gaussian_kernel(0.2), (2, 4, 8), 65, input_m=9,
+        domain=norm_ball(1.0), shrinking_domains=True,
+    )
+    target = TikhonovProblem(family.reference, GridFunction(np.zeros(65)), alpha=0.1)
+    seq = make_approx_sequence(target, family)
+    x = from_callable(np.ones_like, 9) * 0.9
+    assert 1.0 - 1.0 / 8 < norm(x) < 1.0
+    assert math.isfinite(eval_T(target, x))
+    assert eval_Tn(seq, 8, x) == math.inf
+    assert seq.problem_at(8).operator.domain.radius == pytest.approx(1.0 - 1.0 / 8)
 
 
 def test_eval_level_functional_matches_manual_formula(gaussian_sequence):

@@ -97,8 +97,11 @@ def test_identity_operator_applies_as_identity():
 
 
 def test_operator_matrix_shape_validated():
+    # the grid sizes are read off the matrix, which must be 2-D
+    op = ForwardOperator(np.zeros((3, 4)))
+    assert (op.output_m, op.input_m) == (3, 4)
     with pytest.raises(GridCompatibilityError):
-        ForwardOperator(np.eye(3), input_m=4, output_m=3)
+        ForwardOperator(np.ones(3))
 
 
 def test_operator_matrix_is_read_only():
@@ -210,12 +213,12 @@ def test_shrinking_domains_radius_formula():
         shrinking_domains=True,
     )
     for n in family.levels:
-        assert family.domain_at(n).radius == pytest.approx(1.0 - 1.0 / n, abs=1e-15)
+        assert family.operator_at(n).domain.radius == pytest.approx(1.0 - 1.0 / n, abs=1e-15)
     # level domains are strict subsets: a point near the reference boundary
     # is feasible for the limit problem but not for any level
     edge = standard_samples(9, rho=1.0)[0]  # norm 0.999
     assert membership(family.reference.domain, edge)
-    assert not membership(family.domain_at(8), edge)
+    assert not membership(family.operator_at(8).domain, edge)
 
 
 def test_shrinking_domains_need_a_ball():
@@ -347,9 +350,9 @@ def test_quadrature_family_memory_follows_kept_operators():
 
 
 def test_fem_family_memory_follows_kept_operators():
-    n_ref = 4097
+    n_ref = 4097  # 16 * 256 + 1
     peak, kept, largest = _assemble_traced(
-        lambda: make_fem_family(lambda t: np.ones_like(t), (8, 32, 128, 256), n_ref, input_m=65)
+        lambda: make_fem_family(lambda t: np.ones_like(t), (8, 32, 128, 256), input_m=65)
     )
     # The reference level carries n_ref x input_m arrays only: two Gauss-point
     # interpolations, load terms, the Thomas right side and solution, the
@@ -370,7 +373,7 @@ def test_fem_family_memory_follows_kept_operators():
 )
 def test_gram_matches_the_dense_weighted_product(output_m, input_m, seed):
     a = np.random.default_rng(seed).standard_normal((output_m, input_m))
-    op = ForwardOperator(a, input_m, output_m)
+    op = ForwardOperator(a)
     w = trapezoid_weights(output_m)
     dense = a.T @ (w[:, None] * a)
     gram = op.gram()

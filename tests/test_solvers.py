@@ -51,7 +51,7 @@ from conftest import uphill_steps
 
 def doubling_surrogate():
     """F = 2I on two nodes, y = 1, alpha = 1: minimum 0.1 at the constant 0.4."""
-    op = ForwardOperator(2.0 * np.eye(2), 2, 2)
+    op = ForwardOperator(2.0 * np.eye(2))
     return TikhonovProblem(op, GridFunction(np.ones(2)), alpha=1.0)
 
 
@@ -59,7 +59,7 @@ def random_problem(seed):
     """Random quadratic problem on 3 to 9 nodes with alpha in [0.01, 1]."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(3, 10))
-    op = ForwardOperator(rng.standard_normal((m, m)), m, m)
+    op = ForwardOperator(rng.standard_normal((m, m)))
     y = GridFunction(rng.standard_normal(m))
     return TikhonovProblem(op, y, alpha=float(rng.uniform(0.01, 1.0)))
 
@@ -90,7 +90,7 @@ def test_identity_with_zero_alpha_returns_the_data():
 
 
 def test_rank_deficient_operator_with_zero_alpha_is_infeasible():
-    op = ForwardOperator(np.zeros((5, 5)), 5, 5)
+    op = ForwardOperator(np.zeros((5, 5)))
     y = GridFunction(np.ones(5))
     res = solve_linear_quadratic(TikhonovProblem(op, y, alpha=0.0))
     assert res.status == "infeasible"
@@ -161,10 +161,10 @@ def test_ball_constraint_saturates_when_unconstrained_solution_is_outside():
     # unconstrained minimizer of 0.5||x - y||^2 + alpha 0.5||x||^2 is
     # y/(1 + alpha) with norm 2/(1 + alpha) > 0.3, so the constrained
     # minimizer sits on the boundary of the 0.3-ball
-    op = identity_operator(9)
+    op = identity_operator(9, norm_ball(0.3))
     y = GridFunction(np.full(9, 2.0))
     for alpha in (0.1, 0.5):
-        problem = TikhonovProblem(op, y, alpha=alpha, domain=norm_ball(0.3))
+        problem = TikhonovProblem(op, y, alpha=alpha)
         res = projected_gradient(
             problem, GridFunction(np.zeros(9)), SolveConfig(max_iter=500, grad_tol=1e-10)
         )
@@ -173,10 +173,8 @@ def test_ball_constraint_saturates_when_unconstrained_solution_is_outside():
 
 
 def test_infeasible_start_is_reported():
-    op = identity_operator(9)
-    problem = TikhonovProblem(
-        op, GridFunction(np.zeros(9)), alpha=1.0, domain=norm_ball(0.5)
-    )
+    op = identity_operator(9, norm_ball(0.5))
+    problem = TikhonovProblem(op, GridFunction(np.zeros(9)), alpha=1.0)
     res = projected_gradient(problem, GridFunction(np.full(9, 1.0)))
     assert res.status == "infeasible"
     assert res.value == math.inf
@@ -215,7 +213,7 @@ def test_minimize_problem_dispatches_on_shape():
         minimize_problem(lq).value, abs=1e-15
     )
     constrained = TikhonovProblem(
-        lq.operator, lq.data_y, lq.alpha, domain=norm_ball(10.0)
+        ForwardOperator(lq.operator.matrix, norm_ball(10.0)), lq.data_y, lq.alpha
     )
     res = minimize_problem(constrained, SolveConfig(max_iter=2000, grad_tol=1e-9))
     assert res.status == "converged"
@@ -301,7 +299,7 @@ def _gradient_mapping(problem, x):
     """||x - P(x - grad T(x))|| with the full-formula gradient."""
     objective = TikhonovObjective(problem)
     g = objective.riesz_gradient(x.values)
-    moved = _project(problem.domain, x.values - g, objective.w_in)
+    moved = _project(problem.operator.domain, x.values - g, objective.w_in)
     return weighted_l2(x.values - moved, objective.w_in)
 
 
@@ -423,7 +421,7 @@ def test_closed_form_gradient_vanishes(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(3, 12))
     mat = rng.standard_normal((m, m))
-    op = ForwardOperator(mat, m, m)
+    op = ForwardOperator(mat)
     y = GridFunction(rng.standard_normal(m))
     problem = TikhonovProblem(op, y, alpha=float(rng.uniform(0.05, 1.0)))
     res = solve_linear_quadratic(problem)
