@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -117,9 +118,10 @@ def _gamma_family(name: str):
 def _samples(run: RunSpec, family: OperatorFamily):
     """The standard samples on the input grid, scaled to the domain's radius, that lie
     in the family's domain: a nonnegative ball drops the ones that change sign."""
-    radius = run.problem.radius if run.problem.domain != "whole_space" else 1.0
+    domain = family.reference.domain
+    radius = domain.radius if domain.radius < math.inf else 1.0
     samples = standard_samples(run.problem.input_m, radius)
-    return [x for x in samples if membership(family.reference.domain, x)]
+    return [x for x in samples if membership(domain, x)]
 
 
 def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], bool | None]:

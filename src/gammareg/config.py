@@ -39,10 +39,7 @@ from .operators import (
     identity_operator,
     make_constant_family,
     make_quadrature_family,
-    norm_ball,
-    norm_ball_nonneg,
     separable_kernel,
-    whole_space,
 )
 from .solvers import SolveConfig
 from .studies import ALPHA_ZERO_TOL, EPS_CHAIN_TOL, INF_STUDY_TOL, _neighborhood
@@ -482,7 +479,7 @@ def parse_config(text: str) -> RunSpec:
         and (problem.exponent_p <= 1.0 or not penalty.is_smooth)
     ):
         key = "exponent_p" if problem.exponent_p <= 1.0 else "penalty"
-        col.complain("problem", key, f"{kind} outside p = 2, half_sq_l2, whole_space runs "
+        col.complain("problem", key, f"{kind} outside p = 2, q = 2, whole_space runs "
                      "projected gradient, which needs p > 1 and a smooth penalty")
 
     if col.problems:
@@ -526,11 +523,8 @@ def truth_profile(spec: ProblemSpec, m: int) -> GridFunction:
 
 
 def _domain_of(spec: ProblemSpec) -> DomainSpec:
-    if spec.domain == "l2_ball":
-        return norm_ball(spec.radius)
-    if spec.domain == "l2_ball_nonneg":
-        return norm_ball_nonneg(spec.radius)
-    return whole_space()
+    radius = math.inf if spec.domain == "whole_space" else spec.radius
+    return DomainSpec(radius, nonneg=spec.domain == "l2_ball_nonneg")
 
 
 def _penalty_of(spec: ProblemSpec) -> PenaltySpec:

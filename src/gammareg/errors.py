@@ -10,7 +10,7 @@ class EllipticityError(ValueError):
 
 
 class UnsupportedPenaltyError(ValueError):
-    """Penalty kind outside what the requested operation supports."""
+    """Penalty or exponent outside what the requested operation supports."""
 
 
 class ResolutionError(ValueError):

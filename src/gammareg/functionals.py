@@ -46,78 +46,60 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty Omega with enough structure for solvers to interrogate.
+    """Omega(x) = (1/q) ||x - x0||_tag^q, q >= 1; x0 is the shift, 0 without one.
 
-    Kinds: half_sq_l2 (0.5 ||x||^2), p_power_norm ((1/q) ||x||_tag^q),
-    linf (sup norm), shifted_half_sq (0.5 ||x - x0||^2). The smoothness
-    flag tells the gradient-based solvers what they may touch.
+    A shift on another grid than x is resampled onto x's grid. Omega is
+    smooth, and has a coordinate gradient, for the L2 tag and q >= 2.
     """
 
-    kind: str
     q: float = 2.0
     tag: NormTag = NormTag.L2
     shift: GridFunction | None = None
 
     def __post_init__(self):
-        if self.kind not in ("half_sq_l2", "p_power_norm", "linf", "shifted_half_sq"):
-            raise UnsupportedPenaltyError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == "p_power_norm" and self.q < 1.0:
-            raise UnsupportedPenaltyError("p_power_norm needs q >= 1")
-        if self.kind == "shifted_half_sq" and self.shift is None:
-            raise UnsupportedPenaltyError("shifted_half_sq needs a shift point")
+        if not self.q >= 1.0:
+            raise UnsupportedPenaltyError("penalty needs q >= 1")
 
     @property
     def is_smooth(self) -> bool:
-        if self.kind in ("half_sq_l2", "shifted_half_sq"):
-            return True
-        if self.kind == "p_power_norm":
-            return self.tag is NormTag.L2 and self.q >= 2.0
-        return False
+        return self.tag is NormTag.L2 and self.q >= 2.0
+
+    def _shift_on(self, m: int) -> GridFunction:
+        """The shift x0 on the m-node grid."""
+        shift = self.shift
+        return shift if shift.node_count == m else resample(shift, m)
+
+    def _offset(self, x: GridFunction) -> GridFunction:
+        return x if self.shift is None else x - self._shift_on(x.node_count)
 
     def evaluate(self, x: GridFunction) -> float:
-        if self.kind == "half_sq_l2":
-            return 0.5 * norm(x, NormTag.L2) ** 2
-        if self.kind == "shifted_half_sq":
-            shift = self.shift
-            if not x.same_grid(shift):
-                shift = resample(shift, x.node_count)
-            return 0.5 * norm(x - shift, NormTag.L2) ** 2
-        if self.kind == "linf":
-            return norm(x, NormTag.LINF)
-        return norm(x, self.tag) ** self.q / self.q
+        return norm(self._offset(x), self.tag) ** self.q / self.q
 
     def coordinate_gradient(self, x: GridFunction) -> np.ndarray:
         """Gradient with respect to the nodal values (not the L2 metric)."""
         if not self.is_smooth:
-            raise UnsupportedPenaltyError(f"penalty {self.kind!r} is not smooth")
-        w = trapezoid_weights(x.node_count)
-        if self.kind == "half_sq_l2":
-            return w * x.values
-        if self.kind == "shifted_half_sq":
-            shift = self.shift
-            if not x.same_grid(shift):
-                shift = resample(shift, x.node_count)
-            return w * (x.values - shift.values)
-        size = norm(x, NormTag.L2)
-        if size == 0.0 and self.q < 2.0:
-            raise UnsupportedPenaltyError("gradient undefined at zero for q < 2")
-        return size ** (self.q - 2.0) * (w * x.values) if size > 0.0 else np.zeros_like(x.values)
+            raise UnsupportedPenaltyError(
+                f"penalty (1/q) ||x||_{self.tag.value}^q with q = {self.q:g} is not smooth"
+            )
+        d = self._offset(x)
+        grad = trapezoid_weights(x.node_count) * d.values
+        return grad if self.q == 2.0 else norm(d) ** (self.q - 2.0) * grad
 
 
 def half_sq_l2() -> PenaltySpec:
-    return PenaltySpec("half_sq_l2")
+    return PenaltySpec()
 
 
 def p_power_norm(q: float, tag: NormTag = NormTag.L2) -> PenaltySpec:
-    return PenaltySpec("p_power_norm", q=q, tag=tag)
+    return PenaltySpec(q, tag)
 
 
 def linf_penalty() -> PenaltySpec:
-    return PenaltySpec("linf")
+    return PenaltySpec(1.0, NormTag.LINF)
 
 
 def shifted_half_sq(x0: GridFunction) -> PenaltySpec:
-    return PenaltySpec("shifted_half_sq", shift=x0)
+    return PenaltySpec(shift=x0)
 
 
 @dataclass(frozen=True)
@@ -167,11 +149,12 @@ def _power(base: float, p: float) -> float:
 
 
 def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec) -> bool:
-    """p = 2, a (shifted) half-squared-L2 penalty and no constraint."""
+    """p = 2, a (shifted) half-squared L2 penalty (q = 2) and the whole space."""
     return (
         exponent_p == 2.0
-        and penalty.kind in ("half_sq_l2", "shifted_half_sq")
-        and domain.kind == "whole_space"
+        and penalty.q == 2.0
+        and penalty.tag is NormTag.L2
+        and domain.radius == math.inf
     )
 
 

@@ -9,7 +9,8 @@ same discrete L2 norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,40 +87,41 @@ def gaussian_kernel(sigma: float) -> KernelSpec:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Feasible set for the unknown: everything, a norm ball, or its
-    nonnegative part."""
+    """D(F) = {x : ||x||_tag <= radius, and x >= 0 if nonneg}.
 
-    kind: str  # whole_space | norm_ball | norm_ball_nonneg
-    radius: float = float("inf")
+    An infinite radius is the whole space; a nonnegative domain needs a
+    finite radius. Balls are measured in the L2 or the sup norm.
+    """
+
+    radius: float = math.inf
     tag: NormTag = NormTag.L2
+    nonneg: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("whole_space", "norm_ball", "norm_ball_nonneg"):
-            raise GridCompatibilityError(f"unknown domain kind {self.kind!r}")
-        if self.kind != "whole_space" and not (0 < self.radius < float("inf")):
-            raise GridCompatibilityError("norm ball needs a finite positive radius")
+        if not self.radius > 0.0:
+            raise GridCompatibilityError("norm ball needs a positive radius")
+        if self.nonneg and self.radius == math.inf:
+            raise GridCompatibilityError("nonnegative domain needs a finite radius")
+        if self.tag is NormTag.H1_0:
+            raise GridCompatibilityError("domain balls support L2 and sup norms only")
 
 
 def whole_space() -> DomainSpec:
-    return DomainSpec("whole_space")
+    return DomainSpec()
 
 
 def norm_ball(radius: float, tag: NormTag = NormTag.L2) -> DomainSpec:
-    return DomainSpec("norm_ball", radius, tag)
+    return DomainSpec(radius, tag)
 
 
 def norm_ball_nonneg(radius: float, tag: NormTag = NormTag.L2) -> DomainSpec:
-    return DomainSpec("norm_ball_nonneg", radius, tag)
+    return DomainSpec(radius, tag, nonneg=True)
 
 
 def membership(domain: DomainSpec, x: GridFunction) -> bool:
-    if domain.kind == "whole_space":
-        return True
-    if norm(x, domain.tag) > domain.radius:
+    if domain.nonneg and np.min(x.values) < 0.0:
         return False
-    if domain.kind == "norm_ball_nonneg" and np.min(x.values) < 0.0:
-        return False
-    return True
+    return domain.radius == math.inf or norm(x, domain.tag) <= domain.radius
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ def make_quadrature_family(
     if max(levels) > m_ref:
         raise GridCompatibilityError("reference grid must be at least as fine as levels")
     dom = domain or whole_space()
-    if shrinking_domains and dom.kind == "whole_space":
+    if shrinking_domains and dom.radius == math.inf:
         raise GridCompatibilityError("shrinking domains need a norm-ball reference domain")
 
     def build(n: int) -> ForwardOperator:
@@ -298,7 +300,7 @@ def make_quadrature_family(
 
     def domain_at(n: int) -> DomainSpec:
         if shrinking_domains:
-            return DomainSpec(dom.kind, dom.radius * (1.0 - 1.0 / n), dom.tag)
+            return replace(dom, radius=dom.radius * (1.0 - 1.0 / n))
         return dom
 
     reference = ForwardOperator(_quadrature_matrix(kernel, m_ref, input_m), dom)

@@ -68,7 +68,9 @@ class SolveResult:
     minimizer: GridFunction
     value: float  # math.inf when infeasible
     iterations: int
-    status: str  # converged | max_iter | infeasible
+    # converged | max_iter | stalled (no step passed the line search before
+    # max_iter) | infeasible
+    status: str
     grad_norm_final: float
 
 
@@ -144,43 +146,39 @@ class _RangeModel:
 
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
     """Exact metric projection onto the domain in the weighted-L2 geometry."""
-    if domain.kind == "whole_space":
-        return vals
-    if domain.kind == "norm_ball_nonneg":
+    if domain.nonneg:
         vals = np.maximum(vals, 0.0)
+    if domain.radius == math.inf:
+        return vals
     if domain.tag is NormTag.LINF:
         return np.clip(vals, -domain.radius, domain.radius)
-    if domain.tag is NormTag.L2:
-        size = weighted_l2(vals, w_in)
-        if size > domain.radius:
-            # The scaled norm can round to a step above the radius; shrink
-            # the factor until the norm, computed as `grids.norm` does, fits.
-            scale = domain.radius / size
-            out = vals * scale
-            while weighted_l2(out, w_in) > domain.radius:
-                scale = math.nextafter(scale, 0.0)
-                out = vals * scale
-            return out
+    size = weighted_l2(vals, w_in)
+    if size <= domain.radius:
         return vals
-    raise UnsupportedPenaltyError("projection supports L2 and sup-norm balls only")
+    # The scaled norm can round to a step above the radius; shrink the
+    # factor until the norm, computed as `grids.norm` does, fits.
+    scale = domain.radius / size
+    out = vals * scale
+    while weighted_l2(out, w_in) > domain.radius:
+        scale = math.nextafter(scale, 0.0)
+        out = vals * scale
+    return out
 
 
 def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix A^T W A + alpha W_X and right side A^T W y + alpha W_X x0.
 
     W and W_X are the trapezoid weights of the output and input grids; x0
-    is the penalty shift, or 0. A^T W A is the operator's kept Gram.
+    is the penalty shift on the input grid, or 0. A^T W A is the operator's
+    kept Gram.
     """
     op, alpha = problem.operator, problem.alpha
     w_in = trapezoid_weights(op.input_m)
     gram = op.gram().copy()
     gram.flat[:: op.input_m + 1] += alpha * w_in
     rhs = op.matrix.T @ (trapezoid_weights(op.output_m) * problem.data_y.values)
-    if problem.penalty.kind == "shifted_half_sq":
-        shift = problem.penalty.shift
-        if shift.node_count != op.input_m:
-            raise GridCompatibilityError("penalty shift must live on the input grid")
-        rhs = rhs + alpha * w_in * shift.values
+    if problem.penalty.shift is not None:
+        rhs = rhs + alpha * w_in * problem.penalty._shift_on(op.input_m).values
     return gram, rhs
 
 
@@ -243,14 +241,15 @@ def projected_gradient(
     """Monotone projected gradient descent with Armijo backtracking.
 
     Smooth objectives only. Convergence is declared when the projected
-    gradient norm drops below grad_tol. Gradients come from the range
+    gradient norm drops below grad_tol; a line search that accepts no step
+    ends the run early with status "stalled". Gradients come from the range
     model of the problem (`_RangeModel`), and each candidate must pass the
     Armijo test on the model before the same test on T itself decides it,
     so every accepted step decreases T as `eval_T` computes it.
     """
     if not problem.penalty.is_smooth and problem.alpha > 0.0:
         raise UnsupportedPenaltyError(
-            f"projected gradient needs a smooth penalty, got {problem.penalty.kind!r}"
+            "projected gradient needs a smooth penalty: the L2 tag and q >= 2"
         )
     if problem.exponent_p <= 1.0:
         raise UnsupportedPenaltyError("projected gradient needs p > 1")
@@ -266,11 +265,11 @@ def projected_gradient(
     model = _RangeModel(objective)
     f_model = model.value_at(x)
     iterations = 0
-    status = "max_iter"
     grad_norm = math.inf
 
     for attempt in range(config.restarts + 1):
         step = _STEP0
+        status = "max_iter"
         for _ in range(config.max_iter):
             g = model.coordinate_gradient(x) / w_in
             moved = _project(problem.operator.domain, x - g, w_in)
@@ -296,6 +295,7 @@ def projected_gradient(
                         break
                 t *= _SHRINK
             if not accepted:
+                status = "stalled"
                 break
         if status == "converged":
             break

@@ -34,6 +34,7 @@ from gammareg import (
     p_power_norm,
     resample,
     shifted_half_sq,
+    NormTag,
     PenaltySpec,
 )
 
@@ -127,14 +128,11 @@ def test_shifted_penalty_resamples_shift():
     assert shifted_half_sq(shift).evaluate(x) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_unknown_penalty_kind_rejected():
-    with pytest.raises(UnsupportedPenaltyError):
-        PenaltySpec("bogus")
-
-
 def test_power_norm_needs_q_at_least_one():
     with pytest.raises(UnsupportedPenaltyError):
         p_power_norm(0.5)
+    with pytest.raises(UnsupportedPenaltyError):
+        PenaltySpec(0.5, NormTag.LINF)
 
 
 def test_sup_norm_penalty_is_not_smooth():
@@ -243,6 +241,11 @@ def test_linear_quadratic_detection():
     assert TikhonovProblem(op, y, 1.0, penalty=shifted_half_sq(y)).is_linear_quadratic
     assert not TikhonovProblem(op, y, 1.0, exponent_p=3.0).is_linear_quadratic
     assert not TikhonovProblem(op, y, 1.0, penalty=p_power_norm(3.0)).is_linear_quadratic
+    # the closed form follows the functional: (1/2) ||x||^2 is half_sq_l2
+    assert p_power_norm(2.0) == half_sq_l2()
+    assert TikhonovProblem(op, y, 1.0, penalty=p_power_norm(2.0)).is_linear_quadratic
+    sup = p_power_norm(2.0, NormTag.LINF)
+    assert not TikhonovProblem(op, y, 1.0, penalty=sup).is_linear_quadratic
     constrained = TikhonovProblem(identity_operator(5, norm_ball(1.0)), y, 1.0)
     assert not constrained.is_linear_quadratic
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammareg import (
+    DomainSpec,
     ForwardOperator,
     GridCompatibilityError,
     GridFunction,
@@ -138,6 +139,18 @@ def test_membership_nonnegative_ball():
 def test_ball_needs_positive_radius():
     with pytest.raises(GridCompatibilityError):
         norm_ball(0.0)
+
+
+def test_domain_refuses_what_no_projection_handles():
+    # balls are measured in L2 or the sup norm, and a nonnegative domain
+    # is the nonnegative part of a finite ball
+    with pytest.raises(GridCompatibilityError):
+        norm_ball(1.0, NormTag.H1_0)
+    with pytest.raises(GridCompatibilityError):
+        DomainSpec(tag=NormTag.H1_0)
+    with pytest.raises(GridCompatibilityError):
+        DomainSpec(nonneg=True)
+    assert norm_ball_nonneg(1.0, NormTag.LINF) == DomainSpec(1.0, NormTag.LINF, nonneg=True)
 
 
 # -------------------------------------------------------------- families

@@ -19,6 +19,7 @@ from gammareg import (
     SolveConfig,
     TikhonovProblem,
     UnsupportedPenaltyError,
+    build_sequence,
     constant_kernel,
     eval_T,
     from_callable,
@@ -36,6 +37,7 @@ from gammareg import (
     norm_ball,
     norm_ball_nonneg,
     p_power_norm,
+    parse_config,
     projected_gradient,
     shifted_half_sq,
     solve_linear_quadratic,
@@ -114,6 +116,21 @@ def test_shifted_penalty_recenters_the_solution():
     assert np.allclose(res.minimizer.values, shift.values, atol=1e-12)
 
 
+def test_shift_on_another_grid_is_resampled_by_the_closed_form():
+    # the normal equations bring a coarse shift onto the input grid as the
+    # penalty's value and gradient do, so both solvers find one minimizer
+    base = gaussian_problem(m=17)
+    shift = from_callable(lambda t: 0.5 * np.cos(np.pi * t), 9)
+    problem = TikhonovProblem(base.operator, base.data_y, 0.1, penalty=shifted_half_sq(shift))
+    exact = solve_linear_quadratic(problem)
+    assert exact.grad_norm_final < 1e-10
+    config = SolveConfig(max_iter=2000, grad_tol=1e-9)
+    res = projected_gradient(problem, GridFunction(np.zeros(17)), config)
+    assert res.status == "converged"
+    assert norm(res.minimizer - exact.minimizer) < 1e-6
+    assert norm(exact.minimizer - solve_linear_quadratic(base).minimizer) > 1e-2
+
+
 def test_closed_form_gradient_is_small_at_solution():
     res = solve_linear_quadratic(gaussian_problem())
     assert res.grad_norm_final < 1e-10
@@ -170,6 +187,22 @@ def test_ball_constraint_saturates_when_unconstrained_solution_is_outside():
         )
         assert res.status == "converged"
         assert norm(res.minimizer) == pytest.approx(0.3, abs=1e-9)
+
+
+def test_failed_line_search_is_reported_as_stalled():
+    # p = 3 with data of size 1e3: at level 2 no trial step passes the
+    # Armijo test long before max_iter, and the run says so
+    run = parse_config(
+        "[study]\nkind = eps-chain\n[problem]\nkernel = gaussian\nsigma = 0.2\n"
+        "input_m = 5\nquad_m = 33\nalpha = 0.01\nexponent_p = 3\npenalty = p_power_norm\n"
+        "penalty_q = 2\ntruth_amplitude = 1e3\ndata = direct_profile\n"
+        "[schedule]\nlevels = doubling:2:4\nalpha_kind = power\n"
+    )
+    config = SolveConfig()
+    res = minimize_problem(build_sequence(run).problem_at(2), config)
+    assert res.status == "stalled"
+    assert res.iterations < config.max_iter
+    assert res.grad_norm_final > config.grad_tol
 
 
 def test_infeasible_start_is_reported():
