@@ -28,7 +28,6 @@ __all__ = [
     "interpolation_weights",
     "interpolation_matrix",
     "interpolate_rows",
-    "restrict_columns",
     "resample_matrix",
     "from_callable",
 ]
@@ -188,25 +187,6 @@ def interpolate_rows(weights: tuple[np.ndarray, np.ndarray], mat: np.ndarray) ->
     upper = mat[idx + 1]
     upper *= theta
     out += upper
-    return out
-
-
-def restrict_columns(
-    mat: np.ndarray, weights: tuple[np.ndarray, np.ndarray], src_m: int
-) -> np.ndarray:
-    """`mat @ interpolation_matrix(src, points)` for src_m source nodes.
-
-    The columns of `mat` belong to the points, which must be sorted; each
-    is added, with its two weights, into the columns of its interval ends.
-    """
-    idx, theta = weights
-    if np.any(np.diff(idx) < 0):
-        raise GridCompatibilityError("restrict_columns needs sorted points")
-    starts = np.flatnonzero(np.diff(idx, prepend=-1))  # first point of each interval
-    ends = idx[starts]
-    out = np.zeros(mat.shape[:-1] + (src_m,))
-    out[..., ends] = np.add.reduceat(mat * (1.0 - theta), starts, axis=-1)
-    out[..., ends + 1] += np.add.reduceat(mat * theta, starts, axis=-1)
     return out
 
 

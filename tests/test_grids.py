@@ -22,7 +22,6 @@ from gammareg.grids import (
     interpolate_rows,
     interpolation_matrix,
     interpolation_weights,
-    restrict_columns,
 )
 
 
@@ -234,15 +233,6 @@ def _check_gather(src_m, dst_m, interior, cols, seed):
     assert np.all(np.abs(got - dense @ mat) <= 1e-14 * (np.abs(dense) @ np.abs(mat)))
 
 
-def _check_restrict(src_m, dst_m, interior, rows, seed):
-    src, pts = _source_nodes(src_m, interior), grid_nodes(dst_m)
-    mat = np.random.default_rng(seed).standard_normal((rows, dst_m))
-    dense = interpolation_matrix(src, pts)
-    got = restrict_columns(mat, interpolation_weights(src, pts), src_m)
-    assert got.shape == (rows, src_m)
-    assert np.all(np.abs(got - mat @ dense) <= 1e-14 * (np.abs(mat) @ np.abs(dense)))
-
-
 @settings(deadline=None)
 @given(TWO_POINT_CASES)
 def test_interpolate_rows_equals_the_dense_product(case):
@@ -250,26 +240,13 @@ def test_interpolate_rows_equals_the_dense_product(case):
     _check_gather(*case)
 
 
-@settings(deadline=None)
-@given(TWO_POINT_CASES)
-def test_restrict_columns_equals_the_dense_product(case):
-    _check_restrict(*case)
-
-
 @pytest.mark.parametrize("src_m, dst_m", [(65, 1000), (65, 8193), (1000, 65), (9, 33)])
 def test_two_point_applications_at_operator_sizes(src_m, dst_m):
     for interior in (False, True):
         _check_gather(src_m, dst_m, interior, 3, src_m + dst_m)
-        _check_restrict(src_m, dst_m, interior, 3, src_m * dst_m)
 
 
 def test_interpolate_rows_of_a_vector_is_resampling():
     v = np.sin(3.0 * grid_nodes(17))
     got = interpolate_rows(interpolation_weights(grid_nodes(17), grid_nodes(40)), v)
     assert np.allclose(got, resample(GridFunction(v), 40).values, rtol=0.0, atol=1e-15)
-
-
-def test_restrict_columns_needs_sorted_points():
-    pts = np.array([0.5, 0.1, 0.9])
-    with pytest.raises(GridCompatibilityError):
-        restrict_columns(np.ones((2, 3)), interpolation_weights(grid_nodes(5), pts), 5)

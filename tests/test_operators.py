@@ -14,6 +14,7 @@ from gammareg import (
     ForwardOperator,
     GridCompatibilityError,
     GridFunction,
+    KernelSpec,
     NoiseSchedule,
     NormTag,
     constant_kernel,
@@ -37,7 +38,7 @@ from gammareg import (
     uniform_gap,
     whole_space,
 )
-from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS
+from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix
 
 
 # ------------------------------------------------------------- kernels
@@ -67,6 +68,13 @@ def test_separable_kernel_hand_value():
     # Trapezoid at 3 nodes integrates t^2 to 3/8 (h^2/6 overshoot of 1/3).
     out = integral_matrix(separable_kernel(), 3) @ grid_nodes(3)
     assert np.allclose(out, 0.375 * grid_nodes(3), atol=1e-15)
+
+
+def test_integral_matrix_integrates_over_the_first_kernel_argument():
+    # (Fx)(t) = integral K(s, t) x(s) ds: with K(s, t) = t and x = 1 that is
+    # t, where integrating over the second argument would give 1/2
+    out = integral_matrix(KernelSpec(lambda s, t: t + 0.0 * s, "t"), 5) @ np.ones(5)
+    assert np.allclose(out, grid_nodes(5), atol=1e-15)
 
 
 def test_gaussian_kernel_is_symmetric():
@@ -176,7 +184,13 @@ def test_quadrature_family_gap_decays_with_level():
     assert gaps[-1] < gaps[0] / 20.0
 
 
-KERNELS = [gaussian_kernel(0.2), separable_kernel(), constant_kernel(1.5)]
+KERNELS = [
+    gaussian_kernel(0.2),
+    separable_kernel(),
+    constant_kernel(1.5),
+    # the others are symmetric, so a swap of s and t would pass their oracles
+    KernelSpec(lambda s, t: np.exp(s - 2.0 * t) + s, "asymmetric"),
+]
 FAMILY_CASES = [(257, (9, 17, 100, 257)), (1000, (9, 33, 65, 513, 1000))]
 
 
@@ -195,6 +209,23 @@ def test_family_operators_equal_the_dense_products(kernel, m_ref, levels):
     for n in levels:
         dense = resample_matrix(n, m_ref) @ integral_matrix(kernel, n) @ resample_matrix(65, n)
         _assert_rel_close(family.operator_at(n).matrix, dense, 1e-13)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
+@pytest.mark.parametrize("quad_m, input_m", [(9, 65), (100, 7)])
+def test_quadrature_matrix_equals_the_dense_product(kernel, quad_m, input_m):
+    # quadrature coarser than the input, and grids that do not nest
+    dense = integral_matrix(kernel, quad_m) @ resample_matrix(input_m, quad_m)
+    _assert_rel_close(_quadrature_matrix(kernel, quad_m, input_m), dense, 1e-13)
+
+
+def test_kept_operator_matrices_are_c_contiguous():
+    quad = make_quadrature_family(gaussian_kernel(0.2), (9, 33), 129, input_m=17)
+    fem = make_fem_family(lambda t: np.ones_like(t), (4, 8), input_m=17)
+    ops = [quad.reference, fem.reference, identity_operator(5)]
+    ops += [family.operator_at(n) for family in (quad, fem) for n in family.levels]
+    for op in ops:
+        assert op.matrix.flags.c_contiguous
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():
@@ -353,9 +384,10 @@ def test_quadrature_family_memory_follows_kept_operators():
     peak, kept, largest = _assemble_traced(
         lambda: make_quadrature_family(gaussian_kernel(0.2), (9, 33, 129, 513), m_ref, input_m=65)
     )
-    # One block of kernel rows with up to five live temporaries of its size
-    # (kernel expression, weighting, the two restriction products), and two
-    # operator-sized arrays besides the kept one (gather halves, the copy
+    # Kernel values at one block of quadrature nodes, with up to five live
+    # arrays of that size (the previous block, the kernel expression's
+    # temporaries), and two operator-sized arrays besides the kept one (the
+    # transposed accumulator or the gather halves, and the C-ordered copy
     # `ForwardOperator` takes).
     bound = kept + 6 * _BLOCK_ROWS * m_ref * F64 + 2 * largest
     assert bound < m_ref * m_ref * F64 / 2  # a dense kernel matrix cannot fit
