@@ -4,9 +4,11 @@ Subcommands:
   gammareg run --config PATH [--out PATH] [--format csv|jsonl] [--seed N] [--timings]
   gammareg validate --config PATH
 
-Exit codes: 0 the study passed or ended diagnostically, 2 a verdict was
-negative or the config invalid, 3 the study refused to run (violated
-hypotheses, with the measured numbers on stderr), 4 I/O failure.
+Exit codes: 0 the study passed, or an eps-chain found no Cauchy tail (a
+diagnostic verdict), 2 a verdict was negative, the config invalid or a value
+could not be computed (a solve that does not converge, in any study, prints
+"error: solver failed at <stage>: status <status>"), 3 the study refused to
+run (violated hypotheses, with the measured numbers on stderr), 4 I/O failure.
 
 Reports are byte-deterministic by default: floats are written with
 repr (shortest round-trip form), rows are emitted in a fixed order, and
@@ -26,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunSpec, build_family, build_sequence, load_config, resolve_potential
+from .config import (
+    GAMMA_FAMILIES,
+    RunSpec,
+    build_family,
+    build_sequence,
+    load_config,
+    resolve_potential,
+)
 from .errors import ConfigError, NumericalError, StudyRefusal
 from .fem import EllipticProblem, rate_study
 from .operators import OperatorFamily, membership, standard_samples, uniform_gap
@@ -109,12 +118,6 @@ def _manufactured(potential) -> EllipticProblem:
     return EllipticProblem(potential, source, _EXACT_SINE)
 
 
-def _gamma_family(name: str):
-    if name == "uniform_shift":
-        return lambda j, x: x * x + 1.0 / j
-    return lambda j, x: np.sin(j * x)
-
-
 def _samples(run: RunSpec, family: OperatorFamily):
     """The standard samples on the input grid, scaled to the domain's radius, that lie
     in the family's domain: a nonnegative ball drops the ones that change sign."""
@@ -145,7 +148,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
     if kind == "gamma-estimate":
         st = run.study
         estimate = estimate_gamma_limits(
-            _gamma_family(st.gamma_family), st.grid, st.point, st.radii, st.index_window
+            GAMMA_FAMILIES[st.gamma_family], st.grid, st.point, st.radii, st.index_window
         )
         for r, lo, up in zip(estimate.radii, estimate.lower_by_radius, estimate.upper_by_radius):
             rows.append(ReportRow(kind, None, f"lower@r={r:g}", lo))
@@ -181,16 +184,10 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
             rows.append(ReportRow(kind, n, "inf_value", v))
             rows.append(ReportRow(kind, n, "gap", gap))
             rows.append(ReportRow(kind, n, "min_distance", dist))
-        if report.failed_stage is not None:
-            rows.append(
-                ReportRow(kind, None, f"solver_failed_at_{report.failed_stage}", float("nan"),
-                          "diagnostic")
-            )
-        else:
-            rows.append(ReportRow(kind, None, "reference_min", report.reference_min))
-            rows.append(
-                ReportRow(kind, None, "final_gap", report.gaps[-1], _verdict_word(report.verdict))
-            )
+        rows.append(ReportRow(kind, None, "reference_min", report.reference_min))
+        rows.append(
+            ReportRow(kind, None, "final_gap", report.gaps[-1], _verdict_word(report.verdict))
+        )
         return rows, report.verdict
 
     if kind == "eps-chain":

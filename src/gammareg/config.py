@@ -78,8 +78,17 @@ DATA_KINDS = ("forward_of_truth", "direct_profile")
 ALPHA_KINDS = ("constant", "power")
 NOISE_KINDS = ("none", "power", "seeded")
 NOISE_DIRECTIONS = ("oscillatory", "constant")
-GAMMA_FAMILIES = ("oscillation", "uniform_shift")
-FEM_POTENTIALS = ("zero", "one", "sin_pi", "cosine")
+# The named choices below are the keys of the dicts that build their values.
+GAMMA_FAMILIES = {
+    "oscillation": lambda j, x: np.sin(j * x),
+    "uniform_shift": lambda j, x: x * x + 1.0 / j,
+}
+POTENTIALS = {
+    "zero": lambda t: np.zeros_like(t),
+    "one": lambda t: np.ones_like(t),
+    "sin_pi": lambda t: np.sin(np.pi * t),
+    "cosine": lambda t: 1.0 + 0.5 * np.cos(np.pi * t),
+}
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 
@@ -301,11 +310,11 @@ def _potential_label(col: _Collector) -> str:
             )
             return default
         return text
-    if text not in FEM_POTENTIALS:
+    if text not in POTENTIALS:
         col.complain(
             "problem",
             "potential",
-            f"expected one of {', '.join(FEM_POTENTIALS)} or table:v0,v1,...; got {text!r}",
+            f"expected one of {', '.join(POTENTIALS)} or table:v0,v1,...; got {text!r}",
         )
         return default
     return text
@@ -491,14 +500,6 @@ def load_config(path: str) -> RunSpec:
     """Read a config file from disk and parse it."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_config(handle.read())
-
-
-POTENTIALS = {
-    "zero": lambda t: np.zeros_like(t),
-    "one": lambda t: np.ones_like(t),
-    "sin_pi": lambda t: np.sin(np.pi * t),
-    "cosine": lambda t: 1.0 + 0.5 * np.cos(np.pi * t),
-}
 
 
 def resolve_potential(label: str):

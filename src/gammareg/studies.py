@@ -26,7 +26,7 @@ from .errors import (
     StudyRefusal,
     UnsupportedPenaltyError,
 )
-from .functionals import ApproxSequence, eval_T, eval_Tn, is_eps_minimizer
+from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
 from .grids import GridFunction, norm
 from .solvers import (
     SolveConfig,
@@ -66,10 +66,11 @@ _SCALING_ARGMIN_TOL = 1e-8
 _SCALING_LIMIT_TOL = 1e-8
 
 
-def _solve_level(seq: ApproxSequence, n: int, solver: SolveConfig) -> SolveResult:
-    result = minimize_problem(seq.problem_at(n), solver)
+def _solve(problem: TikhonovProblem, solver: SolveConfig, where: str) -> SolveResult:
+    """Minimize `problem`; a status other than converged raises NumericalError."""
+    result = minimize_problem(problem, solver)
     if result.status != "converged":
-        raise NumericalError(f"solver failed at level {n}: status {result.status}")
+        raise NumericalError(f"solver failed at {where}: status {result.status}")
     return result
 
 
@@ -94,8 +95,7 @@ class InfConvergenceReport:
     reference_min: float
     gaps: tuple[float, ...]
     minimizer_distances: tuple[float, ...]
-    verdict: bool | None
-    failed_stage: str | None = None
+    verdict: bool
 
 
 def inf_convergence_study(
@@ -106,30 +106,14 @@ def inf_convergence_study(
     """Check inf T_n -> min T against a reference solve.
 
     Verdict: final gap <= tol and gaps non-increasing over the last
-    three levels, each step allowed a multiplicative slack of 10%. A solver
-    failure yields no verdict but records where it happened.
+    three levels, each step allowed a multiplicative slack of 10%. A solve
+    that does not converge, of the reference or of a level, raises
+    NumericalError naming where it failed.
     """
-    try:
-        ref = minimize_problem(seq.target, solver)
-        if ref.status != "converged":
-            raise NumericalError(f"reference solve status {ref.status}")
-    except NumericalError:
-        return InfConvergenceReport((), (), math.nan, (), (), None, "reference")
-
+    ref = _solve(seq.target, solver, "reference")
     inf_values, gaps, distances = [], [], []
     for n in seq.levels:
-        try:
-            res = _solve_level(seq, n, solver)
-        except NumericalError:
-            return InfConvergenceReport(
-                tuple(seq.levels[: len(inf_values)]),
-                tuple(inf_values),
-                ref.value,
-                tuple(gaps),
-                tuple(distances),
-                None,
-                f"level {n}",
-            )
+        res = _solve(seq.problem_at(n), solver, f"level {n}")
         inf_values.append(res.value)
         gaps.append(abs(res.value - ref.value))
         distances.append(norm(res.minimizer - ref.minimizer))
@@ -179,7 +163,7 @@ def eps_minimizer_chain(
         eps = eps_at(n)
         if eps <= 0.0:
             raise GridCompatibilityError("eps sequence must stay positive")
-        res = _solve_level(seq, n, solver)
+        res = _solve(seq.problem_at(n), solver, f"level {n}")
         xs.append(res.minimizer)
         values.append(res.value)
         eps_values.append(eps)
@@ -360,11 +344,9 @@ def equi_coercivity_probe(
 
     witness = None
     if seq.target.is_linear_quadratic:
-        try:
-            sizes = [norm(_solve_level(seq, n, solver).minimizer) for n in seq.levels]
-            witness = max(sizes)
-        except NumericalError:
-            witness = None
+        witness = max(
+            norm(_solve(seq.problem_at(n), solver, f"level {n}").minimizer) for n in seq.levels
+        )
     return CoercivityProbe(
         delta,
         tuple(seq.levels),
@@ -429,7 +411,7 @@ def alpha_zero_study(
     omega_dagger = penalty.evaluate(x_dagger)
     distances, omega_gaps = [], []
     for n in levels:
-        res = _solve_level(seq, n, solver)
+        res = _solve(seq.problem_at(n), solver, f"level {n}")
         distances.append(norm(res.minimizer - x_dagger))
         omega_gaps.append(abs(penalty.evaluate(res.minimizer) - omega_dagger))
     return AlphaZeroReport(
@@ -487,7 +469,7 @@ def scaling_invariance_check(
         if not (0.0 < lam < math.inf):
             raise GridCompatibilityError("per-level scaling must be positive and finite")
         problem = seq.problem_at(n)
-        res = minimize_problem(problem, solver)
+        res = _solve(problem, solver, f"level {n}")
         gram, rhs = normal_equations(problem)
         x_scaled = np.linalg.solve(lam * gram, lam * rhs)
         v_scaled = lam * problem.value_at(x_scaled)

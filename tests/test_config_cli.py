@@ -434,6 +434,39 @@ def test_overflowing_power_exits_two(tmp_path):
     assert proc.stderr == "error: T is not finite inside its domain: inf\n"
 
 
+STALLED_INF_STUDY = """
+    [study]
+    kind = inf-study
+
+    [problem]
+    kernel = gaussian
+    sigma = 0.2
+    input_m = 5
+    quad_m = 33
+    alpha = 0.01
+    exponent_p = 3
+    penalty = p_power_norm
+    penalty_q = 2
+    truth_amplitude = 1e3
+    data = direct_profile
+
+    [schedule]
+    levels = doubling:2:4
+    alpha_kind = power
+"""
+
+
+def test_unconverged_solve_exits_two(tmp_path):
+    # projected gradient stalls on the p = 3 reference problem: the run ends
+    # with one error line, not a report row of nan
+    path = write_config(tmp_path, STALLED_INF_STUDY)
+    assert cli("validate", "--config", path).returncode == 0
+    proc = cli("run", "--config", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: solver failed at reference: status stalled\n"
+
+
 def test_refused_study_exits_three(tmp_path):
     refusal = """
         [study]

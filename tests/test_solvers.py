@@ -205,6 +205,30 @@ def test_failed_line_search_is_reported_as_stalled():
     assert res.grad_norm_final > config.grad_tol
 
 
+def test_restarts_continue_an_unconverged_run():
+    # each restart runs up to max_iter more iterations from the last iterate,
+    # never uphill, until one converges
+    problem, x0 = gaussian_problem(m=17), GridFunction(np.zeros(17))
+    runs = [
+        projected_gradient(problem, x0, SolveConfig(max_iter=10, grad_tol=1e-9, restarts=r))
+        for r in range(4)
+    ]
+    assert [r.status for r in runs] == ["max_iter"] * 3 + ["converged"]
+    assert [r.iterations for r in runs] == [10, 20, 30, 33]
+    assert all(b.value <= a.value for a, b in zip(runs, runs[1:]))
+
+
+def test_restarts_leave_a_converged_run_alone():
+    problem, x0 = gaussian_problem(m=17), GridFunction(np.zeros(17))
+    once = projected_gradient(problem, x0, SolveConfig(max_iter=2000, grad_tol=1e-9))
+    spare = projected_gradient(problem, x0, SolveConfig(max_iter=2000, grad_tol=1e-9, restarts=3))
+    assert once.status == "converged"
+    assert np.array_equal(once.minimizer.values, spare.minimizer.values)
+    assert (once.value, once.iterations, once.grad_norm_final) == (
+        spare.value, spare.iterations, spare.grad_norm_final
+    )
+
+
 def test_infeasible_start_is_reported():
     op = identity_operator(9, norm_ball(0.5))
     problem = TikhonovProblem(op, GridFunction(np.zeros(9)), alpha=1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -39,7 +40,7 @@ from gammareg import (
     shifted_half_sq,
     standard_samples,
 )
-from gammareg import operators
+from gammareg import operators, studies
 
 from conftest import build_gaussian_sequence
 
@@ -75,7 +76,6 @@ def test_richardson_single_level_falls_back_to_the_value():
 def test_infima_approach_the_reference_minimum(gaussian_sequence):
     report = inf_convergence_study(gaussian_sequence, tol=1e-3)
     assert report.levels == (9, 17, 33, 65, 129)
-    assert report.failed_stage is None
     assert all(g > 0 for g in report.gaps)
     assert all(b < a for a, b in zip(report.gaps, report.gaps[1:]))
     assert report.gaps[-1] < 1e-3
@@ -88,6 +88,36 @@ def test_infima_approach_the_reference_minimum(gaussian_sequence):
 def test_minimizer_distances_shrink(gaussian_sequence):
     report = inf_convergence_study(gaussian_sequence, tol=1e-3)
     assert report.minimizer_distances[-1] < report.minimizer_distances[0]
+
+
+def unconverged_on_call(monkeypatch, k):
+    """Make the k-th solve of a study end with status max_iter."""
+    calls = []
+
+    def capped(problem, solver=SolveConfig()):
+        calls.append(problem)
+        res = minimize_problem(problem, solver)
+        return dataclasses.replace(res, status="max_iter") if len(calls) == k else res
+
+    monkeypatch.setattr(studies, "minimize_problem", capped)
+
+
+def test_an_unconverged_solve_ends_the_study(gaussian_sequence, monkeypatch):
+    # the third solve is level 17, after the reference and level 9: the study
+    # raises instead of reporting the levels it reached
+    unconverged_on_call(monkeypatch, 3)
+    with pytest.raises(NumericalError, match="^solver failed at level 17: status max_iter$"):
+        inf_convergence_study(gaussian_sequence, tol=1e-3)
+    unconverged_on_call(monkeypatch, 1)
+    with pytest.raises(NumericalError, match="^solver failed at reference: status max_iter$"):
+        inf_convergence_study(gaussian_sequence, tol=1e-3)
+    # the coercivity witness and the scaling check's unscaled solves too
+    unconverged_on_call(monkeypatch, 2)
+    with pytest.raises(NumericalError, match="^solver failed at level 17:"):
+        equi_coercivity_probe(gaussian_sequence, [], (1.0,))
+    unconverged_on_call(monkeypatch, 2)
+    with pytest.raises(NumericalError, match="^solver failed at level 8: status max_iter$"):
+        scaling_invariance_check(scaling_sequence(), lambda n: 2.0, 2.0)
 
 
 # ------------------------------------------------------------ epsilon chain
