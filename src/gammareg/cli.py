@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def _samples(run: RunSpec, family: OperatorFamily):
     return [x for x in samples if membership(domain, x)]
 
 
-def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], bool | None]:
+def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
     """Execute the configured study; return its rows and overall verdict.
 
     Raises StudyRefusal when the study declines its hypotheses; the
@@ -174,7 +174,7 @@ def run_study(run: RunSpec, seed: int | None = None) -> tuple[list[ReportRow], b
         rows.append(ReportRow(kind, None, "final_gap", gaps[-1], _verdict_word(verdict)))
         return rows, verdict
 
-    seq = build_sequence(run, seed_override=seed)
+    seq = build_sequence(run)
 
     if kind == "inf-study":
         report = inf_convergence_study(seq, solver, tol=run.study.tol)
@@ -280,13 +280,11 @@ def _cmd_run(args) -> int:
     if isinstance(run, int):
         return run
 
-    want_timings = args.timings or run.output.timings
-    seed = args.seed if args.seed is not None else run.output.seed
-    out_path = args.out if args.out is not None else run.output.path
-    fmt = args.format if args.format is not None else run.output.format
+    if args.seed is not None:
+        run = replace(run, schedule=replace(run.schedule, noise_seed=args.seed))
     started = time.perf_counter()
     try:
-        rows, verdict = run_study(run, seed=seed)
+        rows, verdict = run_study(run)
     except StudyRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -298,14 +296,14 @@ def _cmd_run(args) -> int:
         return EXIT_FAIL
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    if want_timings and rows:
+    if args.timings and rows:
         last = rows[-1]
         rows[-1] = ReportRow(
             last.study, last.level, last.metric, last.value, last.verdict, elapsed_ms
         )
-    text = rows_to_jsonl(rows) if fmt == "jsonl" else rows_to_csv(rows)
+    text = rows_to_jsonl(rows) if args.format == "jsonl" else rows_to_csv(rows)
     try:
-        _write_output(text, out_path)
+        _write_output(text, args.out)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -322,11 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="execute a configured study and emit a report")
     run_p.add_argument("--config", required=True, help="path to an INI study description")
     run_p.add_argument("--out", default=None, help="report file (default: stdout)")
-    run_p.add_argument(
-        "--format", choices=("csv", "jsonl"), default=None,
-        help="report format (default: config [output] format, else csv)",
-    )
-    run_p.add_argument("--seed", type=int, default=None, help="override the noise seed")
+    run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="report format")
+    run_p.add_argument("--seed", type=int, default=None, help="sets [schedule] noise_seed")
     run_p.add_argument(
         "--timings", action="store_true", help="record wall time (breaks byte determinism)"
     )
@@ -337,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     val_p.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.seed is not None and args.seed < 0:
+        run_p.error("argument --seed: must be >= 0")
     return args.func(args)
 
 

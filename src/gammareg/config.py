@@ -1,10 +1,10 @@
 """INI study configurations: parsing, validation, and object builders.
 
 A study run is described by an INI file with sections [study],
-[problem], [schedule], [solver], [output]. Parsing is total: every
-problem found is collected (with the offending line number when it can
-be located) and reported in a single ConfigError, so a user fixes the
-file in one round trip instead of replaying errors one at a time.
+[problem], [schedule], [solver]. Parsing is total: every problem found,
+unknown sections and keys included, is collected (with its line number
+when it can be located) and reported in a single ConfigError, so a user
+fixes the file in one round trip instead of replaying errors one at a time.
 """
 
 from __future__ import annotations
@@ -13,16 +13,19 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ResolutionError
 from .fem import make_fem_family
 from .functionals import (
+    ALPHA_KINDS,
+    NOISE_DIRECTIONS,
+    NOISE_KINDS,
     AlphaSchedule,
     ApproxSequence,
     NoiseSchedule,
-    PenaltySpec,
     TikhonovProblem,
     half_sq_l2,
     linear_quadratic,
@@ -33,13 +36,17 @@ from .grids import GridFunction, from_callable
 from .operators import (
     DomainSpec,
     ForwardOperator,
+    KernelSpec,
     OperatorFamily,
     constant_kernel,
     gaussian_kernel,
     identity_operator,
     make_constant_family,
     make_quadrature_family,
+    norm_ball,
+    norm_ball_nonneg,
     separable_kernel,
+    whole_space,
 )
 from .solvers import SolveConfig
 from .studies import ALPHA_ZERO_TOL, EPS_CHAIN_TOL, INF_STUDY_TOL, _neighborhood
@@ -48,7 +55,6 @@ __all__ = [
     "StudySpec",
     "ProblemSpec",
     "ScheduleSpec",
-    "OutputSpec",
     "RunSpec",
     "parse_config",
     "load_config",
@@ -70,15 +76,8 @@ STUDY_KINDS = (
     "coercivity",
     "alpha-zero",
 )
-KERNEL_KINDS = ("identity", "constant", "separable", "gaussian", "fem")
-PENALTY_KINDS = ("half_sq_l2", "p_power_norm", "linf")
-DOMAIN_KINDS = ("whole_space", "l2_ball", "l2_ball_nonneg")
-TRUTH_KINDS = ("sine", "bump", "constant", "zero")
-DATA_KINDS = ("forward_of_truth", "direct_profile")
-ALPHA_KINDS = ("constant", "power")
-NOISE_KINDS = ("none", "power", "seeded")
-NOISE_DIRECTIONS = ("oscillatory", "constant")
-# The named choices below are the keys of the dicts that build their values.
+# The named choices below are the keys of the dicts that build their values,
+# in the order a refused choice lists them.
 GAMMA_FAMILIES = {
     "oscillation": lambda j, x: np.sin(j * x),
     "uniform_shift": lambda j, x: x * x + 1.0 / j,
@@ -88,6 +87,53 @@ POTENTIALS = {
     "one": lambda t: np.ones_like(t),
     "sin_pi": lambda t: np.sin(np.pi * t),
     "cosine": lambda t: 1.0 + 0.5 * np.cos(np.pi * t),
+}
+# problem -> its feasible set D(F)
+DOMAINS = {
+    "whole_space": lambda p: whole_space(),
+    "l2_ball": lambda p: norm_ball(p.radius),
+    "l2_ball_nonneg": lambda p: norm_ball_nonneg(p.radius),
+}
+# problem -> its penalty Omega
+PENALTIES = {
+    "half_sq_l2": lambda p: half_sq_l2(),
+    "p_power_norm": lambda p: p_power_norm(p.penalty_q),
+    "linf": lambda p: linf_penalty(),
+}
+# (problem, nodes t) -> the ground-truth input at t
+TRUTHS = {
+    "sine": lambda p, t: p.truth_amplitude * np.sin(p.truth_frequency * np.pi * t),
+    "bump": lambda p, t: p.truth_amplitude * 4.0 * t * (1.0 - t),
+    "constant": lambda p, t: np.full_like(t, p.truth_amplitude),
+    "zero": lambda p, t: np.zeros_like(t),
+}
+# (problem, reference operator) -> the data y
+DATA = {
+    "forward_of_truth": lambda p, op: op.apply(truth_profile(p, op.input_m)),
+    "direct_profile": lambda p, op: truth_profile(p, op.output_m),
+}
+
+
+@dataclass(frozen=True)
+class _Quadrature:
+    """Builds the quadrature family of the kernel `kernel_of(problem)`; quad_m bounds its levels."""
+
+    kernel_of: Callable[[ProblemSpec], KernelSpec]
+
+    def __call__(self, p: ProblemSpec, s: ScheduleSpec, domain: DomainSpec) -> OperatorFamily:
+        levels = (p.quad_m,) if s.exact_family else s.levels  # an exact family needs no levels
+        return make_quadrature_family(self.kernel_of(p), levels, p.quad_m, p.input_m, domain)
+
+
+# (problem, schedule, domain) -> the operator family
+KERNELS = {
+    "identity": lambda p, s, domain: make_constant_family(
+        identity_operator(p.input_m, domain), s.levels),
+    "constant": _Quadrature(lambda p: constant_kernel(p.kappa)),
+    "separable": _Quadrature(lambda p: separable_kernel()),
+    "gaussian": _Quadrature(lambda p: gaussian_kernel(p.sigma)),
+    "fem": lambda p, s, domain: make_fem_family(
+        resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain),
 }
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
@@ -147,20 +193,11 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    timings: bool = False
-    format: str = "csv"
-    path: str | None = None
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class RunSpec:
     study: StudySpec
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     solver: SolveConfig = field(default_factory=SolveConfig)
-    output: OutputSpec = field(default_factory=OutputSpec)
 
 
 class _Collector:
@@ -170,6 +207,7 @@ class _Collector:
         self.parser = parser
         self.lines = raw_lines
         self.problems: list[str] = []
+        self.read: set[tuple[str, str]] = set()
 
     def _where(self, section: str, key: str | None) -> str:
         in_section = False
@@ -192,6 +230,7 @@ class _Collector:
         self.problems.append(f"{name}: {message}{self._where(section, key)}")
 
     def raw(self, section: str, key: str) -> str | None:
+        self.read.add((section, key))
         if self.parser.has_option(section, key):
             return self.parser.get(section, key).strip()
         return None
@@ -286,38 +325,31 @@ class _Collector:
         if text is None:
             return default
         try:
-            return tuple(float(part) for part in text.split(","))
+            values = tuple(float(part) for part in text.split(","))
         except ValueError:
             self.complain(section, key, f"not a comma list of numbers: {text!r}")
             return default
+        if not all(map(math.isfinite, values)):
+            self.complain(section, key, "must be finite")
+            return default
+        return values
 
 
 def _potential_label(col: _Collector) -> str:
-    """Potential label: a builtin name or table:v0,v1,... of nonnegative values."""
-    default = ProblemSpec.potential
+    """Potential label: a name in POTENTIALS or a table that resolve_potential accepts."""
     text = col.raw("problem", "potential")
     if text is None:
-        return default
-    if text.startswith("table:"):
-        try:
-            values = [float(v) for v in text[len("table:") :].split(",")]
-        except ValueError:
-            col.complain("problem", "potential", f"bad table values in {text!r}")
-            return default
-        if len(values) < 2 or any(v < 0 for v in values):
-            col.complain(
-                "problem", "potential", "table needs >= 2 nonnegative values"
-            )
-            return default
+        return ProblemSpec.potential
+    try:
+        resolve_potential(text)
+    except KeyError:
+        col.complain("problem", "potential", f"expected one of {', '.join(POTENTIALS)} "
+                     f"or table:v0,v1,...; got {text!r}")
+    except ValueError as exc:
+        col.complain("problem", "potential", str(exc))
+    else:
         return text
-    if text not in POTENTIALS:
-        col.complain(
-            "problem",
-            "potential",
-            f"expected one of {', '.join(POTENTIALS)} or table:v0,v1,...; got {text!r}",
-        )
-        return default
-    return text
+    return ProblemSpec.potential
 
 
 def parse_config(text: str) -> RunSpec:
@@ -335,7 +367,7 @@ def parse_config(text: str) -> RunSpec:
     lines = text.splitlines()
     col = _Collector(parser, lines)
 
-    known = {"study", "problem", "schedule", "solver", "output"}
+    known = ("study", "problem", "schedule", "solver")
     for section in parser.sections():
         if section not in known:
             col.complain(section, None, "unknown section")
@@ -390,7 +422,7 @@ def parse_config(text: str) -> RunSpec:
 
     d = ProblemSpec()
     problem = ProblemSpec(
-        kernel=col.choice("problem", "kernel", KERNEL_KINDS, d.kernel),
+        kernel=col.choice("problem", "kernel", KERNELS, d.kernel),
         sigma=col.number("problem", "sigma", d.sigma, positive=True),
         kappa=col.number("problem", "kappa", d.kappa),
         potential=_potential_label(col),
@@ -398,14 +430,14 @@ def parse_config(text: str) -> RunSpec:
         quad_m=col.integer("problem", "quad_m", d.quad_m, minimum=3),
         alpha=col.number("problem", "alpha", d.alpha, nonnegative=True),
         exponent_p=col.number("problem", "exponent_p", d.exponent_p),
-        penalty=col.choice("problem", "penalty", PENALTY_KINDS, d.penalty),
+        penalty=col.choice("problem", "penalty", PENALTIES, d.penalty),
         penalty_q=col.number("problem", "penalty_q", d.penalty_q),
-        domain=col.choice("problem", "domain", DOMAIN_KINDS, d.domain),
+        domain=col.choice("problem", "domain", DOMAINS, d.domain),
         radius=col.number("problem", "radius", d.radius, positive=True),
-        truth=col.choice("problem", "truth", TRUTH_KINDS, d.truth),
+        truth=col.choice("problem", "truth", TRUTHS, d.truth),
         truth_amplitude=col.number("problem", "truth_amplitude", d.truth_amplitude),
         truth_frequency=col.integer("problem", "truth_frequency", d.truth_frequency, minimum=1),
-        data=col.choice("problem", "data", DATA_KINDS, d.data),
+        data=col.choice("problem", "data", DATA, d.data),
     )
     if problem.exponent_p < 1.0:
         col.complain("problem", "exponent_p", "must be >= 1")
@@ -436,23 +468,17 @@ def parse_config(text: str) -> RunSpec:
         grad_tol=col.number("solver", "grad_tol", d.grad_tol, positive=True),
         restarts=col.integer("solver", "restarts", d.restarts, minimum=0),
     )
-    d = OutputSpec()
-    fmt = col.choice("output", "format", ("csv", "json-lines", "jsonl"), d.format)
-    seed_text = col.raw("output", "seed")
-    out_seed = d.seed
-    if seed_text is not None:
-        out_seed = col.integer("output", "seed", 0, minimum=0)
-    output = OutputSpec(
-        timings=col.boolean("output", "timings", d.timings),
-        format="jsonl" if fmt in ("jsonl", "json-lines") else "csv",
-        path=col.raw("output", "path"),
-        seed=out_seed,
-    )
+    # a key no reader above asked for is unknown; [DEFAULT] keys reach every section
+    for section in parser.sections():
+        if section in known:
+            for key in parser.options(section):
+                if (section, key) not in col.read and key not in parser.defaults():
+                    col.complain(section, key, "unknown key")
 
     # cross-field checks
     if (
         kind not in ("fem-rate", "gamma-estimate")  # the kinds that build no family
-        and problem.kernel not in ("fem", "identity")
+        and isinstance(KERNELS[problem.kernel], _Quadrature)
         and not schedule.exact_family
         and max(schedule.levels) > problem.quad_m
     ):
@@ -481,10 +507,10 @@ def parse_config(text: str) -> RunSpec:
         col.complain("problem", "data", "alpha-zero study needs attainable data")
     if kind == "coercivity" and problem.alpha <= 0.0:
         col.complain("problem", "alpha", "coercivity probe needs alpha > 0")
-    penalty = _penalty_of(problem)
+    penalty = PENALTIES[problem.penalty](problem)
     if (
         kind in ("inf-study", "eps-chain", "alpha-zero")
-        and not linear_quadratic(problem.exponent_p, penalty, _domain_of(problem))
+        and not linear_quadratic(problem.exponent_p, penalty, DOMAINS[problem.domain](problem))
         and (problem.exponent_p <= 1.0 or not penalty.is_smooth)
     ):
         key = "exponent_p" if problem.exponent_p <= 1.0 else "penalty"
@@ -493,7 +519,7 @@ def parse_config(text: str) -> RunSpec:
 
     if col.problems:
         raise ConfigError(col.problems)
-    return RunSpec(study, problem, schedule, solver, output)
+    return RunSpec(study, problem, schedule, solver)
 
 
 def load_config(path: str) -> RunSpec:
@@ -503,60 +529,31 @@ def load_config(path: str) -> RunSpec:
 
 
 def resolve_potential(label: str):
-    """Potential coefficient from its config label (or table:v0,v1,...)."""
-    if label.startswith("table:"):
-        values = np.array([float(v) for v in label[len("table:"):].split(",")])
-        xs = np.linspace(0.0, 1.0, values.size)
-        return lambda t: np.interp(t, xs, values)
-    return POTENTIALS[label]
+    """Potential coefficient from its label: a POTENTIALS name (else KeyError) or
+    table:v0,v1,..., >= 2 finite nonnegative values on [0, 1] (else ValueError)."""
+    if not label.startswith("table:"):
+        return POTENTIALS[label]
+    try:
+        values = np.array([float(v) for v in label[len("table:") :].split(",")])
+    except ValueError:
+        raise ValueError(f"bad table values in {label!r}") from None
+    if values.size < 2 or any(values < 0):
+        raise ValueError("table needs >= 2 nonnegative values")
+    if not np.isfinite(values).all():
+        raise ValueError("table values must be finite")
+    xs = np.linspace(0.0, 1.0, values.size)
+    return lambda t: np.interp(t, xs, values)
 
 
 def truth_profile(spec: ProblemSpec, m: int) -> GridFunction:
     """The configured ground-truth input on an m-node endpoint grid."""
-    a, k = spec.truth_amplitude, spec.truth_frequency
-    if spec.truth == "sine":
-        return from_callable(lambda t: a * np.sin(k * np.pi * t), m)
-    if spec.truth == "bump":
-        return from_callable(lambda t: a * 4.0 * t * (1.0 - t), m)
-    if spec.truth == "constant":
-        return GridFunction(np.full(m, a))
-    return GridFunction(np.zeros(m))
-
-
-def _domain_of(spec: ProblemSpec) -> DomainSpec:
-    radius = math.inf if spec.domain == "whole_space" else spec.radius
-    return DomainSpec(radius, nonneg=spec.domain == "l2_ball_nonneg")
-
-
-def _penalty_of(spec: ProblemSpec) -> PenaltySpec:
-    if spec.penalty == "p_power_norm":
-        return p_power_norm(spec.penalty_q)
-    if spec.penalty == "linf":
-        return linf_penalty()
-    return half_sq_l2()
+    return from_callable(lambda t: TRUTHS[spec.truth](spec, t), m)
 
 
 def build_family(run: RunSpec) -> OperatorFamily:
     """Assemble the approximating operator family a RunSpec describes."""
     p, s = run.problem, run.schedule
-    domain = _domain_of(p)
-    if p.kernel == "fem":
-        family = make_fem_family(
-            resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain
-        )
-    elif p.kernel == "identity":
-        family = make_constant_family(identity_operator(p.input_m, domain), s.levels)
-    else:
-        kernels = {
-            "constant": lambda: constant_kernel(p.kappa),
-            "separable": separable_kernel,
-            "gaussian": lambda: gaussian_kernel(p.sigma),
-        }
-        # an exact family uses only the reference operator: build no levels
-        levels = (p.quad_m,) if s.exact_family else s.levels
-        family = make_quadrature_family(
-            kernels[p.kernel](), levels, p.quad_m, input_m=p.input_m, domain=domain
-        )
+    family = KERNELS[p.kernel](p, s, DOMAINS[p.domain](p))
     if s.exact_family:
         family = make_constant_family(family.reference, s.levels)
     return family
@@ -567,22 +564,16 @@ def build_target(run: RunSpec, family: OperatorFamily | None = None) -> Tikhonov
     family = family or build_family(run)
     op: ForwardOperator = family.reference
     p = run.problem
-    truth = truth_profile(p, op.input_m)
-    if p.data == "forward_of_truth":
-        data = op.apply(truth)
-    else:
-        data = truth_profile(p, op.output_m)
-    return TikhonovProblem(op, data, p.alpha, p.exponent_p, _penalty_of(p))
+    return TikhonovProblem(op, DATA[p.data](p, op), p.alpha, p.exponent_p, PENALTIES[p.penalty](p))
 
 
-def build_sequence(run: RunSpec, seed_override: int | None = None) -> ApproxSequence:
-    """Target + family + schedules, with an optional CLI seed override."""
+def build_sequence(run: RunSpec) -> ApproxSequence:
+    """Target + family + schedules."""
     family = build_family(run)
     target = build_target(run, family)
     s = run.schedule
     alpha = AlphaSchedule(s.alpha_kind, s.alpha_amplitude, s.alpha_exponent)
-    seed = s.noise_seed if seed_override is None else seed_override
     noise = NoiseSchedule(
-        s.noise_kind, s.noise_amplitude, s.noise_exponent, s.noise_direction, seed
+        s.noise_kind, s.noise_amplitude, s.noise_exponent, s.noise_direction, s.noise_seed
     )
     return ApproxSequence(target, family, alpha, noise)

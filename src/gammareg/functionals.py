@@ -43,6 +43,11 @@ __all__ = [
     "is_eps_minimizer",
 ]
 
+# The schedule kinds; the config reads its choices from these same tuples.
+ALPHA_KINDS = ("constant", "power")
+NOISE_KINDS = ("none", "power", "seeded")
+NOISE_DIRECTIONS = ("oscillatory", "constant")
+
 
 @dataclass(frozen=True)
 class PenaltySpec:
@@ -191,7 +196,7 @@ class AlphaSchedule:
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power"):
+        if self.kind not in ALPHA_KINDS:
             raise GridCompatibilityError(f"unknown alpha schedule {self.kind!r}")
         if self.kind == "power" and (self.amplitude <= 0.0 or self.exponent <= 0.0):
             raise GridCompatibilityError("power schedule needs positive amplitude and exponent")
@@ -211,15 +216,17 @@ class NoiseSchedule:
     (seed, level) so access order cannot change the data.
     """
 
-    kind: str = "none"  # none | power | seeded
+    kind: str = "none"
     amplitude: float = 1.0
     exponent: float = 1.0
-    direction: str = "oscillatory"  # oscillatory | constant
+    direction: str = "oscillatory"
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "power", "seeded"):
+        if self.kind not in NOISE_KINDS:
             raise GridCompatibilityError(f"unknown noise schedule {self.kind!r}")
+        if self.direction not in NOISE_DIRECTIONS:
+            raise GridCompatibilityError(f"unknown noise direction {self.direction!r}")
         if self.kind != "none" and (self.amplitude <= 0.0 or self.exponent <= 0.0):
             raise GridCompatibilityError("noise schedule needs positive amplitude and exponent")
 

@@ -8,9 +8,11 @@ import io
 import itertools
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ import gammareg
 from gammareg import (
     ConfigError,
     NumericalError,
-    OutputSpec,
     ProblemSpec,
     ScheduleSpec,
     SolveConfig,
@@ -27,7 +28,6 @@ from gammareg import (
     StudySpec,
     UnsupportedPenaltyError,
     build_family,
-    build_sequence,
     build_target,
     load_config,
     parse_config,
@@ -60,14 +60,10 @@ def test_minimal_config_uses_defaults():
     assert run.problem.input_m == 65
     assert run.schedule.levels == (8, 16, 32, 64, 128)
     assert run.solver.max_iter == 500
-    assert run.output.format == "csv"
-    assert run.output.seed is None
-    assert run.output.timings is False
     assert run.study == StudySpec("inf-study", tol=1e-6)
     assert run.problem == ProblemSpec()
     assert run.schedule == ScheduleSpec()
     assert run.solver == SolveConfig()
-    assert run.output == OutputSpec()
 
 
 def test_full_config_round_trip():
@@ -100,11 +96,6 @@ def test_full_config_round_trip():
             [solver]
             max_iter = 800
             grad_tol = 1e-9
-
-            [output]
-            format = jsonl
-            timings = false
-            seed = 3
             """
         )
     )
@@ -113,8 +104,17 @@ def test_full_config_round_trip():
     assert run.schedule.levels == (5, 9, 17)
     assert run.schedule.noise_kind == "seeded"
     assert run.solver.max_iter == 800
-    assert run.output.format == "jsonl"
-    assert run.output.seed == 3
+
+
+def test_readme_config_block_validates():
+    # the README's example lists every key; all but tol and point at their defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    run = parse_config(block)
+    assert run.study == StudySpec("inf-study", tol=1e-3, point=0.785)
+    assert run.problem == ProblemSpec()
+    assert run.schedule == ScheduleSpec()
+    assert run.solver == SolveConfig()
 
 
 def test_doubling_levels_grammar():
@@ -146,6 +146,37 @@ def test_unknown_sections_are_rejected():
         parse_config("[study]\nkind = inf-study\n[mystery]\nx = 1\n")
 
 
+def test_output_section_is_refused(tmp_path):
+    # --out, --format, --timings and --seed are the only owners of what it held
+    text = "[study]\nkind = inf-study\n[output]\nformat = jsonl\nseed = 3\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == ["[output]: unknown section (line 3)"]
+    proc = cli("validate", "--config", write_config(tmp_path, text))
+    assert proc.returncode == 2
+    assert proc.stderr == "[output]: unknown section (line 3)\n"
+
+
+def test_unknown_keys_are_refused():
+    # a misspelled key used to leave its setting at the default, silently
+    with pytest.raises(ConfigError) as err:
+        parse_config(
+            "[study]\nkind = inf-study\n[problem]\nkernl = separable\ninput_m = 9\n"
+            "[schedule]\nlevels = 4, 8\n[solver]\nmax_iters = 10\n"
+        )
+    assert err.value.problems == [
+        "[problem] kernl: unknown key (line 4)",
+        "[solver] max_iters: unknown key (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("key, value", [("thresholds", "0.5, nan"), ("radii", "0.2, inf")])
+def test_non_finite_list_values_are_refused(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[study]\nkind = coercivity\n{key} = {value}\n")
+    assert err.value.problems == [f"[study] {key}: must be finite (line 3)"]
+
+
 def test_syntax_errors_are_reported_as_config_errors():
     with pytest.raises(ConfigError):
         parse_config("not an ini file")
@@ -168,9 +199,12 @@ def test_levels_must_not_exceed_quadrature_resolution():
         ("[study]\nkind = gamma-estimate\nradii = 0.2, 0.001\ngrid_m = 64\n", "[study] radii"),
         # fem-rate builds no quadrature family, so quad_m does not bound its levels
         ("[study]\nkind = fem-rate\n[schedule]\nlevels = doubling:8:6\n", None),
+        # run would stop with "grid values must be finite"
+        ("[study]\nkind = fem-rate\n[problem]\nkernel = fem\npotential = table:1,nan\n",
+         "[problem] potential"),
     ],
     ids=["fem-rate-two-levels", "gamma-point-off-grid", "gamma-radius-unresolved",
-         "fem-rate-levels-past-quad-m"],
+         "fem-rate-levels-past-quad-m", "fem-rate-table-not-finite"],
 )
 def test_validate_agrees_with_run_on_grids(text, refused_key):
     if refused_key is None:
@@ -307,17 +341,29 @@ def test_build_target_applies_truth():
     assert target.data_y.node_count == 33
 
 
-def test_build_sequence_seed_override():
-    base = (
-        "[study]\nkind = inf-study\n[problem]\ninput_m = 9\nquad_m = 33\n"
-        "[schedule]\nlevels = 5, 9\nnoise_kind = seeded\nnoise_seed = 1\n"
-    )
-    run = parse_config(base)
-    a = build_sequence(run)
-    b = build_sequence(run, seed_override=1)
-    c = build_sequence(run, seed_override=2)
-    assert np.array_equal(a.data_at(5).values, b.data_at(5).values)
-    assert not np.array_equal(a.data_at(5).values, c.data_at(5).values)
+def test_seed_flag_sets_noise_seed(tmp_path):
+    # --seed 7 is noise_seed = 7, and the seed reaches the noise draw
+    unseeded = FAST_INF_STUDY.replace("noise_seed = 11", "")
+    reports = {}
+    for name, text, flags in (
+        ("flag", unseeded, ["--seed", "7"]),
+        ("config", FAST_INF_STUDY.replace("noise_seed = 11", "noise_seed = 7"), []),
+        ("default", unseeded, []),
+    ):
+        out = tmp_path / f"{name}.csv"
+        path = write_config(tmp_path, text, f"{name}.ini")
+        assert main(["run", "--config", path, "--out", str(out), *flags]) == 0
+        reports[name] = out.read_bytes()
+    assert reports["flag"] == reports["config"]
+    assert reports["flag"] != reports["default"]
+
+
+def test_negative_seed_flag_is_refused(tmp_path, capsys):
+    path = write_config(tmp_path, FAST_INF_STUDY)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--config", path, "--seed", "-1"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --seed: must be >= 0\n")
 
 
 # --------------------------------------------------------------------- CLI

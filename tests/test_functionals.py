@@ -280,6 +280,8 @@ def test_noise_schedule_validation():
         NoiseSchedule("bogus")
     with pytest.raises(GridCompatibilityError):
         NoiseSchedule("power", exponent=0.0)
+    with pytest.raises(GridCompatibilityError):
+        NoiseSchedule("power", direction="bogus")
 
 
 def test_vanishing_alpha_levels_are_rejected():
