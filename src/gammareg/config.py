@@ -221,7 +221,7 @@ class _Collector:
                 if in_section and key is None:
                     return f" (line {i})"
             elif in_section and key is not None:
-                if re.match(rf"\s*{re.escape(key)}\s*[=:]", raw):
+                if re.match(rf"\s*{re.escape(key)}\s*[=:]", raw, re.IGNORECASE):
                     return f" (line {i})"
         return ""
 
@@ -358,7 +358,9 @@ def parse_config(text: str) -> RunSpec:
     Raises ConfigError carrying every problem found; returns a fully
     typed RunSpec otherwise.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can spell the default section, so [DEFAULT] is an ordinary,
+    # unknown section instead of keys that reach every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -468,11 +470,11 @@ def parse_config(text: str) -> RunSpec:
         grad_tol=col.number("solver", "grad_tol", d.grad_tol, positive=True),
         restarts=col.integer("solver", "restarts", d.restarts, minimum=0),
     )
-    # a key no reader above asked for is unknown; [DEFAULT] keys reach every section
+    # a key no reader above asked for is unknown
     for section in parser.sections():
         if section in known:
             for key in parser.options(section):
-                if (section, key) not in col.read and key not in parser.defaults():
+                if (section, key) not in col.read:
                     col.complain(section, key, "unknown key")
 
     # cross-field checks

@@ -29,7 +29,6 @@ from .grids import (
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, whole_space
 
 __all__ = [
-    "GalerkinLevel",
     "EllipticProblem",
     "TridiagonalSystem",
     "assemble",
@@ -37,6 +36,7 @@ __all__ = [
     "solve_bvp",
     "fem_operator_matrix",
     "make_fem_family",
+    "l2_error_vs_exact",
     "rate_study",
     "RateStudy",
 ]
@@ -48,49 +48,29 @@ _PHI_R1, _PHI_R2 = 0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET
 # `l2_error_vs_exact` measures on a grid this many times finer than the level.
 _OVERSAMPLE = 4
 
-
-@dataclass(frozen=True)
-class GalerkinLevel:
-    """Discretization with n interior nodes, spacing h = 1/(n+1)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise GridCompatibilityError("Galerkin level needs n >= 1 interior nodes")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
-
 PointFunction = Callable[[np.ndarray], np.ndarray]
-
-
-def _as_point_evaluator(obj) -> PointFunction:
-    if isinstance(obj, GridFunction):
-        return lambda x: np.interp(x, obj.nodes, obj.values)
-    if callable(obj):
-        return lambda x: np.asarray(obj(x), dtype=float)
-    raise GridCompatibilityError("expected a GridFunction or a vectorized callable")
 
 
 @dataclass(frozen=True)
 class EllipticProblem:
     """Data for -u'' + c u = f with homogeneous Dirichlet conditions.
 
-    `solution`, when given, is the manufactured exact solution used by
-    convergence studies.
+    Coefficients are vectorized callables of the points in [0, 1]; a sampled
+    coefficient is an `np.interp` closure over its table. `solution`, when
+    given, is the manufactured exact solution used by convergence studies.
     """
 
-    potential: object
-    source: object
-    solution: Callable[[np.ndarray], np.ndarray] | None = None
+    potential: PointFunction
+    source: PointFunction
+    solution: PointFunction | None = None
 
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """Symmetric tridiagonal system: `off` is both the sub- and superdiagonal."""
+    """Symmetric tridiagonal system: `off` is both the sub- and superdiagonal.
+
+    `rhs` has shape (n,) or, for stacked right-hand sides, (n, k).
+    """
 
     diag: np.ndarray
     off: np.ndarray
@@ -110,38 +90,24 @@ class TridiagonalSystem:
         return out
 
 
-def _gauss_points(level: GalerkinLevel):
-    h = level.h
-    z_left = h * np.arange(level.n + 1)  # left endpoint of each element
+def _to_interior_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Interior node i sums the left part of element i and the right part of element i - 1."""
+    return left[1:] + right[:-1]
+
+
+def _galerkin_system(
+    potential: PointFunction, source: PointFunction, n: int
+) -> TridiagonalSystem:
+    """Bands and load with n interior nodes; a `source` returning k columns per
+    point gives a k-column rhs."""
+    if n < 1:
+        raise GridCompatibilityError("Galerkin level needs n >= 1 interior nodes")
+    h = 1.0 / (n + 1)
+    z_left = h * np.arange(n + 1)  # left endpoint of each element
     p1 = z_left + h * (0.5 - _GAUSS_OFFSET)
     p2 = z_left + h * (0.5 + _GAUSS_OFFSET)
-    return p1, p2
-
-
-def _load_from_gauss_values(level: GalerkinLevel, f1: np.ndarray, f2: np.ndarray):
-    """Assemble the load vector given source values at the Gauss points.
-
-    Accepts stacked columns: f1, f2 of shape (n+1,) or (n+1, k).
-    """
-    h = level.h
-    n = level.n
-    w = 0.5 * h
-    b_l = w * (_PHI_L1 * f1 + _PHI_L2 * f2)
-    b_r = w * (_PHI_R1 * f1 + _PHI_R2 * f2)
-    shape = (n + 2,) + f1.shape[1:]
-    b_full = np.zeros(shape)
-    b_full[: n + 1] += b_l
-    b_full[1:] += b_r
-    return b_full[1 : n + 1]
-
-
-def assemble(problem: EllipticProblem, level: GalerkinLevel) -> TridiagonalSystem:
-    """Stiffness + potential mass matrix and load vector on one level."""
-    h = level.h
-    n = level.n
-    p1, p2 = _gauss_points(level)
-    c_eval = _as_point_evaluator(problem.potential)
-    c1, c2 = c_eval(p1), c_eval(p2)
+    c1 = np.asarray(potential(p1), dtype=float)
+    c2 = np.asarray(potential(p2), dtype=float)
     if np.any(c1 < 0.0) or np.any(c2 < 0.0):
         bad = min(np.min(c1), np.min(c2))
         raise EllipticityError(
@@ -152,25 +118,25 @@ def assemble(problem: EllipticProblem, level: GalerkinLevel) -> TridiagonalSyste
     m_ll = w * (c1 * _PHI_L1**2 + c2 * _PHI_L2**2)
     m_rr = w * (c1 * _PHI_R1**2 + c2 * _PHI_R2**2)
     m_lr = w * (c1 * _PHI_L1 * _PHI_R1 + c2 * _PHI_L2 * _PHI_R2)
-
-    diag_full = np.zeros(n + 2)
-    diag_full[: n + 1] += m_ll
-    diag_full[1:] += m_rr
-
-    diag = 2.0 / h + diag_full[1 : n + 1]
+    diag = 2.0 / h + _to_interior_nodes(m_ll, m_rr)
     off = -1.0 / h + m_lr[1:n]  # element i+1 couples interior nodes i and i+1
 
-    if problem.source is None:
-        rhs = np.zeros(n)
-    else:
-        f_eval = _as_point_evaluator(problem.source)
-        rhs = _load_from_gauss_values(level, f_eval(p1), f_eval(p2))
+    f1 = np.asarray(source(p1), dtype=float)
+    f2 = np.asarray(source(p2), dtype=float)
+    rhs = _to_interior_nodes(
+        w * (_PHI_L1 * f1 + _PHI_L2 * f2), w * (_PHI_R1 * f1 + _PHI_R2 * f2)
+    )
     return TridiagonalSystem(diag, off, rhs)
 
 
-def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray | None = None) -> np.ndarray:
+def assemble(problem: EllipticProblem, n: int) -> TridiagonalSystem:
+    """Stiffness + potential mass matrix and load vector with n interior nodes."""
+    return _galerkin_system(problem.potential, problem.source, n)
+
+
+def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """Thomas elimination; rhs may carry multiple columns."""
-    b = np.array(system.rhs if rhs is None else rhs, dtype=float)
+    b = np.array(system.rhs, dtype=float)
     d = system.diag.copy()
     n = d.size
     off = system.off
@@ -189,14 +155,14 @@ def thomas_solve(system: TridiagonalSystem, rhs: np.ndarray | None = None) -> np
     return x
 
 
-def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
-    """Solve one level: n + 2 nodal values, the two boundary zeros included.
+def solve_bvp(problem: EllipticProblem, n: int) -> GridFunction:
+    """Solve with n interior nodes: n + 2 nodal values, the two boundary zeros included.
 
     Verifies the normwise backward error of the solve:
     ||Au - b|| / (||A|| ||u|| + ||b||) in the sup norm must stay below 1e-12;
     unlike ||Au - b|| / ||b||, it does not grow with the condition number.
     """
-    system = assemble(problem, level)
+    system = assemble(problem, n)
     u = thomas_solve(system)
     res = np.max(np.abs(system.matvec(u) - system.rhs))
     off = np.abs(system.off)
@@ -208,23 +174,19 @@ def solve_bvp(problem: EllipticProblem, level: GalerkinLevel) -> GridFunction:
 
 
 def fem_operator_matrix(
-    potential, level: GalerkinLevel, input_m: int, output_m: int
+    potential: PointFunction, n: int, input_m: int, output_m: int
 ) -> np.ndarray:
     """Dense matrix of the level forward map, output prolonged to a full grid."""
-    system = assemble(EllipticProblem(potential, None), level)
-    p1, p2 = _gauss_points(level)
     src_nodes = grid_nodes(input_m)
-    # Piecewise-linear basis of the input grid evaluated at the Gauss points.
-    interp1 = interpolation_matrix(src_nodes, p1)
-    interp2 = interpolation_matrix(src_nodes, p2)
-    rhs = _load_from_gauss_values(level, interp1, interp2)
-    u_cols = np.pad(thomas_solve(system, rhs), ((1, 1), (0, 0)))  # zero boundary rows
-    prolong = interpolation_weights(grid_nodes(level.n + 2), grid_nodes(output_m))
+    # The load columns are the input grid's piecewise-linear basis.
+    system = _galerkin_system(potential, lambda x: interpolation_matrix(src_nodes, x), n)
+    u_cols = np.pad(thomas_solve(system), ((1, 1), (0, 0)))  # zero boundary rows
+    prolong = interpolation_weights(grid_nodes(n + 2), grid_nodes(output_m))
     return interpolate_rows(prolong, u_cols)
 
 
 def make_fem_family(
-    potential,
+    potential: PointFunction,
     levels: Sequence[int],
     input_m: int = 65,
     domain: DomainSpec | None = None,
@@ -240,13 +202,13 @@ def make_fem_family(
     output_m = n_ref + 2
 
     def build(n: int) -> ForwardOperator:
-        mat = fem_operator_matrix(potential, GalerkinLevel(n), input_m, output_m)
+        mat = fem_operator_matrix(potential, n, input_m, output_m)
         return ForwardOperator(mat, dom)
 
     return OperatorFamily(levels, build(n_ref), build)
 
 
-def l2_error_vs_exact(u: GridFunction, exact: Callable) -> float:
+def l2_error_vs_exact(u: GridFunction, exact: PointFunction) -> float:
     """L2 distance between a FEM solution and a callable on a finer grid."""
     m_fine = _OVERSAMPLE * (u.node_count - 1) + 1
     uh = resample(u, m_fine)
@@ -274,7 +236,7 @@ def rate_study(problem: EllipticProblem, levels: Sequence[int]) -> RateStudy:
         raise GridCompatibilityError("rate study needs at least three levels")
     errors = []
     for n in levels:
-        u = solve_bvp(problem, GalerkinLevel(n))
+        u = solve_bvp(problem, n)
         errors.append(l2_error_vs_exact(u, problem.solution))
     if min(errors) <= 0.0:
         raise NumericalError("exact discrete solution; convergence rate undefined")

@@ -170,6 +170,29 @@ def test_unknown_keys_are_refused():
     ]
 
 
+def test_capitalised_keys_are_located():
+    # configparser lowercases option names; the line is found all the same
+    for line, problem in [
+        ("Kernl = separable", "[problem] kernl: unknown key (line 4)"),
+        ("Kernel = nope", "[problem] kernel: expected one of identity, constant, separable, "
+                          "gaussian, fem; got 'nope' (line 4)"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[study]\nkind = inf-study\n[problem]\n{line}\n")
+        assert err.value.problems == [problem]
+
+
+def test_default_section_is_refused(tmp_path):
+    # [DEFAULT] keys used to reach every section unchecked
+    text = "[DEFAULT]\nkernl = x\n[study]\nkind = inf-study\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == ["[DEFAULT]: unknown section (line 1)"]
+    proc = cli("validate", "--config", write_config(tmp_path, text))
+    assert proc.returncode == 2
+    assert proc.stderr == "[DEFAULT]: unknown section (line 1)\n"
+
+
 @pytest.mark.parametrize("key, value", [("thresholds", "0.5, nan"), ("radii", "0.2, inf")])
 def test_non_finite_list_values_are_refused(key, value):
     with pytest.raises(ConfigError) as err:
@@ -708,3 +731,16 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_exported_names_are_listed_where_they_are_defined():
+    # one list of public names per module: what the package exports, the
+    # module that defines it lists too
+    unlisted = []
+    for name in gammareg.__all__:
+        if name == "__version__":
+            continue
+        module = sys.modules[getattr(gammareg, name).__module__]
+        if hasattr(module, "__all__") and name not in module.__all__:
+            unlisted.append(f"{module.__name__}.{name}")
+    assert unlisted == []

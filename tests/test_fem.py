@@ -10,7 +10,6 @@ from gammareg.grids import interpolation_matrix
 from gammareg import (
     EllipticProblem,
     EllipticityError,
-    GalerkinLevel,
     GridCompatibilityError,
     GridFunction,
     NormTag,
@@ -47,7 +46,7 @@ def manufactured_sine(potential):
 def test_assembly_hand_values_single_node():
     # n = 1, h = 1/2, c = f = 1: stiffness 2/h = 4, mass diag = integral of
     # the tent squared = 1/3, load = tent area = 1/2
-    system = assemble(EllipticProblem(ONE, ONE), GalerkinLevel(1))
+    system = assemble(EllipticProblem(ONE, ONE), 1)
     assert system.diag[0] == pytest.approx(4.0 + 1.0 / 3.0, abs=1e-14)
     assert system.rhs[0] == pytest.approx(0.5, abs=1e-14)
 
@@ -55,7 +54,7 @@ def test_assembly_hand_values_single_node():
 def test_assembly_hand_values_two_nodes():
     # n = 2, h = 1/3: diag 2/h + 2h/3 = 6 + 2/9, off-diagonal -1/h + h/6
     # = -3 + 1/18, load h = 1/3
-    system = assemble(EllipticProblem(ONE, ONE), GalerkinLevel(2))
+    system = assemble(EllipticProblem(ONE, ONE), 2)
     assert np.allclose(system.diag, 6.0 + 2.0 / 9.0, atol=1e-14)
     assert np.allclose(system.off, -3.0 + 1.0 / 18.0, atol=1e-14)
     assert np.allclose(system.rhs, 1.0 / 3.0, atol=1e-14)
@@ -64,10 +63,9 @@ def test_assembly_hand_values_two_nodes():
 def test_energy_identity_without_potential():
     # with c = 0 the bilinear form is exactly the broken-gradient inner
     # product: v' A v equals the squared H1_0 seminorm of the hat expansion
-    level = GalerkinLevel(7)
-    system = assemble(EllipticProblem(ZERO, ONE), level)
+    system = assemble(EllipticProblem(ZERO, ONE), 7)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(level.n)
+    v = rng.standard_normal(7)
     quad = float(v @ system.matvec(v))
     g = GridFunction(np.pad(v, 1))
     assert quad == pytest.approx(norm(g, NormTag.H1_0) ** 2, rel=1e-12)
@@ -75,26 +73,29 @@ def test_energy_identity_without_potential():
 
 def test_negative_potential_rejected():
     with pytest.raises(EllipticityError):
-        assemble(EllipticProblem(lambda t: t - 0.5, ONE), GalerkinLevel(3))
+        assemble(EllipticProblem(lambda t: t - 0.5, ONE), 3)
 
 
-def test_grid_function_potential_accepted():
-    tabulated = from_callable(ONE, 9)
-    system = assemble(EllipticProblem(tabulated, ONE), GalerkinLevel(2))
+def test_tabulated_potential_accepted():
+    # a sampled coefficient is an interpolating callable over its table
+    table = from_callable(ONE, 9)
+    tabulated = lambda t: np.interp(t, table.nodes, table.values)  # noqa: E731
+    system = assemble(EllipticProblem(tabulated, ONE), 2)
     assert np.allclose(system.diag, 6.0 + 2.0 / 9.0, atol=1e-12)
 
 
 def test_level_needs_interior_nodes():
     with pytest.raises(GridCompatibilityError):
-        GalerkinLevel(0)
+        assemble(EllipticProblem(ONE, ONE), 0)
+    with pytest.raises(GridCompatibilityError):
+        fem.fem_operator_matrix(ONE, 0, 9, 9)
 
 
 # --------------------------------------------------------- linear algebra
 
 
 def test_thomas_solve_matches_dense_solver():
-    level = GalerkinLevel(9)
-    system = assemble(EllipticProblem(ONE, ONE), level)
+    system = assemble(EllipticProblem(ONE, ONE), 9)
     dense = (
         np.diag(system.diag)
         + np.diag(system.off, -1)
@@ -105,10 +106,9 @@ def test_thomas_solve_matches_dense_solver():
 
 
 def test_thomas_solve_accepts_stacked_right_hand_sides():
-    level = GalerkinLevel(5)
-    system = assemble(EllipticProblem(ONE, ONE), level)
+    system = assemble(EllipticProblem(ONE, ONE), 5)
     rhs = np.stack([system.rhs, 2.0 * system.rhs], axis=1)
-    out = thomas_solve(system, rhs)
+    out = thomas_solve(fem.TridiagonalSystem(system.diag, system.off, rhs))
     assert out.shape == (5, 2)
     assert np.allclose(out[:, 1], 2.0 * out[:, 0], atol=1e-13)
 
@@ -121,7 +121,7 @@ def test_parabola_is_reproduced_exactly():
     # piecewise-linear space at the nodes, and two-point Gauss quadrature
     # integrates the quadratic load exactly, so nodal values are exact
     for n in (1, 2, 9, 31):
-        u = solve_bvp(EllipticProblem(ZERO, lambda t: 2.0 * np.ones_like(t)), GalerkinLevel(n))
+        u = solve_bvp(EllipticProblem(ZERO, lambda t: 2.0 * np.ones_like(t)), n)
         nodes = u.nodes
         assert np.allclose(u.values, nodes * (1.0 - nodes), atol=1e-13)
 
@@ -129,18 +129,18 @@ def test_parabola_is_reproduced_exactly():
 def test_solution_is_interior_grid_function():
     # the n interior values are the level's unknowns; the two ends are the
     # zero boundary, stored on the grid of n + 2 nodes
-    problem, level = manufactured_sine(ONE), GalerkinLevel(5)
-    u = solve_bvp(problem, level)
+    problem = manufactured_sine(ONE)
+    u = solve_bvp(problem, 5)
     assert u.node_count == 7
     assert u.values[0] == 0.0 and u.values[-1] == 0.0
-    assert np.array_equal(u.values[1:-1], thomas_solve(assemble(problem, level)))
-    assert np.array_equal(u.nodes[1:-1], level.h * np.arange(1, 6))
+    assert np.array_equal(u.values[1:-1], thomas_solve(assemble(problem, 5)))
+    assert np.array_equal(u.nodes[1:-1], (1.0 / 6.0) * np.arange(1, 6))
 
 
 def test_errors_shrink_at_second_order():
     problem = manufactured_sine(ONE)
     errors = [
-        l2_error_vs_exact(solve_bvp(problem, GalerkinLevel(n)), problem.solution)
+        l2_error_vs_exact(solve_bvp(problem, n), problem.solution)
         for n in (7, 15, 31)
     ]
     assert errors[0] > errors[1] > errors[2]
@@ -175,13 +175,13 @@ def test_solve_bvp_refuses_a_perturbed_solution(monkeypatch):
     # about 1e-11, far above what Thomas elimination leaves behind
     exact_solve = fem.thomas_solve
 
-    def perturbed(system, rhs=None):
-        u = exact_solve(system, rhs)
+    def perturbed(system):
+        u = exact_solve(system)
         return u * (1.0 + 1e-11 * (-1.0) ** np.arange(u.shape[0]))
 
     monkeypatch.setattr(fem, "thomas_solve", perturbed)
     with pytest.raises(NumericalError, match="backward error"):
-        solve_bvp(manufactured_sine(ONE), GalerkinLevel(64))
+        solve_bvp(manufactured_sine(ONE), 64)
 
 
 def test_rate_study_needs_three_levels():
@@ -210,7 +210,8 @@ def test_fem_family_matches_forward_solves():
     assert family.reference.output_m == 115  # reference level 16 * 7 + 1, plus its two ends
     f = from_callable(lambda t: np.sin(np.pi * t), 9)
     applied = family.operator_at(7).apply(f)
-    direct = resample(solve_bvp(EllipticProblem(ONE, f), GalerkinLevel(7)), 115)
+    source = lambda t: np.interp(t, f.nodes, f.values)  # noqa: E731
+    direct = resample(solve_bvp(EllipticProblem(ONE, source), 7), 115)
     assert np.allclose(applied.values, direct.values, atol=1e-12)
 
 
@@ -223,15 +224,11 @@ def test_fem_family_approximates_reference():
 
 
 def _dense_fem_operator(potential, n, input_m, output_m):
-    # the dense prolongation fem_operator_matrix avoids, kept as the oracle
-    level = GalerkinLevel(n)
-    p1, p2 = fem._gauss_points(level)
+    # the dense prolongation fem_operator_matrix avoids, kept as the oracle;
+    # its load columns are the input grid's hats at the Gauss points
     src = grid_nodes(input_m)
-    rhs = fem._load_from_gauss_values(
-        level, interpolation_matrix(src, p1), interpolation_matrix(src, p2)
-    )
-    u_cols = thomas_solve(assemble(EllipticProblem(potential, None), level), rhs)
-    return resample_matrix(n + 2, output_m)[:, 1:-1] @ u_cols
+    system = assemble(EllipticProblem(potential, lambda t: interpolation_matrix(src, t)), n)
+    return resample_matrix(n + 2, output_m)[:, 1:-1] @ thomas_solve(system)
 
 
 @pytest.mark.parametrize("potential", [ONE, lambda t: 1.0 + np.cos(3.0 * t)], ids=["one", "cos"])
@@ -244,7 +241,7 @@ def test_fem_family_operators_equal_the_dense_products(potential):
 
 
 def test_fem_reference_prolongation_is_zero_padding():
-    got = fem.fem_operator_matrix(ONE, GalerkinLevel(255), 33, 257)
+    got = fem.fem_operator_matrix(ONE, 255, 33, 257)
     want = _dense_fem_operator(ONE, 255, 33, 257)
     assert np.array_equal(got[[0, -1]], np.zeros((2, 33)))
     assert np.array_equal(got[1:-1], want[1:-1])
