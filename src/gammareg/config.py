@@ -208,6 +208,7 @@ class _Collector:
         self.lines = raw_lines
         self.problems: list[str] = []
         self.read: set[tuple[str, str]] = set()
+        self.flagged: set[tuple[str, str | None]] = set()  # keys with a complaint
 
     def _where(self, section: str, key: str | None) -> str:
         in_section = False
@@ -228,6 +229,14 @@ class _Collector:
     def complain(self, section: str, key: str | None, message: str) -> None:
         name = f"[{section}] {key}" if key else f"[{section}]"
         self.problems.append(f"{name}: {message}{self._where(section, key)}")
+        self.flagged.add((section, key))
+
+    def conflict(self, section: str, key: str, message: str, *reads: tuple[str, str]) -> None:
+        """Complain of a cross-field conflict on `key`, unless `key` or another
+        key the check `reads` already has a complaint: its value is then a
+        default the config did not give, and the conflict is not the config's."""
+        if self.flagged.isdisjoint([(section, key), *reads]):
+            self.complain(section, key, message)
 
     def raw(self, section: str, key: str) -> str | None:
         self.read.add((section, key))
@@ -484,31 +493,35 @@ def parse_config(text: str) -> RunSpec:
         and not schedule.exact_family
         and max(schedule.levels) > problem.quad_m
     ):
-        col.complain(
-            "schedule", "levels", f"largest level exceeds quad_m = {problem.quad_m}"
+        col.conflict(
+            "schedule", "levels", f"largest level exceeds quad_m = {problem.quad_m}",
+            ("problem", "quad_m"), ("problem", "kernel"), ("schedule", "exact_family"),
         )
     if kind == "fem-rate" and len(schedule.levels) < 3:
-        col.complain("schedule", "levels", "fem-rate needs at least three levels")
+        col.conflict("schedule", "levels", "fem-rate needs at least three levels")
     if kind == "gamma-estimate":
         grid = study.grid
         if not grid[0] < study.point < grid[-1]:
-            col.complain("study", "point", f"must lie inside the grid (0, {grid[-1]:g})")
+            col.conflict("study", "point", f"must lie inside the grid (0, {grid[-1]:g})",
+                         ("study", "grid_m"))
         else:
             for r in study.radii:
                 try:
                     _neighborhood(grid, study.point, r)
                 except ResolutionError as exc:
-                    col.complain("study", "radii", f"{exc} with grid_m = {study.grid_m}")
+                    col.conflict("study", "radii", f"{exc} with grid_m = {study.grid_m}",
+                                 ("study", "grid_m"), ("study", "point"))
     if problem.alpha == 0.0 and schedule.alpha_kind == "constant" and kind != "fem-rate":
-        col.complain(
-            "schedule", "alpha_kind", "alpha = 0 with a constant schedule gives alpha_n = 0"
+        col.conflict(
+            "schedule", "alpha_kind", "alpha = 0 with a constant schedule gives alpha_n = 0",
+            ("problem", "alpha"),
         )
     if kind == "alpha-zero" and problem.alpha != 0.0:
-        col.complain("problem", "alpha", "alpha-zero study needs alpha = 0")
+        col.conflict("problem", "alpha", "alpha-zero study needs alpha = 0")
     if kind == "alpha-zero" and problem.data != "forward_of_truth":
-        col.complain("problem", "data", "alpha-zero study needs attainable data")
+        col.conflict("problem", "data", "alpha-zero study needs attainable data")
     if kind == "coercivity" and problem.alpha <= 0.0:
-        col.complain("problem", "alpha", "coercivity probe needs alpha > 0")
+        col.conflict("problem", "alpha", "coercivity probe needs alpha > 0")
     penalty = PENALTIES[problem.penalty](problem)
     if (
         kind in ("inf-study", "eps-chain", "alpha-zero")
@@ -516,8 +529,10 @@ def parse_config(text: str) -> RunSpec:
         and (problem.exponent_p <= 1.0 or not penalty.is_smooth)
     ):
         key = "exponent_p" if problem.exponent_p <= 1.0 else "penalty"
-        col.complain("problem", key, f"{kind} outside p = 2, q = 2, whole_space runs "
-                     "projected gradient, which needs p > 1 and a smooth penalty")
+        col.conflict("problem", key, f"{kind} outside p = 2, q = 2, whole_space runs "
+                     "projected gradient, which needs p > 1 and a smooth penalty",
+                     ("problem", "exponent_p"), ("problem", "penalty"),
+                     ("problem", "penalty_q"), ("problem", "domain"))
 
     if col.problems:
         raise ConfigError(col.problems)

@@ -147,16 +147,22 @@ class ForwardOperator:
         return self.matrix.shape[0]
 
     def gram(self) -> np.ndarray:
-        """A^T W A, W the output trapezoid weights; read-only, formed on first call.
+        """A^T W A, W the output trapezoid weights; read-only and kept.
 
         Solves on the same operator differ only in alpha W_X and the right
-        side, so the operator keeps this input_m x input_m product.
+        side, so the operator keeps this input_m x input_m product. A
+        quadrature level has it from its build; any other operator forms it
+        on the first call, from its output_m rows in blocks of 1024.
         """
         if self._gram is None:
-            gram = _weighted_gram(self.matrix, trapezoid_weights(self.output_m))
-            gram.setflags(write=False)
-            object.__setattr__(self, "_gram", gram)
+            m = self.output_m
+            self._keep_gram(_tridiagonal_gram(self.matrix, trapezoid_weights(m), np.zeros(m - 1)))
         return self._gram
+
+    def _keep_gram(self, gram: np.ndarray) -> None:
+        """Keep `gram` read-only as A^T W A; a builder with a cheaper route to it calls this."""
+        gram.setflags(write=False)
+        object.__setattr__(self, "_gram", gram)
 
     def apply(self, x: GridFunction) -> GridFunction:
         if x.node_count != self.input_m:
@@ -169,23 +175,43 @@ def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperat
 
 
 _BLOCK_ROWS = 64  # quadrature nodes evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
-_GRAM_ROWS = 1024  # operator rows weighted at once by `_weighted_gram`
+_GRAM_ROWS = 1024  # operator rows weighted at once by `_tridiagonal_gram`
 
 
 def _row_blocks(m: int, block: int = _BLOCK_ROWS):
     return (slice(i, min(i + block, m)) for i in range(0, m, block))
 
 
-def _weighted_gram(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`a.T @ (w[:, None] * a)` as a sum of (sqrt(w) a)^T (sqrt(w) a) over row blocks.
+def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """`c.T @ t @ c`, t the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
 
-    Each block product is a symmetric rank-k update, so the sum is exactly
-    symmetric, and the scratch is one block of rows, not a copy of `a`.
+    t = L D L^T with L unit lower bidiagonal (subdiagonal r) and D the
+    pivots p, so the product is B^T B with row i of B equal to
+    sqrt(p_i) (c_i + r_i c_{i+1}). B is formed a block of rows at a time,
+    and each block product is a symmetric rank-k update, so the sum is
+    exactly symmetric, and the scratch is one block of rows, not a copy of
+    `c`. A diagonal weight (e = 0) has p = d and r = 0, so B is sqrt(d) c
+    to the bit, but for the sign of a zero. A pivot that is not positive
+    (t is not positive definite) raises `GridCompatibilityError`.
     """
-    sqrt_w = np.sqrt(w)
-    gram = np.zeros((a.shape[1], a.shape[1]))
-    for rows in _row_blocks(a.shape[0], _GRAM_ROWS):
-        block = sqrt_w[rows, None] * a[rows]
+    pivots, ratios, carry = [], [], 0.0
+    for i, (di, ei) in enumerate(zip(d.tolist(), e.tolist() + [0.0])):  # last row: no e
+        pivot = di - carry
+        if not pivot > 0.0:
+            raise GridCompatibilityError(
+                f"Gram weight is not positive definite: pivot {pivot:g} at row {i}"
+            )
+        pivots.append(pivot)
+        ratios.append(ei / pivot)
+        carry = ei * ratios[-1]
+    sqrt_p, r = np.sqrt(pivots), np.array(ratios)
+    gram = np.zeros((c.shape[1], c.shape[1]))
+    for rows in _row_blocks(c.shape[0], _GRAM_ROWS):
+        # rows i + 1; past the last row, "clip" repeats it and r = 0 drops it
+        block = np.take(c, np.arange(rows.start + 1, rows.stop + 1), axis=0, mode="clip")
+        block *= r[rows, None]
+        block += c[rows]
+        block *= sqrt_p[rows, None]
         gram += block.T @ block
         del block  # else the next block is built while this one is alive
     return gram
@@ -297,6 +323,12 @@ def make_quadrature_family(
     that || F_n(x) - F(x) || is a plain discrete L2 norm there. With
     `shrinking_domains` the level domains are the spec'd strict
     subdomains: balls of radius rho * (1 - 1/n) inside the reference ball.
+
+    A level is P Q_n, Q_n its n x input_m quadrature matrix and P the
+    two-weight prolongation onto the reference grid, so its Gram is
+    Q_n^T (P^T W P) Q_n with P^T W P tridiagonal. The level builder forms
+    it there, from n rows at n input_m^2 flops, and the level keeps it;
+    Q_n is not kept. The reference forms its Gram on its first solve.
     """
     levels = tuple(int(n) for n in levels)
     if max(levels) > m_ref:
@@ -306,9 +338,18 @@ def make_quadrature_family(
         raise GridCompatibilityError("shrinking domains need a norm-ball reference domain")
 
     def build(n: int) -> ForwardOperator:
-        to_ref = interpolation_weights(grid_nodes(n), grid_nodes(m_ref))
-        mat = interpolate_rows(to_ref, _quadrature_matrix(kernel, n, input_m))
-        return ForwardOperator(mat, domain_at(n))
+        idx, theta = interpolation_weights(grid_nodes(n), grid_nodes(m_ref))
+        # P^T W P: reference node i adds w_i (1 - theta_i)^2 at idx_i,
+        # w_i theta_i^2 at idx_i + 1 and w_i (1 - theta_i) theta_i between them
+        w = trapezoid_weights(m_ref)
+        lower, upper = w * (1.0 - theta), w * theta
+        d = np.bincount(np.concatenate((idx, idx + 1)),
+                        np.concatenate((lower * (1.0 - theta), upper * theta)), minlength=n)
+        e = np.bincount(idx, lower * theta, minlength=n - 1)
+        core = _quadrature_matrix(kernel, n, input_m)
+        op = ForwardOperator(interpolate_rows((idx, theta), core), domain_at(n))
+        op._keep_gram(_tridiagonal_gram(core, d, e))
+        return op
 
     def domain_at(n: int) -> DomainSpec:
         if shrinking_domains:

@@ -170,7 +170,8 @@ def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
 
     W and W_X are the trapezoid weights of the output and input grids; x0
     is the penalty shift on the input grid, or 0. A^T W A is the operator's
-    kept Gram.
+    kept Gram: a quadrature level has it from its build, and any other
+    operator forms it here on its first solve.
     """
     op, alpha = problem.operator, problem.alpha
     w_in = trapezoid_weights(op.input_m)

@@ -214,6 +214,17 @@ def test_levels_must_not_exceed_quadrature_resolution():
     assert any("quad_m" in p for p in err.value.problems)
 
 
+def test_an_invalid_level_list_gets_one_complaint(tmp_path):
+    # the cross-field check against quad_m used to judge the default levels
+    # that replaced the refused list, and printed a second, false complaint
+    text = "[study]\nkind = inf-study\n[problem]\nquad_m = 33\n[schedule]\nlevels = 2, 4, 8, 40, 1\n"
+    proc = cli("validate", "--config", write_config(tmp_path, text))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "[schedule] levels: need at least two strictly increasing levels, all >= 2 (line 6)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, refused_key",
     [

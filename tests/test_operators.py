@@ -38,7 +38,7 @@ from gammareg import (
     uniform_gap,
     whole_space,
 )
-from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix
+from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
 
 
 # ------------------------------------------------------------- kernels
@@ -426,6 +426,63 @@ def test_gram_matches_the_dense_weighted_product(output_m, input_m, seed):
     assert np.array_equal(gram, gram.T)
     assert not gram.flags.writeable
     assert op.gram() is gram
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=2, max_value=3 * _GRAM_ROWS),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_tridiagonal_gram_matches_the_dense_product(n, cols, seed):
+    # rows on both sides of a block boundary meet in the off-diagonal terms
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, cols))
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant, so positive definite
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    dense = c.T @ t @ c
+    gram = _tridiagonal_gram(c, d, e)
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize(
+    "d, e", [((1.0, 1.0), (2.0,)), ((0.0, 1.0), (0.0,)), ((1.0, np.nan), (0.0,))],
+    ids=["indefinite", "zero-pivot", "nan"],
+)
+def test_gram_weight_must_be_positive_definite(d, e):
+    with pytest.raises(GridCompatibilityError, match="positive definite"):
+        _tridiagonal_gram(np.ones((2, 3)), np.array(d), np.array(e))
+
+
+# nested levels (n - 1 divides m_ref - 1), levels that do not nest, and n = m_ref
+@pytest.mark.parametrize("m_ref, levels", [(8193, (9, 513)), (1000, (7, 100, 1000))])
+def test_level_gram_matches_the_dense_weighted_product(m_ref, levels):
+    family = make_quadrature_family(gaussian_kernel(0.2), levels, m_ref, input_m=17)
+    w = trapezoid_weights(m_ref)
+    for n in levels:
+        op = family.operator_at(n)
+        assert op._gram is not None  # formed with the level, from its n-row core
+        gram = op.gram()
+        dense = op.matrix.T @ (w[:, None] * op.matrix)
+        assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.array_equal(gram, gram.T)
+        assert not gram.flags.writeable
+        assert op.gram() is gram
+
+
+def test_reference_gram_is_the_row_block_formula_to_the_bit():
+    # with a diagonal weight the zero off-diagonal adds nothing, not even a
+    # rounding: the Gram is the row-block sum of (sqrt(w) a)^T (sqrt(w) a)
+    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 2 * _GRAM_ROWS + 501, 33).reference
+    sqrt_w = np.sqrt(trapezoid_weights(op.output_m))
+    want = np.zeros((op.input_m, op.input_m))
+    for start in range(0, op.output_m, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        block = sqrt_w[rows, None] * op.matrix[rows]
+        want += block.T @ block
+    assert op.gram().tobytes() == want.tobytes()
 
 
 def test_gram_memory_is_the_gram_plus_one_block():

@@ -330,19 +330,19 @@ def test_scaling_check_needs_closed_form_target():
 
 def test_each_operator_forms_its_gram_once(monkeypatch):
     # the closed-form solves of three studies, the scaled solve of the
-    # scaling check among them, share one Gram per operator
+    # scaling check among them, share one Gram per operator; a level's is
+    # formed from its n quadrature rows, the reference's from its m_ref rows
     formed = Counter()
-    weighted_gram = operators._weighted_gram
+    tridiagonal_gram = operators._tridiagonal_gram
 
-    def counting(a, w):
-        formed[id(a)] += 1
-        return weighted_gram(a, w)
+    def counting(c, d, e):
+        formed[c.shape[0]] += 1
+        return tridiagonal_gram(c, d, e)
 
-    monkeypatch.setattr(operators, "_weighted_gram", counting)
+    monkeypatch.setattr(operators, "_tridiagonal_gram", counting)
     seq = build_gaussian_sequence()
     inf_convergence_study(seq)
     eps_minimizer_chain(seq)
     scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
     family = seq.family
-    ops = [family.reference] + [family.operator_at(n) for n in family.levels]
-    assert formed == Counter(id(op.matrix) for op in ops)
+    assert formed == Counter((family.reference.output_m,) + family.levels)
