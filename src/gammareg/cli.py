@@ -7,8 +7,9 @@ Subcommands:
 Exit codes: 0 the study passed, or an eps-chain found no Cauchy tail (a
 diagnostic verdict), 2 a verdict was negative, the config invalid or a value
 could not be computed (a solve that does not converge, in any study, prints
-"error: solver failed at <stage>: status <status>"), 3 the study refused to
-run (violated hypotheses, with the measured numbers on stderr), 4 I/O failure.
+"error: solver failed at <stage>: status <status>", and running out of memory
+prints one "error:" line too), 3 the study refused to run (violated
+hypotheses, with the measured numbers on stderr), 4 I/O failure.
 
 Reports are byte-deterministic by default: floats are written with
 repr (shortest round-trip form), rows are emitted in a fixed order, and
@@ -265,6 +266,13 @@ def _load(path: str) -> RunSpec | int:
         return EXIT_IO
     except ConfigError as exc:
         return _report_problems(exc)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
+
+
+def _out_of_memory(exc: MemoryError) -> int:
+    print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def _cmd_validate(args) -> int:
@@ -294,6 +302,8 @@ def _cmd_run(args) -> int:
         # domain errors surfaced while assembling or running the study
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if args.timings and rows:

@@ -313,8 +313,8 @@ class _Collector:
         match = re.fullmatch(r"doubling:(\d+):(\d+)", text)
         if match:
             start, count = int(match.group(1)), int(match.group(2))
-            if start < 2 or count < 1:
-                self.complain(section, key, "doubling needs start >= 2 and count >= 1")
+            if start < 2 or count < 2:
+                self.complain(section, key, "doubling needs start >= 2 and count >= 2")
                 return default
             return tuple(start * 2**k for k in range(count))
         try:

@@ -9,6 +9,11 @@ oscillatory data noise of size 1/n.
 
 from __future__ import annotations
 
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,7 @@ from gammareg import (
     make_quadrature_family,
     projected_gradient,
 )
+from gammareg.cli import main
 
 GAUSS_SIGMA = 0.2
 GAUSS_LEVELS = (9, 17, 33, 65, 129)
@@ -72,6 +78,34 @@ def uphill_steps(problem, x0, k_max=20):
         config = SolveConfig(max_iter=k, grad_tol=1e-300)
         values.append(projected_gradient(problem, x0, config).value)
     return [k for k in range(1, k_max + 1) if values[k] > values[k - 1]]
+
+
+@dataclass(frozen=True)
+class CliRun:
+    code: int
+    stdout: str
+    stderr: str
+    warnings: list[str]
+
+
+def run_cli(*argv: str) -> CliRun:
+    """`gammareg argv` in this process: its exit code, its output, and every Python
+    warning it raised, which a subprocess would have printed on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:  # argparse refusing its arguments
+            code = stop.code
+    return CliRun(code, out.getvalue(), err.getvalue(),
+                  [f"{w.category.__name__}: {w.message}" for w in caught])
+
+
+@pytest.fixture
+def cli():
+    return run_cli
 
 
 # Acceptance tests append one "name: PASS/FAIL (details)" line each; the

@@ -27,8 +27,6 @@ latter.
 
 import csv
 import io
-import subprocess
-import sys
 import textwrap
 import time
 
@@ -221,7 +219,7 @@ def exact_operator_sequence():
 
 
 def test_c5_vanishing_alpha_recovers_min_penalty_solution(
-    exact_operator_sequence, acceptance_log, tmp_path
+    exact_operator_sequence, acceptance_log, tmp_path, cli
 ):
     report = alpha_zero_study(exact_operator_sequence(0.5), tol=1e-3)
     ratios_decay = report.noise_ratios[-1] < report.noise_ratios[0] / 4
@@ -254,18 +252,13 @@ def test_c5_vanishing_alpha_recovers_min_penalty_solution(
     )
     path = tmp_path / "refused.ini"
     path.write_text(config, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gammareg.cli", "run", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = cli("run", "--config", str(path))
 
     ok = (
         report.verdict
         and ratios_decay
         and final_ok
-        and proc.returncode == 3
+        and proc.code == 3
     )
     _log(
         acceptance_log,
@@ -273,13 +266,14 @@ def test_c5_vanishing_alpha_recovers_min_penalty_solution(
         ok,
         f"distance to min-penalty solution {report.distances[-1]:.4e} < 1e-3 "
         f"at n={report.levels[-1]}, ratios decay {ratios_decay}, "
-        f"too-fast decay refused (exit {proc.returncode})",
+        f"too-fast decay refused (exit {proc.code})",
     )
     assert report.verdict is True
     assert ratios_decay
     assert final_ok
-    assert proc.returncode == 3
+    assert proc.code == 3
     assert "refused" in proc.stderr
+    assert proc.warnings == []
 
 
 # --- C6: pointwise lower limits of an oscillating family -----------------
@@ -425,7 +419,7 @@ def test_c8_gradients_and_solvers_agree(gaussian_sequence, acceptance_log):
 # --- C9: identical config and seed give byte-identical reports -----------
 
 
-def test_c9_identical_config_and_seed_reproduce_bytes(acceptance_log, tmp_path):
+def test_c9_identical_config_and_seed_reproduce_bytes(acceptance_log, tmp_path, cli):
     config = textwrap.dedent(
         """
         [study]
@@ -450,24 +444,9 @@ def test_c9_identical_config_and_seed_reproduce_bytes(acceptance_log, tmp_path):
 
     def run(out_name):
         out = tmp_path / out_name
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "gammareg.cli",
-                "run",
-                "--config",
-                str(path),
-                "--out",
-                str(out),
-                "--seed",
-                "42",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = cli("run", "--config", str(path), "--out", str(out), "--seed", "42")
+        assert proc.code == 0, proc.stderr
+        assert proc.warnings == []
         return out.read_bytes()
 
     first = run("first.csv")

@@ -1,4 +1,11 @@
-"""Config parsing and the command-line interface, including determinism."""
+"""Config parsing and the command-line interface, including determinism.
+
+Every `gammareg` call checked here is a row of CASES, run in this process by
+`check` through `gammareg.cli.main` with Python warnings recorded: a row fails
+on any warning, as the numpy warnings a subprocess would print on stderr.  A
+row's key is its test id; `name[id]` keys make one parametrized test.  One
+test alone starts `python -m gammareg.cli` as a process.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +19,9 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -29,25 +38,10 @@ from gammareg import (
     UnsupportedPenaltyError,
     build_family,
     build_target,
-    load_config,
     parse_config,
     resolve_potential,
 )
-from gammareg.cli import main, run_study
-
-RUN = [sys.executable, "-m", "gammareg.cli"]
-
-
-def cli(*args, **kwargs):
-    return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=120, **kwargs
-    )
-
-
-def write_config(tmp_path, text, name="run.ini"):
-    path = tmp_path / name
-    path.write_text(textwrap.dedent(text))
-    return str(path)
+from gammareg.cli import run_study
 
 
 # ---------------------------------------------------------------- parsing
@@ -146,30 +140,6 @@ def test_unknown_sections_are_rejected():
         parse_config("[study]\nkind = inf-study\n[mystery]\nx = 1\n")
 
 
-def test_output_section_is_refused(tmp_path):
-    # --out, --format, --timings and --seed are the only owners of what it held
-    text = "[study]\nkind = inf-study\n[output]\nformat = jsonl\nseed = 3\n"
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert err.value.problems == ["[output]: unknown section (line 3)"]
-    proc = cli("validate", "--config", write_config(tmp_path, text))
-    assert proc.returncode == 2
-    assert proc.stderr == "[output]: unknown section (line 3)\n"
-
-
-def test_unknown_keys_are_refused():
-    # a misspelled key used to leave its setting at the default, silently
-    with pytest.raises(ConfigError) as err:
-        parse_config(
-            "[study]\nkind = inf-study\n[problem]\nkernl = separable\ninput_m = 9\n"
-            "[schedule]\nlevels = 4, 8\n[solver]\nmax_iters = 10\n"
-        )
-    assert err.value.problems == [
-        "[problem] kernl: unknown key (line 4)",
-        "[solver] max_iters: unknown key (line 9)",
-    ]
-
-
 def test_capitalised_keys_are_located():
     # configparser lowercases option names; the line is found all the same
     for line, problem in [
@@ -180,17 +150,6 @@ def test_capitalised_keys_are_located():
         with pytest.raises(ConfigError) as err:
             parse_config(f"[study]\nkind = inf-study\n[problem]\n{line}\n")
         assert err.value.problems == [problem]
-
-
-def test_default_section_is_refused(tmp_path):
-    # [DEFAULT] keys used to reach every section unchecked
-    text = "[DEFAULT]\nkernl = x\n[study]\nkind = inf-study\n"
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert err.value.problems == ["[DEFAULT]: unknown section (line 1)"]
-    proc = cli("validate", "--config", write_config(tmp_path, text))
-    assert proc.returncode == 2
-    assert proc.stderr == "[DEFAULT]: unknown section (line 1)\n"
 
 
 @pytest.mark.parametrize("key, value", [("thresholds", "0.5, nan"), ("radii", "0.2, inf")])
@@ -212,41 +171,6 @@ def test_levels_must_not_exceed_quadrature_resolution():
             "[schedule]\nlevels = 17, 65\n"
         )
     assert any("quad_m" in p for p in err.value.problems)
-
-
-def test_an_invalid_level_list_gets_one_complaint(tmp_path):
-    # the cross-field check against quad_m used to judge the default levels
-    # that replaced the refused list, and printed a second, false complaint
-    text = "[study]\nkind = inf-study\n[problem]\nquad_m = 33\n[schedule]\nlevels = 2, 4, 8, 40, 1\n"
-    proc = cli("validate", "--config", write_config(tmp_path, text))
-    assert proc.returncode == 2
-    assert proc.stderr == (
-        "[schedule] levels: need at least two strictly increasing levels, all >= 2 (line 6)\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "text, refused_key",
-    [
-        ("[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", "[schedule] levels"),
-        ("[study]\nkind = gamma-estimate\npoint = 7\n", "[study] point"),
-        ("[study]\nkind = gamma-estimate\nradii = 0.2, 0.001\ngrid_m = 64\n", "[study] radii"),
-        # fem-rate builds no quadrature family, so quad_m does not bound its levels
-        ("[study]\nkind = fem-rate\n[schedule]\nlevels = doubling:8:6\n", None),
-        # run would stop with "grid values must be finite"
-        ("[study]\nkind = fem-rate\n[problem]\nkernel = fem\npotential = table:1,nan\n",
-         "[problem] potential"),
-    ],
-    ids=["fem-rate-two-levels", "gamma-point-off-grid", "gamma-radius-unresolved",
-         "fem-rate-levels-past-quad-m", "fem-rate-table-not-finite"],
-)
-def test_validate_agrees_with_run_on_grids(text, refused_key):
-    if refused_key is None:
-        assert run_study(parse_config(text))[1] is True
-        return
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert [p.split(":")[0] for p in err.value.problems] == [refused_key]
 
 
 def test_alpha_zero_study_needs_zero_alpha():
@@ -375,32 +299,106 @@ def test_build_target_applies_truth():
     assert target.data_y.node_count == 33
 
 
-def test_seed_flag_sets_noise_seed(tmp_path):
-    # --seed 7 is noise_seed = 7, and the seed reaches the noise draw
-    unseeded = FAST_INF_STUDY.replace("noise_seed = 11", "")
-    reports = {}
-    for name, text, flags in (
-        ("flag", unseeded, ["--seed", "7"]),
-        ("config", FAST_INF_STUDY.replace("noise_seed = 11", "noise_seed = 7"), []),
-        ("default", unseeded, []),
-    ):
-        out = tmp_path / f"{name}.csv"
-        path = write_config(tmp_path, text, f"{name}.ini")
-        assert main(["run", "--config", path, "--out", str(out), *flags]) == 0
-        reports[name] = out.read_bytes()
-    assert reports["flag"] == reports["config"]
-    assert reports["flag"] != reports["default"]
-
-
-def test_negative_seed_flag_is_refused(tmp_path, capsys):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    with pytest.raises(SystemExit) as stop:
-        main(["run", "--config", path, "--seed", "-1"])
-    assert stop.value.code == 2
-    assert capsys.readouterr().err.endswith("error: argument --seed: must be >= 0\n")
-
-
 # --------------------------------------------------------------------- CLI
+
+
+@dataclass(frozen=True)
+class Case:
+    """One `gammareg` call: the config text it reads as {config}, its argv ({config}
+    and {tmp}, the test's directory, are filled in), the exit code, the stderr (the
+    exact text, or a check on it), a check on the report, and a partner call whose
+    report must be the same (`same`) or differ, and an attribute to patch first."""
+
+    config: str
+    argv: str
+    code: int
+    stderr: str | Callable[[str], bool] = ""
+    report: Callable[[str], bool] | None = None
+    partner: Case | None = None
+    same: bool = True
+    patch: tuple[str, object] | None = None
+
+
+def check(case: Case, cli, tmp_path, monkeypatch, name: str = "row") -> str:
+    """Run `case` and assert what it expects; return its report: stdout, or the
+    --out file when the run wrote one."""
+    if case.patch is not None:
+        monkeypatch.setattr(*case.patch)
+    config = tmp_path / f"{name}.ini"
+    config.write_text(textwrap.dedent(case.config))
+    argv = [arg.format(config=config, tmp=tmp_path) for arg in case.argv.split()]
+    got = cli(*argv)
+    assert got.warnings == []
+    assert got.code == case.code, got.stderr
+    if callable(case.stderr):
+        assert case.stderr(got.stderr), got.stderr
+    else:
+        assert got.stderr == case.stderr
+    if argv[0] == "run":
+        # run refuses a config exactly as validate does, or validate accepts it
+        validated = cli("validate", "--config", argv[argv.index("--config") + 1])
+        assert validated.warnings == []
+        assert validated.code == 0 or (validated.code, validated.stderr) == (got.code, got.stderr)
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    report = out.read_bytes().decode() if out and out.exists() else got.stdout
+    if case.report is not None:
+        assert case.report(report), report
+    if case.partner is not None:
+        theirs = check(case.partner, cli, tmp_path, monkeypatch, "partner")
+        assert (theirs == report) is case.same
+    return report
+
+
+def write_config(tmp_path, text, name="run.ini"):
+    path = tmp_path / name
+    path.write_text(textwrap.dedent(text))
+    return str(path)
+
+
+def metric(report: str, name: str) -> tuple[float, str]:
+    """Value and verdict of the first CSV report row with this metric."""
+    row = next(r for r in csv.reader(io.StringIO(report)) if r[2] == name)
+    return float(row[3]), row[4]
+
+
+def metrics(report: str) -> list[str]:
+    return [r[2] for r in csv.reader(io.StringIO(report))][1:]
+
+
+def _csv_schema(report: str) -> bool:
+    rows = list(csv.reader(io.StringIO(report)))
+    return (
+        rows[0] == ["study", "level", "metric", "value", "verdict", "wall_time_ms"]
+        and {"inf_value", "gap", "min_distance", "reference_min", "final_gap"}
+        <= set(metrics(report))
+        # timings stay zeroed unless requested, so output is reproducible
+        and all(r[5] == "0.0" for r in rows[1:])
+        and metric(report, "final_gap")[1] == "pass"
+    )
+
+
+def _json_lines(report: str) -> bool:
+    records = [json.loads(line) for line in report.splitlines()]
+    return records[-1]["metric"] == "final_gap" and all(
+        set(rec) == {"study", "level", "metric", "value", "verdict", "wall_time_ms"}
+        for rec in records
+    )
+
+
+def _one_line(prefix: str) -> Callable[[str], bool]:
+    return lambda err: err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _no_memory(*args):
+    raise MemoryError
+
+
+def _no_memory_for_128_tib(*args):
+    raise MemoryError(
+        "Unable to allocate 128. TiB for an array with shape (17592186044418,) "
+        "and data type int64"
+    )
+
 
 FAST_INF_STUDY = """
     [study]
@@ -420,99 +418,6 @@ FAST_INF_STUDY = """
     noise_amplitude = 0.01
     noise_seed = 11
 """
-
-
-def test_validate_accepts_a_good_config(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    proc = cli("validate", "--config", path)
-    assert proc.returncode == 0
-    assert "config ok: inf-study" in proc.stdout
-
-
-def test_validate_reports_problems_and_fails(tmp_path):
-    path = write_config(tmp_path, "[study]\nkind = bogus\n")
-    proc = cli("validate", "--config", path)
-    assert proc.returncode == 2
-    assert "kind" in proc.stderr
-
-
-def test_missing_config_is_an_io_error(tmp_path):
-    proc = cli("run", "--config", str(tmp_path / "absent.ini"))
-    assert proc.returncode == 4
-    assert "cannot read config" in proc.stderr
-
-
-def test_unwritable_output_is_an_io_error(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    proc = cli("run", "--config", path, "--out", str(tmp_path / "no_dir" / "x.csv"))
-    assert proc.returncode == 4
-    assert "cannot write output" in proc.stderr
-
-
-def test_run_emits_csv_with_fixed_schema(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert rows[0] == ["study", "level", "metric", "value", "verdict", "wall_time_ms"]
-    metrics = {r[2] for r in rows[1:]}
-    assert {"inf_value", "gap", "min_distance", "reference_min", "final_gap"} <= metrics
-    # timings stay zeroed unless requested, so output is reproducible
-    assert all(r[5] == "0.0" for r in rows[1:])
-    final = [r for r in rows if r[2] == "final_gap"][0]
-    assert final[4] == "pass"
-
-
-def test_run_emits_parseable_json_lines(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    proc = cli("run", "--config", path, "--format", "jsonl")
-    assert proc.returncode == 0, proc.stderr
-    records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert all(
-        set(rec) == {"study", "level", "metric", "value", "verdict", "wall_time_ms"}
-        for rec in records
-    )
-    assert records[-1]["metric"] == "final_gap"
-
-
-def test_failed_verdict_exits_two(tmp_path):
-    strict = FAST_INF_STUDY.replace("tol = 1e-2", "tol = 1e-12")
-    path = write_config(tmp_path, strict)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 2
-    assert "fail" in proc.stdout
-
-
-def test_overflowing_functional_exits_two(tmp_path, capsys):
-    # T overflows to inf inside its domain; the run must end with the
-    # documented exit code and a message, not a report of inf values
-    huge = FAST_INF_STUDY.replace("truth_amplitude = 0.01", "truth_amplitude = 1e200")
-    with np.errstate(over="ignore"):
-        code = main(["run", "--config", write_config(tmp_path, huge)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("amplitude", ["1e160", "1e200"])
-def test_overflow_prints_one_error_line(tmp_path, amplitude):
-    # stderr carries the refusal alone, with no numpy warnings before it
-    huge = FAST_INF_STUDY.replace("truth_amplitude = 0.01", f"truth_amplitude = {amplitude}")
-    proc = cli("run", "--config", write_config(tmp_path, huge))
-    assert proc.returncode == 2
-    assert proc.stderr == "error: T is not finite inside its domain: inf\n"
-
-
-def test_overflowing_power_exits_two(tmp_path):
-    # for p = 3 the misfit is finite but its cube overflows; the run refuses
-    # T = inf with the documented exit code instead of a traceback
-    huge = FAST_INF_STUDY.replace(
-        "truth_amplitude = 0.01", "truth_amplitude = 1e120\n    exponent_p = 3"
-    )
-    proc = cli("run", "--config", write_config(tmp_path, huge))
-    assert proc.returncode == 2
-    assert proc.stderr == "error: T is not finite inside its domain: inf\n"
-
 
 STALLED_INF_STUDY = """
     [study]
@@ -535,20 +440,131 @@ STALLED_INF_STUDY = """
     alpha_kind = power
 """
 
+FEM_RATE = """
+    [study]
+    kind = fem-rate
 
-def test_unconverged_solve_exits_two(tmp_path):
-    # projected gradient stalls on the p = 3 reference problem: the run ends
-    # with one error line, not a report row of nan
-    path = write_config(tmp_path, STALLED_INF_STUDY)
-    assert cli("validate", "--config", path).returncode == 0
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: solver failed at reference: status stalled\n"
+    [problem]
+    kernel = fem
+    potential = one
+
+    [schedule]
+    levels = 7, 15, 31, 63
+"""
+
+NONNEG_DEMO = """
+    [study]
+    kind = integral-demo
+
+    [problem]
+    kernel = {kernel}
+    input_m = 9
+    quad_m = 65
+    domain = l2_ball_nonneg
+    radius = 0.5
+
+    [schedule]
+    levels = 5, 9, 17
+"""
+
+PENALTY = "[study]\nkind = inf-study\n[problem]\ninput_m = 17\nquad_m = 65\npenalty = {}\n" \
+          "[schedule]\nlevels = 5, 9, 17, 33\n"
+FEM_INF_STUDY = "[study]\nkind = inf-study\n[problem]\nkernel = fem\ninput_m = 17\n" \
+                "potential = {}\n[schedule]\nlevels = 4, 8, 16\n"
+
+RUN = "run --config {config}"
+VALIDATE = "validate --config {config}"
+UNSEEDED = FAST_INF_STUDY.replace("noise_seed = 11", "")
 
 
-def test_refused_study_exits_three(tmp_path):
-    refusal = """
+def _overflow(amplitude: str, exponent_p: str = "2") -> Case:
+    # T overflows to inf inside its domain: stderr carries the refusal alone,
+    # with no numpy warning before it
+    return Case(
+        FAST_INF_STUDY.replace(
+            "truth_amplitude = 0.01",
+            f"truth_amplitude = {amplitude}\n    exponent_p = {exponent_p}",
+        ),
+        RUN, 2, "error: T is not finite inside its domain: inf\n",
+    )
+
+
+CASES: dict[str, Case] = {
+    # ------------------------------------------------ validate refuses
+    "test_validate_accepts_a_good_config": Case(
+        FAST_INF_STUDY, VALIDATE, 0, report=lambda out: out == "config ok: inf-study\n"),
+    "test_validate_reports_problems_and_fails": Case(
+        "[study]\nkind = bogus\n", VALIDATE, 2,
+        "[study] kind: expected one of fem-rate, integral-demo, inf-study, eps-chain, "
+        "gamma-estimate, coercivity, alpha-zero; got 'bogus' (line 2)\n"),
+    # a misspelled key used to leave its setting at the default, silently
+    "test_unknown_keys_are_refused": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernl = separable\ninput_m = 9\n"
+        "[schedule]\nlevels = 4, 8\n[solver]\nmax_iters = 10\n", VALIDATE, 2,
+        "[problem] kernl: unknown key (line 4)\n[solver] max_iters: unknown key (line 9)\n"),
+    # --out, --format, --timings and --seed are the only owners of what it held
+    "test_output_section_is_refused": Case(
+        "[study]\nkind = inf-study\n[output]\nformat = jsonl\nseed = 3\n", VALIDATE, 2,
+        "[output]: unknown section (line 3)\n"),
+    # [DEFAULT] keys used to reach every section unchecked
+    "test_default_section_is_refused": Case(
+        "[DEFAULT]\nkernl = x\n[study]\nkind = inf-study\n", VALIDATE, 2,
+        "[DEFAULT]: unknown section (line 1)\n"),
+    # the cross-field check against quad_m used to judge the default levels
+    # that replaced the refused list, and printed a second, false complaint
+    "test_an_invalid_level_list_gets_one_complaint": Case(
+        "[study]\nkind = inf-study\n[problem]\nquad_m = 33\n[schedule]\nlevels = 2, 4, 8, 40, 1\n",
+        VALIDATE, 2,
+        "[schedule] levels: need at least two strictly increasing levels, all >= 2 (line 6)\n"),
+    # one level: no integral-demo verdict can pass, no alpha-zero ratio can decay
+    "test_doubling_needs_two_levels": Case(
+        "[study]\nkind = integral-demo\n[schedule]\nlevels = doubling:8:1\n", VALIDATE, 2,
+        "[schedule] levels: doubling needs start >= 2 and count >= 2 (line 4)\n"),
+    "test_validate_agrees_with_run_on_grids[fem-rate-two-levels]": Case(
+        "[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", VALIDATE, 2,
+        "[schedule] levels: fem-rate needs at least three levels (line 4)\n"),
+    "test_validate_agrees_with_run_on_grids[gamma-point-off-grid]": Case(
+        "[study]\nkind = gamma-estimate\npoint = 7\n", VALIDATE, 2,
+        "[study] point: must lie inside the grid (0, 6.28319) (line 3)\n"),
+    "test_validate_agrees_with_run_on_grids[gamma-radius-unresolved]": Case(
+        "[study]\nkind = gamma-estimate\nradii = 0.2, 0.001\ngrid_m = 64\n", VALIDATE, 2,
+        "[study] radii: radius 0.001 resolves fewer than two grid nodes near 0.785398 "
+        "with grid_m = 64 (line 3)\n"),
+    # fem-rate builds no quadrature family, so quad_m does not bound its levels
+    "test_validate_agrees_with_run_on_grids[fem-rate-levels-past-quad-m]": Case(
+        "[study]\nkind = fem-rate\n[schedule]\nlevels = doubling:8:6\n", RUN, 0,
+        report=lambda out: metric(out, "rate_slope")[1] == "pass"),
+    # run would stop with "grid values must be finite"
+    "test_validate_agrees_with_run_on_grids[fem-rate-table-not-finite]": Case(
+        "[study]\nkind = fem-rate\n[problem]\nkernel = fem\npotential = table:1,nan\n",
+        VALIDATE, 2, "[problem] potential: table values must be finite (line 5)\n"),
+    # the 745 GiB grid of grid_m = 1e11 cannot be allocated
+    "test_out_of_memory_in_validate_exits_two": Case(
+        "[study]\nkind = gamma-estimate\ngrid_m = 100000000000\n", VALIDATE, 2,
+        "error: out of memory\n",
+        patch=("gammareg.config.StudySpec.grid", property(_no_memory))),
+    # ------------------------------------------------ run, exit codes
+    "test_missing_config_is_an_io_error": Case(
+        "", "run --config {tmp}/absent.ini", 4, _one_line("cannot read config: ")),
+    "test_unwritable_output_is_an_io_error": Case(
+        FAST_INF_STUDY, RUN + " --out {tmp}/no_dir/x.csv", 4, _one_line("cannot write output: ")),
+    "test_negative_seed_flag_is_refused": Case(
+        FAST_INF_STUDY, RUN + " --seed -1", 2,
+        lambda err: err.endswith("error: argument --seed: must be >= 0\n")),
+    "test_failed_verdict_exits_two": Case(
+        FAST_INF_STUDY.replace("tol = 1e-2", "tol = 1e-12"), RUN, 2,
+        report=lambda out: metric(out, "final_gap")[1] == "fail"),
+    "test_overflow_prints_one_error_line[1e160]": _overflow("1e160"),
+    "test_overflow_prints_one_error_line[1e200]": _overflow("1e200"),
+    # for p = 3 the misfit is finite but its cube overflows
+    "test_overflowing_power_exits_two": _overflow("1e120", exponent_p="3"),
+    # projected gradient stalls on the p = 3 reference problem, which validate
+    # accepts: the run ends with one error line, not a report row of nan
+    "test_unconverged_solve_exits_two": Case(
+        STALLED_INF_STUDY, RUN, 2, "error: solver failed at reference: status stalled\n",
+        report=lambda out: out == ""),
+    "test_refused_study_exits_three": Case(
+        """
         [study]
         kind = alpha-zero
 
@@ -565,83 +581,60 @@ def test_refused_study_exits_three(tmp_path):
         noise_kind = power
         noise_amplitude = 0.1
         exact_family = true
-    """
-    path = write_config(tmp_path, refusal)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 3
-    assert "refused" in proc.stderr
-    assert "fails to decay" in proc.stderr
-
-
-def test_identical_config_and_seed_give_identical_bytes(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    out1 = tmp_path / "first.csv"
-    out2 = tmp_path / "second.csv"
-    p1 = cli("run", "--config", path, "--out", str(out1), "--seed", "42")
-    p2 = cli("run", "--config", path, "--out", str(out2), "--seed", "42")
-    assert p1.returncode == 0 and p2.returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_different_seed_changes_the_report(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    a = cli("run", "--config", path, "--seed", "1").stdout
-    b = cli("run", "--config", path, "--seed", "2").stdout
-    assert a != b
-
-
-def test_timings_flag_stamps_the_last_row(tmp_path):
-    path = write_config(tmp_path, FAST_INF_STUDY)
-    proc = cli("run", "--config", path, "--timings")
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert float(rows[-1][5]) > 0.0
-    assert all(r[5] == "0.0" for r in rows[1:-1])
-
-
-def test_fem_rate_study_passes(tmp_path):
-    config = """
-        [study]
-        kind = fem-rate
-
-        [problem]
-        kernel = fem
-        potential = one
-
-        [schedule]
-        levels = 7, 15, 31, 63
-    """
-    path = write_config(tmp_path, config)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    slope = [r for r in rows if r[2] == "rate_slope"][0]
-    assert slope[4] == "pass"
-    assert -2.2 <= float(slope[3]) <= -1.8
-
-
-def test_table_potential_runs_like_the_builtin(tmp_path):
-    config = """
-        [study]
-        kind = fem-rate
-
-        [problem]
-        kernel = fem
-        potential = table:1.0,1.0,1.0
-
-        [schedule]
-        levels = 7, 15, 31, 63
-    """
-    path = write_config(tmp_path, config)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    slope = float([r for r in rows if r[2] == "rate_slope"][0][3])
-    # the constant-1 table must reproduce the builtin potential's slope
-    assert slope == pytest.approx(-1.8927475517462562, abs=1e-9)
-
-
-def test_gamma_estimate_study_runs(tmp_path):
-    config = """
+        """, RUN, 3,
+        "refused: noise ratio fails to decay: 8.000e-01 at n=8 vs 3.200e+00 at n=32\n"),
+    # the reference level of levels 2 ... 2^40 needs 128 TiB
+    "test_out_of_memory_in_run_exits_two": Case(
+        FEM_INF_STUDY.format("one").replace("4, 8, 16", "doubling:2:40"), RUN, 2,
+        "error: Unable to allocate 128. TiB for an array with shape (17592186044418,) "
+        "and data type int64\n",
+        patch=("gammareg.fem.fem_operator_matrix", _no_memory_for_128_tib)),
+    # ------------------------------------------------ run, reports
+    "test_run_emits_csv_with_fixed_schema": Case(FAST_INF_STUDY, RUN, 0, report=_csv_schema),
+    "test_run_emits_parseable_json_lines": Case(
+        FAST_INF_STUDY, RUN + " --format jsonl", 0, report=_json_lines),
+    "test_timings_flag_stamps_the_last_row": Case(
+        FAST_INF_STUDY, RUN + " --timings", 0,
+        report=lambda out: float(out.splitlines()[-1].split(",")[5]) > 0.0
+        and all(line.endswith(",0.0") for line in out.splitlines()[1:-1])),
+    "test_identical_config_and_seed_give_identical_bytes": Case(
+        FAST_INF_STUDY, RUN + " --out {tmp}/first.csv --seed 42", 0,
+        partner=Case(FAST_INF_STUDY, RUN + " --out {tmp}/second.csv --seed 42", 0)),
+    "test_different_seed_changes_the_report": Case(
+        FAST_INF_STUDY, RUN + " --seed 1", 0,
+        partner=Case(FAST_INF_STUDY, RUN + " --seed 2", 0), same=False),
+    # --seed 7 is noise_seed = 7
+    "test_seed_flag_sets_noise_seed": Case(
+        UNSEEDED, RUN + " --seed 7", 0,
+        partner=Case(FAST_INF_STUDY.replace("noise_seed = 11", "noise_seed = 7"), RUN, 0)),
+    # p_power_norm with q = 2 spells the functional half_sq_l2 names
+    "test_p_power_norm_with_q_2_reports_like_half_sq_l2": Case(
+        PENALTY.format("half_sq_l2"), RUN, 0,
+        partner=Case(PENALTY.format("p_power_norm"), RUN, 0)),
+    # a numerically singular operator goes through projected gradient's range model
+    "test_gaussian_kernel_on_a_ball_passes": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernel = gaussian\nsigma = 0.6\ninput_m = 33\n"
+        "quad_m = 129\ndomain = l2_ball\nradius = 0.05\n[schedule]\nlevels = 9, 17, 33\n", RUN, 0,
+        report=lambda out: metric(out, "final_gap")[1] == "pass"),
+    # quad_m 1000 nests neither input_m 65 nor any of the levels
+    "test_separable_kernel_on_grids_that_do_not_nest_passes": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernel = separable\ninput_m = 65\nquad_m = 1000\n"
+        "[schedule]\nlevels = 9, 33, 100, 513\n", RUN, 0,
+        report=lambda out: metric(out, "final_gap")[1] == "pass"),
+    "test_fem_rate_study_passes": Case(
+        FEM_RATE, RUN, 0,
+        report=lambda out: metric(out, "rate_slope")[1] == "pass"
+        and -2.2 <= metric(out, "rate_slope")[0] <= -1.8),
+    # a sampled coefficient spells the same problem as the builtin it tabulates
+    "test_table_potential_runs_like_the_builtin": Case(
+        FEM_RATE.replace("potential = one", "potential = table:1,1"), RUN, 0,
+        report=lambda out: abs(metric(out, "rate_slope")[0] + 1.8927475517462562) <= 1e-9,
+        partner=Case(FEM_RATE, RUN, 0)),
+    "test_table_potential_runs_like_the_builtin_in_an_inf_study": Case(
+        FEM_INF_STUDY.format("table:1,1,1"), RUN, 0,
+        partner=Case(FEM_INF_STUDY.format("one"), RUN, 0)),
+    "test_gamma_estimate_study_runs": Case(
+        """
         [study]
         kind = gamma-estimate
         family = oscillation
@@ -649,65 +642,23 @@ def test_gamma_estimate_study_runs(tmp_path):
         radii = 0.5, 0.1, 0.02
         index_window = 128
         grid_m = 1024
-    """
-    path = write_config(tmp_path, config)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    estimate = [r for r in rows if r[2] == "estimate"][0]
-    assert estimate[4] == "pass"
-    assert abs(float(estimate[3]) + 1.0) < 0.1
-
-
-def test_integral_demo_study_runs(tmp_path):
-    config = """
-        [study]
-        kind = integral-demo
-
-        [problem]
-        input_m = 9
-        quad_m = 65
-
-        [schedule]
-        levels = 5, 9, 17
-    """
-    path = write_config(tmp_path, config)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    gaps = [float(r[3]) for r in rows if r[2] == "uniform_gap"]
-    assert gaps[-1] < gaps[0]
-
-
-@pytest.mark.parametrize("kernel", ["identity", "constant", "separable", "gaussian"])
-def test_integral_demo_on_a_nonnegative_ball_runs_as_validated(tmp_path, kernel):
+        """, RUN, 0,
+        report=lambda out: metric(out, "estimate")[1] == "pass"
+        and abs(metric(out, "estimate")[0] + 1.0) < 0.1),
+    "test_integral_demo_study_runs": Case(
+        "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\n"
+        "[schedule]\nlevels = 5, 9, 17\n", RUN, 0,
+        report=lambda out: metric(out, "final_gap")[0] < metric(out, "uniform_gap")[0]),
     # sin 3 pi x and cos 2 pi x change sign: the demo measures the gap on
     # the standard samples that lie in the nonnegative ball, not on all
-    config = f"""
-        [study]
-        kind = integral-demo
-
-        [problem]
-        kernel = {kernel}
-        input_m = 9
-        quad_m = 65
-        domain = l2_ball_nonneg
-        radius = 0.5
-
-        [schedule]
-        levels = 5, 9, 17
-    """
-    path = write_config(tmp_path, config)
-    assert cli("validate", "--config", path).returncode == 0
-    proc = cli("run", "--config", path)
-    assert proc.returncode in (0, 2), proc.stderr
-    assert proc.stderr == ""
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    assert [r[2] for r in rows[1:]] == ["uniform_gap"] * 3 + ["final_gap"]
-
-
-def test_coercivity_study_runs(tmp_path):
-    config = """
+    **{
+        f"test_integral_demo_on_a_nonnegative_ball_runs_as_validated[{kernel}]": Case(
+            NONNEG_DEMO.format(kernel=kernel), RUN, 0,
+            report=lambda out: metrics(out) == ["uniform_gap"] * 3 + ["final_gap"])
+        for kernel in ("identity", "constant", "separable", "gaussian")
+    },
+    "test_coercivity_study_runs": Case(
+        """
         [study]
         kind = coercivity
         thresholds = 0.1, 1.0, 10.0
@@ -721,15 +672,43 @@ def test_coercivity_study_runs(tmp_path):
         [schedule]
         levels = 5, 9, 17
         alpha_kind = power
-    """
-    path = write_config(tmp_path, config)
-    proc = cli("run", "--config", path)
-    assert proc.returncode == 0, proc.stderr
-    rows = list(csv.reader(io.StringIO(proc.stdout)))
-    verdict = [r for r in rows if r[2] == "inclusion_holds"][0]
-    assert verdict[4] == "pass"
-    violations = [r for r in rows if r[2] == "violations"][0]
-    assert float(violations[3]) == 0.0
+        """, RUN, 0,
+        report=lambda out: metric(out, "inclusion_holds")[1] == "pass"
+        and metric(out, "violations")[0] == 0.0),
+}
+
+
+def _table_test(name: str, keys: list[str]):
+    """The test `name`: its one row, or its rows keyed `name[id]` as parameters."""
+    if keys == [name]:
+        def test(cli, tmp_path, monkeypatch):
+            check(CASES[name], cli, tmp_path, monkeypatch)
+    else:
+        @pytest.mark.parametrize("key", keys, ids=[key[len(name) + 1 : -1] for key in keys])
+        def test(key, cli, tmp_path, monkeypatch):
+            check(CASES[key], cli, tmp_path, monkeypatch)
+    test.__name__ = name
+    return test
+
+
+for _name in dict.fromkeys(key.partition("[")[0] for key in CASES):
+    globals()[_name] = _table_test(_name, [k for k in CASES if k.partition("[")[0] == _name])
+
+
+def test_module_entry_point_passes_mains_exit_code_on(cli, tmp_path):
+    # the one test that starts a process: `python -m gammareg.cli` ends in
+    # sys.exit(main()), and a fresh interpreter, with its own hash seed,
+    # prints the bytes and exits with the code of the in-process call
+    good = write_config(tmp_path, FAST_INF_STUDY, "good.ini")
+    bad = write_config(tmp_path, "[study]\nkind = bogus\n", "bad.ini")
+    codes = []
+    for argv in (["run", "--config", good], ["validate", "--config", bad]):
+        proc = subprocess.run([sys.executable, "-m", "gammareg.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        here = cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (here.code, here.stdout, here.stderr)
+        codes.append(proc.returncode)
+    assert codes == [0, 2]
 
 
 # ---------------------------------------------------------- public names
