@@ -18,15 +18,13 @@ from .errors import EllipticityError, GridCompatibilityError, NumericalError
 from .grids import (
     GridFunction,
     grid_nodes,
-    interpolate_rows,
     interpolation_matrix,
-    interpolation_weights,
     resample,
     resample_matrix,  # unused here; bench/tracer.py wraps it under this module
     trapezoid_weights,
     weighted_l2,
 )
-from .operators import DomainSpec, ForwardOperator, OperatorFamily, whole_space
+from .operators import DomainSpec, ForwardOperator, OperatorFamily, _prolongation, whole_space
 
 __all__ = [
     "EllipticProblem",
@@ -174,15 +172,16 @@ def solve_bvp(problem: EllipticProblem, n: int) -> GridFunction:
 
 
 def fem_operator_matrix(
-    potential: PointFunction, n: int, input_m: int, output_m: int
-) -> np.ndarray:
-    """Dense matrix of the level forward map, output prolonged to a full grid."""
+    potential: PointFunction, n: int, input_m: int, output_m: int,
+    domain: DomainSpec | None = None,
+) -> ForwardOperator:
+    """The level forward map: its Thomas solution columns, padded with the
+    zero boundary rows, prolonged onto the output_m-node grid."""
     src_nodes = grid_nodes(input_m)
     # The load columns are the input grid's piecewise-linear basis.
     system = _galerkin_system(potential, lambda x: interpolation_matrix(src_nodes, x), n)
     u_cols = np.pad(thomas_solve(system), ((1, 1), (0, 0)))  # zero boundary rows
-    prolong = interpolation_weights(grid_nodes(n + 2), grid_nodes(output_m))
-    return interpolate_rows(prolong, u_cols)
+    return ForwardOperator(u_cols, domain or whole_space(), _prolongation(n + 2, output_m))
 
 
 def make_fem_family(
@@ -202,8 +201,7 @@ def make_fem_family(
     output_m = n_ref + 2
 
     def build(n: int) -> ForwardOperator:
-        mat = fem_operator_matrix(potential, n, input_m, output_m)
-        return ForwardOperator(mat, dom)
+        return fem_operator_matrix(potential, n, input_m, output_m, dom)
 
     return OperatorFamily(levels, build(n_ref), build)
 

@@ -133,7 +133,7 @@ class TikhonovProblem:
     def value_at(self, vals: np.ndarray) -> float:
         """T at nodal values on the operator's input grid, domain not checked."""
         op = self.operator
-        residual = op.matrix @ vals - self.data_y.values
+        residual = op.forward(vals) - self.data_y.values
         return self._value(weighted_l2(residual, trapezoid_weights(op.output_m)), vals)
 
     def _value(self, misfit: float, vals: np.ndarray) -> float:

@@ -1,10 +1,10 @@
 """First-kind integral operators, their quadrature approximations, and domains.
 
-Every operator here is linear and carries a dense matrix realization: a
-quadrature-weighted collocation matrix mapping nodal values on a fixed
-input grid to nodal values on an output grid. Approximation families
-share one reference output grid so that levels can be compared in the
-same discrete L2 norm.
+Every operator here is linear and maps nodal values on a fixed input grid
+to nodal values on an output grid: a quadrature-weighted collocation
+matrix, spread onto a finer output grid by linear interpolation where it
+is an approximating level. Approximation families share one reference
+output grid so that levels can be compared in the same discrete L2 norm.
 """
 
 from __future__ import annotations
@@ -125,49 +125,125 @@ def membership(domain: DomainSpec, x: GridFunction) -> bool:
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Linear map between grid functions: an output_m x input_m matrix and its domain D(F)."""
+    """Linear map between grid functions, P C, with its domain D(F).
 
-    matrix: np.ndarray
+    `core` C is a k x input_m matrix. The prolongation P, `prolong` =
+    (idx, theta), spreads k-node values onto the output grid by linear
+    interpolation: output row i is (1 - theta_i) C[idx_i] + theta_i C[idx_i + 1].
+    None is the identity, so the output grid is the k core rows. An
+    approximating level keeps its n x input_m core and two weights per output
+    node; the output_m x input_m product `matrix` is formed only on request.
+    """
+
+    core: np.ndarray
     domain: DomainSpec = field(default_factory=whole_space)
+    prolong: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float, order="C")
-        if mat.ndim != 2:
-            raise GridCompatibilityError(f"operator matrix must be 2-D, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        core = np.array(self.core, dtype=float, order="C")
+        if core.ndim != 2:
+            raise GridCompatibilityError(f"operator core must be 2-D, got shape {core.shape}")
+        core.setflags(write=False)
+        object.__setattr__(self, "core", core)
         object.__setattr__(self, "_gram", None)
+        if self.prolong is not None:
+            idx, theta = self.prolong
+            fits = idx.ndim == 1 and idx.shape == theta.shape
+            if not (fits and 0 <= idx.min() and idx.max() < core.shape[0] - 1):
+                raise GridCompatibilityError(
+                    f"prolongation does not fit a core of {core.shape[0]} rows"
+                )
 
     @property
     def input_m(self) -> int:
-        return self.matrix.shape[1]
+        return self.core.shape[1]
 
     @property
     def output_m(self) -> int:
-        return self.matrix.shape[0]
+        return self.core.shape[0] if self.prolong is None else self.prolong[0].size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense output_m x input_m realization, read-only.
+
+        Without a prolongation it is the core. A prolonged operator forms it
+        on each access and does not keep it; solves, evaluations and `apply`
+        go through `forward` and `adjoint`.
+        """
+        if self.prolong is None:
+            return self.core
+        mat = self.rows(slice(None))
+        mat.setflags(write=False)
+        return mat
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the operator keeps: the core, the prolongation weights and a formed Gram."""
+        kept = self.core.nbytes
+        if self.prolong is not None:
+            kept += sum(a.nbytes for a in self.prolong)
+        if self._gram is not None:
+            kept += self._gram.nbytes
+        return kept
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """Rows `rows` of `matrix`, formed from the core rows they interpolate."""
+        if self.prolong is None:
+            return self.core[rows]
+        idx, theta = self.prolong
+        return interpolate_rows((idx[rows], theta[rows]), self.core)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """P (C x), nodal values on the output grid."""
+        v = self.core @ x
+        return v if self.prolong is None else interpolate_rows(self.prolong, v)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """C^T (P^T v): the transpose applied to nodal values on the output grid."""
+        if self.prolong is not None:
+            idx, theta = self.prolong
+            k = self.core.shape[0]
+            v = np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
+        return self.core.T @ v
 
     def gram(self) -> np.ndarray:
         """A^T W A, W the output trapezoid weights; read-only and kept.
 
         Solves on the same operator differ only in alpha W_X and the right
-        side, so the operator keeps this input_m x input_m product. A
-        quadrature level has it from its build; any other operator forms it
-        on the first call, from its output_m rows in blocks of 1024.
+        side, so the operator keeps this input_m x input_m product, formed
+        on the first call as C^T (P^T W P) C from the k core rows in blocks
+        of 1024. P^T W P is tridiagonal; without a prolongation it is W.
         """
         if self._gram is None:
-            m = self.output_m
-            self._keep_gram(_tridiagonal_gram(self.matrix, trapezoid_weights(m), np.zeros(m - 1)))
+            gram = _tridiagonal_gram(self.core, *self._weight_bands())
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram", gram)
         return self._gram
 
-    def _keep_gram(self, gram: np.ndarray) -> None:
-        """Keep `gram` read-only as A^T W A; a builder with a cheaper route to it calls this."""
-        gram.setflags(write=False)
-        object.__setattr__(self, "_gram", gram)
+    def _weight_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of P^T W P."""
+        w = trapezoid_weights(self.output_m)
+        k = self.core.shape[0]
+        if self.prolong is None:
+            return w, np.zeros(k - 1)
+        # reference node i adds w_i (1 - theta_i)^2 at idx_i, w_i theta_i^2
+        # at idx_i + 1 and w_i (1 - theta_i) theta_i between them
+        idx, theta = self.prolong
+        lower, upper = w * (1.0 - theta), w * theta
+        d = np.bincount(np.concatenate((idx, idx + 1)),
+                        np.concatenate((lower * (1.0 - theta), upper * theta)), minlength=k)
+        return d, np.bincount(idx, lower * theta, minlength=k - 1)
 
     def apply(self, x: GridFunction) -> GridFunction:
         if x.node_count != self.input_m:
             x = resample(x, self.input_m)
-        return GridFunction(self.matrix @ x.values)
+        return GridFunction(self.forward(x.values))
+
+
+def _prolongation(k: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Linear interpolation from the k-node grid onto the m-node grid, as a
+    `ForwardOperator` prolongation; None, the identity, when k = m."""
+    return None if k == m else interpolation_weights(grid_nodes(k), grid_nodes(m))
 
 
 def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperator:
@@ -217,21 +293,21 @@ def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray
     return gram
 
 
-def _weighted_r(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R factor of the QR of [sqrt(w) a | sqrt(w) y], folded in over row blocks.
+def _weighted_r(op: ForwardOperator, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R factor of the QR of [sqrt(w) A | sqrt(w) y], A = `op.matrix`, folded in over row blocks.
 
     Each step factors the R of the rows so far stacked on the next weighted
-    block (TSQR), so the scratch is about two blocks of rows, not a copy of
-    `a`. Q is not formed. The result has min(rows, cols + 1) rows.
+    block of `op.rows` (TSQR), so the scratch is about two blocks of rows,
+    not a copy of A. Q is not formed. The result has min(rows, cols + 1) rows.
     """
-    cols = a.shape[1] + 1
+    cols = op.input_m + 1
     sqrt_w = np.sqrt(w)
     r = np.zeros((0, cols))
-    for rows in _row_blocks(a.shape[0], _GRAM_ROWS):
+    for rows in _row_blocks(op.output_m, _GRAM_ROWS):
         top = r.shape[0]
         stack = np.empty((top + rows.stop - rows.start, cols))
         stack[:top] = r
-        stack[top:, :-1] = a[rows]
+        stack[top:, :-1] = op.rows(rows)
         stack[top:, -1] = y[rows]
         stack[top:] *= sqrt_w[rows, None]
         r = np.linalg.qr(stack, mode="r")
@@ -285,7 +361,7 @@ class OperatorFamily:
     """Approximating operators F_n plus the reference F they converge to.
 
     All levels share the reference output grid; `operator_at` caches the
-    assembled matrices because studies revisit levels repeatedly. Each
+    assembled operators because studies revisit levels repeatedly. Each
     level operator carries its own domain D(F_n).
     """
 
@@ -324,11 +400,8 @@ def make_quadrature_family(
     `shrinking_domains` the level domains are the spec'd strict
     subdomains: balls of radius rho * (1 - 1/n) inside the reference ball.
 
-    A level is P Q_n, Q_n its n x input_m quadrature matrix and P the
-    two-weight prolongation onto the reference grid, so its Gram is
-    Q_n^T (P^T W P) Q_n with P^T W P tridiagonal. The level builder forms
-    it there, from n rows at n input_m^2 flops, and the level keeps it;
-    Q_n is not kept. The reference forms its Gram on its first solve.
+    A level is P Q_n: Q_n, its n x input_m quadrature matrix, is the core,
+    and P the two-weight prolongation onto the reference grid.
     """
     levels = tuple(int(n) for n in levels)
     if max(levels) > m_ref:
@@ -338,18 +411,8 @@ def make_quadrature_family(
         raise GridCompatibilityError("shrinking domains need a norm-ball reference domain")
 
     def build(n: int) -> ForwardOperator:
-        idx, theta = interpolation_weights(grid_nodes(n), grid_nodes(m_ref))
-        # P^T W P: reference node i adds w_i (1 - theta_i)^2 at idx_i,
-        # w_i theta_i^2 at idx_i + 1 and w_i (1 - theta_i) theta_i between them
-        w = trapezoid_weights(m_ref)
-        lower, upper = w * (1.0 - theta), w * theta
-        d = np.bincount(np.concatenate((idx, idx + 1)),
-                        np.concatenate((lower * (1.0 - theta), upper * theta)), minlength=n)
-        e = np.bincount(idx, lower * theta, minlength=n - 1)
         core = _quadrature_matrix(kernel, n, input_m)
-        op = ForwardOperator(interpolate_rows((idx, theta), core), domain_at(n))
-        op._keep_gram(_tridiagonal_gram(core, d, e))
-        return op
+        return ForwardOperator(core, domain_at(n), _prolongation(n, m_ref))
 
     def domain_at(n: int) -> DomainSpec:
         if shrinking_domains:

@@ -86,11 +86,11 @@ class TikhonovObjective:
         return self.problem.value_at(vals)
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
-        pr, a = self.problem, self.problem.operator.matrix
+        pr, op = self.problem, self.problem.operator
         if pr.exponent_p <= 1.0:
             raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
-        r = a @ vals - pr.data_y.values
-        return _gradient(pr, vals, a.T @ (self.w_out * r), lambda: weighted_l2(r, self.w_out))
+        r = op.forward(vals) - pr.data_y.values
+        return _gradient(pr, vals, op.adjoint(self.w_out * r), lambda: weighted_l2(r, self.w_out))
 
     def riesz_gradient(self, vals: np.ndarray) -> np.ndarray:
         return self.coordinate_gradient(vals) / self.w_in
@@ -125,7 +125,7 @@ class _RangeModel:
     def __init__(self, objective: TikhonovObjective):
         pr = objective.problem
         n = pr.operator.input_m
-        tri = _weighted_r(pr.operator.matrix, pr.data_y.values, objective.w_out)
+        tri = _weighted_r(pr.operator, pr.data_y.values, objective.w_out)
         self.problem = pr
         self.r, self.z = tri[:n, :n], tri[:n, n]
         corner = float(tri[n, n]) if tri.shape[0] > n else 0.0
@@ -170,14 +170,13 @@ def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
 
     W and W_X are the trapezoid weights of the output and input grids; x0
     is the penalty shift on the input grid, or 0. A^T W A is the operator's
-    kept Gram: a quadrature level has it from its build, and any other
-    operator forms it here on its first solve.
+    kept Gram, formed on its first solve.
     """
     op, alpha = problem.operator, problem.alpha
     w_in = trapezoid_weights(op.input_m)
     gram = op.gram().copy()
     gram.flat[:: op.input_m + 1] += alpha * w_in
-    rhs = op.matrix.T @ (trapezoid_weights(op.output_m) * problem.data_y.values)
+    rhs = op.adjoint(trapezoid_weights(op.output_m) * problem.data_y.values)
     if problem.penalty.shift is not None:
         rhs = rhs + alpha * w_in * problem.penalty._shift_on(op.input_m).values
     return gram, rhs
@@ -207,7 +206,8 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
             "and an unconstrained domain"
         )
     op = problem.operator
-    if problem.alpha == 0.0 and np.linalg.matrix_rank(op.matrix) < op.input_m:
+    # a prolongation onto a finer grid is injective, so P C has the rank of C
+    if problem.alpha == 0.0 and np.linalg.matrix_rank(op.core) < op.input_m:
         zero = GridFunction(np.zeros(op.input_m))
         return SolveResult(zero, math.inf, 0, "infeasible", math.inf)
 

@@ -241,7 +241,9 @@ def test_fem_family_operators_equal_the_dense_products(potential):
 
 
 def test_fem_reference_prolongation_is_zero_padding():
-    got = fem.fem_operator_matrix(ONE, 255, 33, 257)
+    op = fem.fem_operator_matrix(ONE, 255, 33, 257)
+    assert op.prolong is None  # the output grid is the padded solution's own
+    got = op.matrix
     want = _dense_fem_operator(ONE, 255, 33, 257)
     assert np.array_equal(got[[0, -1]], np.zeros((2, 33)))
     assert np.array_equal(got[1:-1], want[1:-1])

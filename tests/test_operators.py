@@ -17,6 +17,7 @@ from gammareg import (
     KernelSpec,
     NoiseSchedule,
     NormTag,
+    TikhonovProblem,
     constant_kernel,
     from_callable,
     gaussian_kernel,
@@ -38,7 +39,14 @@ from gammareg import (
     uniform_gap,
     whole_space,
 )
-from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
+from gammareg.operators import (
+    _BLOCK_ROWS,
+    _GRAM_ROWS,
+    _quadrature_matrix,
+    _tridiagonal_gram,
+    _weighted_r,
+)
+from gammareg.solvers import TikhonovObjective, _RangeModel, normal_equations
 
 
 # ------------------------------------------------------------- kernels
@@ -111,6 +119,17 @@ def test_operator_matrix_shape_validated():
     assert (op.output_m, op.input_m) == (3, 4)
     with pytest.raises(GridCompatibilityError):
         ForwardOperator(np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "idx, theta", [([0, 2], [0.0, 0.5]), ([-1, 0], [0.0, 0.5]), ([0, 1], [0.0])],
+    ids=["past-the-core", "negative", "unpaired"],
+)
+def test_prolongation_must_fit_the_core(idx, theta):
+    # an interpolation row reads core rows idx and idx + 1
+    ForwardOperator(np.ones((3, 2)), prolong=(np.array([0, 1]), np.array([0.0, 0.5])))
+    with pytest.raises(GridCompatibilityError, match="prolongation"):
+        ForwardOperator(np.ones((3, 2)), prolong=(np.array(idx), np.array(theta)))
 
 
 def test_operator_matrix_is_read_only():
@@ -225,7 +244,60 @@ def test_kept_operator_matrices_are_c_contiguous():
     ops = [quad.reference, fem.reference, identity_operator(5)]
     ops += [family.operator_at(n) for family in (quad, fem) for n in family.levels]
     for op in ops:
-        assert op.matrix.flags.c_contiguous
+        assert op.core.flags.c_contiguous and op.matrix.flags.c_contiguous
+
+
+# A level keeps its core C and its prolongation P; the oracles below form the
+# dense P C through `.matrix` and apply the formulas the factored path avoids.
+# Quadrature levels nest, do not nest, or equal the reference grid; the FEM
+# levels are prolonged from n + 2 nodes onto the 1025 + 2 reference nodes.
+LEVEL_CASES = [("quadrature", m_ref, levels) for m_ref, levels in FAMILY_CASES]
+LEVEL_CASES += [("fem", 16 * 64 + 3, (8, 16, 33, 64))]
+LEVEL_IDS = [f"{kind}-{m_ref}" for kind, m_ref, _ in LEVEL_CASES]
+
+
+def _level_family(kind, m_ref, levels):
+    if kind == "fem":
+        return make_fem_family(lambda t: 1.0 + np.cos(3.0 * t), levels, input_m=65)
+    return make_quadrature_family(KERNELS[-1], levels, m_ref, input_m=65)  # asymmetric
+
+
+@pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
+def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
+    family = _level_family(kind, m_ref, levels)
+    rng = np.random.default_rng(11)
+    for n in levels:
+        op = family.operator_at(n)
+        assert op.output_m == m_ref
+        a, w = op.matrix, trapezoid_weights(m_ref)
+        x, y = rng.standard_normal(op.input_m), rng.standard_normal(m_ref)
+        _assert_rel_close(op.forward(x), a @ x, 1e-13)
+        _assert_rel_close(op.adjoint(w * y), a.T @ (w * y), 1e-13)
+        problem = TikhonovProblem(op, GridFunction(y), alpha=0.1)
+        r = a @ x - y
+        omega = problem.penalty.evaluate(GridFunction(x))
+        value = 0.5 * float(r * r @ w) + 0.1 * omega
+        assert abs(problem.value_at(x) - value) <= 1e-13 * value
+        grad = a.T @ (w * r) + 0.1 * problem.penalty.coordinate_gradient(GridFunction(x))
+        _assert_rel_close(TikhonovObjective(problem).coordinate_gradient(x), grad, 1e-13)
+        _assert_rel_close(normal_equations(problem)[1], a.T @ (w * y), 1e-13)
+
+
+@pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
+def test_range_model_of_a_level_is_the_dense_one_to_the_bit(kind, m_ref, levels):
+    # the range model folds in blocks of `rows`, each the same interpolation
+    # of the same core rows as the matching block of the dense product
+    family = _level_family(kind, m_ref, levels)
+    rng = np.random.default_rng(5)
+    for n in levels:
+        op = family.operator_at(n)
+        y = rng.standard_normal(m_ref)
+        model = _RangeModel(TikhonovObjective(TikhonovProblem(op, GridFunction(y), alpha=0.1)))
+        tri = _weighted_r(ForwardOperator(op.matrix), y, trapezoid_weights(m_ref))
+        k = op.input_m
+        assert model.r.tobytes() == tri[:k, :k].tobytes()
+        assert model.z.tobytes() == tri[:k, k].tobytes()
+        assert model.rho_sq == float(tri[k, k]) ** 2
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():
@@ -376,7 +448,7 @@ def _assemble_traced(build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak, sum(op.matrix.nbytes for op in ops), max(op.matrix.nbytes for op in ops)
+    return peak, sum(op.nbytes for op in ops), max(op.nbytes for op in ops)
 
 
 def test_quadrature_family_memory_follows_kept_operators():
@@ -387,8 +459,7 @@ def test_quadrature_family_memory_follows_kept_operators():
     # Kernel values at one block of quadrature nodes, with up to five live
     # arrays of that size (the previous block, the kernel expression's
     # temporaries), and two operator-sized arrays besides the kept one (the
-    # transposed accumulator or the gather halves, and the C-ordered copy
-    # `ForwardOperator` takes).
+    # transposed accumulator and the C-ordered copy `ForwardOperator` takes).
     bound = kept + 6 * _BLOCK_ROWS * m_ref * F64 + 2 * largest
     assert bound < m_ref * m_ref * F64 / 2  # a dense kernel matrix cannot fit
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
@@ -405,6 +476,20 @@ def test_fem_family_memory_follows_kept_operators():
     bound = kept + 12 * largest
     assert bound < n_ref * n_ref * F64 / 2  # a dense prolongation cannot fit
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def test_a_level_build_forms_no_dense_level():
+    # level 513 keeps a 513 x 513 core and two weights per reference node
+    family = make_quadrature_family(gaussian_kernel(0.2), (513,), 8193, input_m=513)
+    tracemalloc.start()
+    try:
+        op = family.operator_at(513)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 8193 * 513 * F64  # 33.6 MB
+    assert op.nbytes < dense / 10
+    assert peak < dense, f"peak {peak / 1e6:.1f} MB, one dense level {dense / 1e6:.1f} MB"
 
 
 # ------------------------------------------------------------------ Gram
@@ -463,7 +548,6 @@ def test_level_gram_matches_the_dense_weighted_product(m_ref, levels):
     w = trapezoid_weights(m_ref)
     for n in levels:
         op = family.operator_at(n)
-        assert op._gram is not None  # formed with the level, from its n-row core
         gram = op.gram()
         dense = op.matrix.T @ (w[:, None] * op.matrix)
         assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))

@@ -10,6 +10,7 @@ import pytest
 
 from gammareg import (
     AlphaSchedule,
+    ForwardOperator,
     GridCompatibilityError,
     GridFunction,
     NoiseSchedule,
@@ -31,14 +32,17 @@ from gammareg import (
     inf_convergence_study,
     make_approx_sequence,
     make_constant_family,
+    make_fem_family,
     make_quadrature_family,
     minimize_problem,
     norm,
+    norm_ball,
     p_power_norm,
     richardson_limit,
     scaling_invariance_check,
     shifted_half_sq,
     standard_samples,
+    uniform_gap,
 )
 from gammareg import operators, studies
 
@@ -346,3 +350,32 @@ def test_each_operator_forms_its_gram_once(monkeypatch):
     scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
     family = seq.family
     assert formed == Counter((family.reference.output_m,) + family.levels)
+
+
+def test_no_solve_or_evaluation_forms_a_prolonged_level(monkeypatch):
+    # every level below has a prolongation; its dense product may be formed
+    # by an oracle, never by a solve, an evaluation or an apply
+    dense = ForwardOperator.matrix
+
+    def refusing(op):
+        if op.prolong is not None:
+            raise AssertionError("the dense product of a prolonged level was formed")
+        return dense.fget(op)
+
+    monkeypatch.setattr(ForwardOperator, "matrix", property(refusing))
+    seq = build_gaussian_sequence()
+    with pytest.raises(AssertionError, match="dense product"):
+        seq.family.operator_at(seq.levels[0]).matrix
+    inf_convergence_study(seq)
+    samples = standard_samples(65, rho=1.0)
+    equi_coercivity_probe(seq, samples, (0.1, 1.0, 10.0))
+    for n in seq.levels:
+        uniform_gap(seq.family, n, samples)
+
+    family = make_fem_family(lambda t: 1.0 + t, (4, 8, 16), input_m=33, domain=norm_ball(0.05))
+    truth = from_callable(lambda t: np.sin(np.pi * t), 33)
+    target = TikhonovProblem(family.reference, family.reference.apply(truth), alpha=0.01)
+    fem_seq = make_approx_sequence(target, family)
+    assert not fem_seq.problem_at(4).is_linear_quadratic  # a ball: projected gradient
+    eps_minimizer_chain(fem_seq)
+
