@@ -25,6 +25,7 @@ from .grids import (
     weighted_l2,
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, _prolongation, whole_space
+from .operators import _ldl, _ldl_solve
 
 __all__ = [
     "EllipticProblem",
@@ -133,24 +134,12 @@ def assemble(problem: EllipticProblem, n: int) -> TridiagonalSystem:
 
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Thomas elimination; rhs may carry multiple columns."""
-    b = np.array(system.rhs, dtype=float)
-    d = system.diag.copy()
-    n = d.size
-    off = system.off
-    for i in range(1, n):
-        if abs(d[i - 1]) < 1e-300:
-            raise NumericalError("zero pivot in tridiagonal elimination")
-        m = off[i - 1] / d[i - 1]
-        d[i] = d[i] - m * off[i - 1]
-        b[i] = b[i] - m * b[i - 1]
-    if abs(d[n - 1]) < 1e-300:
+    """Solve through the L D L^T factors of the bands; rhs may carry multiple columns.
+    The system may be indefinite, but a pivot below 1e-300 in magnitude raises."""
+    p, r = _ldl(system.diag, system.off)
+    if np.any(np.abs(p) < 1e-300):
         raise NumericalError("zero pivot in tridiagonal elimination")
-    x = np.empty_like(b)
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
-    return x
+    return _ldl_solve(p, r, system.off, system.rhs)
 
 
 def solve_bvp(problem: EllipticProblem, n: int) -> GridFunction:

@@ -10,7 +10,9 @@ output grid so that levels can be compared in the same discrete L2 norm.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,7 +174,7 @@ class ForwardOperator:
         """
         if self.prolong is None:
             return self.core
-        mat = self.rows(slice(None))
+        mat = interpolate_rows(self.prolong, self.core)
         mat.setflags(write=False)
         return mat
 
@@ -186,13 +188,6 @@ class ForwardOperator:
             kept += self._gram.nbytes
         return kept
 
-    def rows(self, rows: slice) -> np.ndarray:
-        """Rows `rows` of `matrix`, formed from the core rows they interpolate."""
-        if self.prolong is None:
-            return self.core[rows]
-        idx, theta = self.prolong
-        return interpolate_rows((idx[rows], theta[rows]), self.core)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """P (C x), nodal values on the output grid."""
         v = self.core @ x
@@ -200,11 +195,15 @@ class ForwardOperator:
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """C^T (P^T v): the transpose applied to nodal values on the output grid."""
-        if self.prolong is not None:
-            idx, theta = self.prolong
-            k = self.core.shape[0]
-            v = np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
-        return self.core.T @ v
+        return self.core.T @ self._restrict(v)
+
+    def _restrict(self, v: np.ndarray) -> np.ndarray:
+        """P^T v: nodal values on the output grid, summed onto the k core rows."""
+        if self.prolong is None:
+            return v
+        idx, theta = self.prolong
+        k = self.core.shape[0]
+        return np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
 
     def gram(self) -> np.ndarray:
         """A^T W A, W the output trapezoid weights; read-only and kept.
@@ -251,67 +250,102 @@ def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperat
 
 
 _BLOCK_ROWS = 64  # quadrature nodes evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
-_GRAM_ROWS = 1024  # operator rows weighted at once by `_tridiagonal_gram`
+_GRAM_ROWS = 1024  # core rows weighted at once by `_tridiagonal_gram` and `_weighted_r`
 
 
 def _row_blocks(m: int, block: int = _BLOCK_ROWS):
     return (slice(i, min(i + block, m)) for i in range(0, m, block))
 
 
+def _ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots p and ratios r of L D L^T, the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e: D = diag(p), L is unit lower bidiagonal with subdiagonal r (last r 0).
+    Callers check p, each for its own condition; after a zero pivot the rest are NaN."""
+    p, r, carry = array("d"), array("d"), 0.0  # raw doubles: no float object per row
+    for di, ei in zip(memoryview(d), chain(memoryview(e), [0.0])):  # last row: no e
+        p.append(pivot := di - carry)
+        r.append(ratio := ei / pivot if pivot else math.nan)
+        carry = ei * ratio
+    return np.frombuffer(p), np.frombuffer(r)
+
+
+def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L D L^T x = b, p, r = `_ldl(d, e)`; b is (k,) or (k, columns), solved in one copy."""
+    x = np.array(b, dtype=float)
+    rows = x.reshape(len(p), -1)  # a view; a row of a vector is one element
+    p, r, e = memoryview(p), memoryview(r), memoryview(e)  # rows index as Python floats
+    for i in range(1, len(p)):  # z = L^-1 b
+        rows[i] -= r[i - 1] * rows[i - 1]
+    rows[-1] /= p[-1]
+    for i in range(len(p) - 2, -1, -1):  # x_i = (z_i - e_i x_{i+1}) / p_i
+        rows[i] -= e[i] * rows[i + 1]
+        rows[i] /= p[i]
+    return x
+
+
+def _positive_ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_ldl(d, e)` of a Gram weight, which must be positive definite."""
+    p, r = _ldl(d, e)
+    if not np.all(p > 0.0):
+        i = int(np.argmin(p > 0.0))
+        raise GridCompatibilityError(
+            f"Gram weight is not positive definite: pivot {p[i]:g} at row {i}"
+        )
+    return p, r
+
+
+def _lt_rows(c: np.ndarray, p: np.ndarray, r: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of sqrt(D) L^T c, row i being sqrt(p_i) (c_i + r_i c_{i+1}); with r = 0
+    (a diagonal weight) it is sqrt(p) c to the bit, but for the sign of a zero."""
+    # rows i + 1; past the last row, "clip" repeats it and r = 0 drops it
+    block = np.take(c, np.arange(rows.start + 1, rows.stop + 1), axis=0, mode="clip")
+    block *= r[rows, None]
+    block += c[rows]
+    block *= np.sqrt(p[rows])[:, None]
+    return block
+
+
 def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """`c.T @ t @ c`, t the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
 
-    t = L D L^T with L unit lower bidiagonal (subdiagonal r) and D the
-    pivots p, so the product is B^T B with row i of B equal to
-    sqrt(p_i) (c_i + r_i c_{i+1}). B is formed a block of rows at a time,
-    and each block product is a symmetric rank-k update, so the sum is
-    exactly symmetric, and the scratch is one block of rows, not a copy of
-    `c`. A diagonal weight (e = 0) has p = d and r = 0, so B is sqrt(d) c
-    to the bit, but for the sign of a zero. A pivot that is not positive
-    (t is not positive definite) raises `GridCompatibilityError`.
+    With t = L D L^T (`_ldl`) it is B^T B, B = sqrt(D) L^T c, formed a block of
+    rows at a time: each block adds a symmetric rank-k update, so the sum is
+    exactly symmetric, and the scratch is one block of rows, not a copy of `c`.
     """
-    pivots, ratios, carry = [], [], 0.0
-    for i, (di, ei) in enumerate(zip(d.tolist(), e.tolist() + [0.0])):  # last row: no e
-        pivot = di - carry
-        if not pivot > 0.0:
-            raise GridCompatibilityError(
-                f"Gram weight is not positive definite: pivot {pivot:g} at row {i}"
-            )
-        pivots.append(pivot)
-        ratios.append(ei / pivot)
-        carry = ei * ratios[-1]
-    sqrt_p, r = np.sqrt(pivots), np.array(ratios)
+    p, r = _positive_ldl(d, e)
     gram = np.zeros((c.shape[1], c.shape[1]))
     for rows in _row_blocks(c.shape[0], _GRAM_ROWS):
-        # rows i + 1; past the last row, "clip" repeats it and r = 0 drops it
-        block = np.take(c, np.arange(rows.start + 1, rows.stop + 1), axis=0, mode="clip")
-        block *= r[rows, None]
-        block += c[rows]
-        block *= sqrt_p[rows, None]
+        block = _lt_rows(c, p, r, rows)
         gram += block.T @ block
         del block  # else the next block is built while this one is alive
     return gram
 
 
-def _weighted_r(op: ForwardOperator, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R factor of the QR of [sqrt(w) A | sqrt(w) y], A = `op.matrix`, folded in over row blocks.
+def _weighted_r(op: ForwardOperator, y: np.ndarray, w: np.ndarray) -> tuple:
+    """R, z, rho^2 with ||A x - y||_W^2 = ||R x - z||^2 + rho^2 for all x; A = P C = `op.matrix`.
 
-    Each step factors the R of the rows so far stacked on the next weighted
-    block of `op.rows` (TSQR), so the scratch is about two blocks of rows,
-    not a copy of A. Q is not formed. The result has min(rows, cols + 1) rows.
+    With P^T W P = L D L^T, B = sqrt(D) L^T C and u = sqrt(D) L^T v, v solving
+    (P^T W P) v = P^T W y, it is ||B x - u||^2 + ||P v - y||_W^2. The QR
+    [[R, z], [0, rho_1]] of [B | u], k core rows, is folded in over blocks of
+    rows (TSQR; Q is not formed), and rho^2 = rho_1^2 + ||P v - y||_W^2; rho_1
+    is 0 when k <= input_m. Without P, v = y: [B | u] is sqrt(W) [A | y].
     """
-    cols = op.input_m + 1
-    sqrt_w = np.sqrt(w)
-    r = np.zeros((0, cols))
-    for rows in _row_blocks(op.output_m, _GRAM_ROWS):
-        top = r.shape[0]
-        stack = np.empty((top + rows.stop - rows.start, cols))
-        stack[:top] = r
-        stack[top:, :-1] = op.rows(rows)
-        stack[top:, -1] = y[rows]
-        stack[top:] *= sqrt_w[rows, None]
-        r = np.linalg.qr(stack, mode="r")
-    return r
+    d, e = op._weight_bands()
+    p, r = _positive_ldl(d, e)
+    v, rho0_sq = y, 0.0
+    if op.prolong is not None:
+        v = _ldl_solve(p, r, e, op._restrict(w * y))
+        residual = interpolate_rows(op.prolong, v) - y
+        rho0_sq = float(residual * residual @ w)
+    m, u = op.input_m, _lt_rows(v[:, None], p, r, slice(0, v.size))
+    tri = np.zeros((0, m + 1))
+    for rows in _row_blocks(v.size, _GRAM_ROWS):
+        # one expression, so no block or stack outlives the QR that reads it
+        tri = np.linalg.qr(
+            np.vstack((tri, np.hstack((_lt_rows(op.core, p, r, rows), u[rows])))), mode="r"
+        )
+    rho1 = float(tri[m, m]) if tri.shape[0] > m else 0.0
+    return tri[:m, :m], tri[:m, m], rho1 * rho1 + rho0_sq
 
 
 def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:

@@ -115,21 +115,16 @@ def _gradient(
 class _RangeModel:
     """Value and gradient of T through the R factor of the weighted operator.
 
-    With [sqrt(W) A | sqrt(W) y] = Q [[R, z], [0, rho]] (W the output
-    weights), ||A x - y||_W^2 = ||R x - z||^2 + rho^2 and A^T W (A x - y)
-    = R^T (R x - z), so both cost input_m^2 flops instead of
-    output_m * input_m. Neither Q nor a solve with R is used, so this holds
-    for a rank-deficient A too.
+    With ||A x - y||_W^2 = ||R x - z||^2 + rho^2 for every x (W the output
+    weights; `operators._weighted_r`), A^T W (A x - y) = R^T (R x - z), so
+    both cost input_m^2 flops instead of output_m * input_m. Neither Q nor a
+    solve with R is used, so this holds for a rank-deficient A too.
     """
 
     def __init__(self, objective: TikhonovObjective):
         pr = objective.problem
-        n = pr.operator.input_m
-        tri = _weighted_r(pr.operator, pr.data_y.values, objective.w_out)
         self.problem = pr
-        self.r, self.z = tri[:n, :n], tri[:n, n]
-        corner = float(tri[n, n]) if tri.shape[0] > n else 0.0
-        self.rho_sq = corner * corner
+        self.r, self.z, self.rho_sq = _weighted_r(pr.operator, pr.data_y.values, objective.w_out)
 
     def _misfit(self, residual: np.ndarray) -> float:
         return math.sqrt(float(residual @ residual) + self.rho_sq)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -721,6 +722,25 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
+
+
+def test_every_traced_attribute_exists():
+    # bench/tracer.py wraps these (module, attribute) pairs by name; a renamed
+    # or removed one would fail only a benchmark run. The file is read, not run.
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr, _, _ in tracer._targets(tracer.Tracer()):
+        owner = importlib.import_module(module)
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 def test_exported_names_are_listed_where_they_are_defined():

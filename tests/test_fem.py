@@ -113,6 +113,19 @@ def test_thomas_solve_accepts_stacked_right_hand_sides():
     assert np.allclose(out[:, 1], 2.0 * out[:, 0], atol=1e-13)
 
 
+def test_thomas_solve_accepts_an_indefinite_system():
+    # pivots 1 and -3: nonzero, so the system is solved though not positive definite
+    system = fem.TridiagonalSystem(np.array([1.0, 1.0]), np.array([2.0]), np.array([3.0, 3.0]))
+    assert np.allclose(thomas_solve(system), [1.0, 1.0], atol=1e-15)
+
+
+def test_thomas_solve_refuses_a_zero_pivot():
+    # the second pivot is 4 - 2 * 2 / 1 = 0 exactly
+    system = fem.TridiagonalSystem(np.array([1.0, 4.0]), np.array([2.0]), np.ones(2))
+    with pytest.raises(NumericalError, match="zero pivot in tridiagonal elimination"):
+        thomas_solve(system)
+
+
 # ---------------------------------------------------------------- solving
 
 

@@ -285,19 +285,34 @@ def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
 
 @pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
 def test_range_model_of_a_level_is_the_dense_one_to_the_bit(kind, m_ref, levels):
-    # the range model folds in blocks of `rows`, each the same interpolation
-    # of the same core rows as the matching block of the dense product
+    # the oracle is the QR of [sqrt(W) A | sqrt(W) y] over the m_ref rows of
+    # the dense product. A level without a prolongation (n = m_ref) folds the
+    # same rows and matches it to the bit; a prolonged level folds its k core
+    # rows, so its R is the same only up to row signs, and [R | z]^T [R | z]
+    # + rho^2 e_kk, the weighted normal product of [A | y], is compared.
     family = _level_family(kind, m_ref, levels)
     rng = np.random.default_rng(5)
     for n in levels:
         op = family.operator_at(n)
         y = rng.standard_normal(m_ref)
         model = _RangeModel(TikhonovObjective(TikhonovProblem(op, GridFunction(y), alpha=0.1)))
-        tri = _weighted_r(ForwardOperator(op.matrix), y, trapezoid_weights(m_ref))
-        k = op.input_m
-        assert model.r.tobytes() == tri[:k, :k].tobytes()
-        assert model.z.tobytes() == tri[:k, k].tobytes()
-        assert model.rho_sq == float(tri[k, k]) ** 2
+        r, z, rho_sq = _weighted_r(ForwardOperator(op.matrix), y, trapezoid_weights(m_ref))
+        if op.prolong is None:
+            assert model.r.tobytes() == r.tobytes()
+            assert model.z.tobytes() == z.tobytes()
+            assert model.rho_sq == rho_sq
+        else:
+            _assert_rel_close(
+                _normal_product(model.r, model.z, model.rho_sq), _normal_product(r, z, rho_sq),
+                1e-13,
+            )
+
+
+def _normal_product(r, z, rho_sq):
+    rz = np.column_stack((r, z))
+    product = rz.T @ rz
+    product[-1, -1] += rho_sq
+    return product
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():

@@ -362,12 +362,18 @@ def _gradient_mapping(problem, x):
 
 def test_a_model_without_rho_is_caught_at_the_minimizer(monkeypatch):
     # data far outside the range of a smoothing operator, so rho is as large
-    # as the misfit inside the range; for p = 3 it scales the gradient
-    op = make_quadrature_family(gaussian_kernel(0.6), (17,), 65, input_m=17).reference
+    # as the misfit inside the range; for p = 3 it scales the gradient. The
+    # level's 17 core rows leave no QR corner: its rho is rho_0 alone.
+    family = make_quadrature_family(gaussian_kernel(0.6), (17,), 65, input_m=17)
     y = GridFunction(np.random.default_rng(7).standard_normal(65))
-    problem = TikhonovProblem(op, y, alpha=0.1, exponent_p=3.0)
+    problems = [
+        TikhonovProblem(op, y, alpha=0.1, exponent_p=3.0)
+        for op in (family.reference, family.operator_at(17))
+    ]
+    assert problems[1].operator.prolong is not None
     x0, config = GridFunction(np.zeros(17)), SolveConfig(max_iter=2000, grad_tol=1e-9)
-    assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) < 1e-8
+    for problem in problems:
+        assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) < 1e-8
 
     class WithoutRho(_RangeModel):
         def __init__(self, objective):
@@ -375,7 +381,29 @@ def test_a_model_without_rho_is_caught_at_the_minimizer(monkeypatch):
             self.rho_sq = 0.0
 
     monkeypatch.setattr(solvers, "_RangeModel", WithoutRho)
-    assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) > 1e-4
+    for problem in problems:
+        assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) > 1e-4
+
+
+def test_range_model_of_a_level_keeps_only_its_core_rows():
+    # the QR runs over the level's k core rows, not the m_ref reference rows
+    family = make_quadrature_family(gaussian_kernel(0.2), (9,), 8193, input_m=513)
+    op = family.operator_at(9)
+    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(513))), alpha=0.1)
+    objective = TikhonovObjective(problem)
+    tracemalloc.start()
+    try:
+        _RangeModel(objective)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the R factor (at most input_m + 1 rows) stacked on the k core rows and
+    # numpy's copy of that stack inside the QR; a dozen vectors on the
+    # reference grid: data, weights, P v, the residual and their products
+    k, cols = op.core.shape[0], op.input_m + 1
+    bound = 2 * (k + cols) * cols * 8 + 12 * op.output_m * 8
+    assert bound < 2 * _GRAM_ROWS * cols * 8  # a fold over reference rows cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 # ----------------------------------------------------------- gradient check
