@@ -16,6 +16,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridCompatibilityError
 from .grids import (
@@ -54,24 +55,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Continuous kernel K(s, t) on [0,1]^2, evaluated with broadcasting."""
+    """Continuous kernel K(s, t) on [0,1]^2, evaluated with broadcasting.
+
+    An optional `profile` k marks a stationary kernel, K(s, t) = k(s - t),
+    evaluated elementwise on an array of offsets. On a uniform grid such a
+    kernel has one value per node offset, so quadrature evaluates k at the
+    2 quad_m - 1 offsets instead of K at quad_m^2 node pairs. The profile must
+    agree with the evaluator on the 5 x 5 probe, to 1e-12 of its largest value.
+    """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         probe = np.linspace(0.0, 1.0, 5)
-        vals = np.asarray(self.evaluator(probe[None, :], probe[:, None]), dtype=float)
+        s, t = probe[None, :], probe[:, None]
+        vals = np.asarray(self.evaluator(s, t), dtype=float)
         if vals.shape != (5, 5) or not np.all(np.isfinite(vals)):
             raise GridCompatibilityError(
                 f"kernel {self.label!r} must evaluate finitely on [0,1]^2 "
                 "with numpy broadcasting"
             )
+        if self.profile is not None:
+            prof = np.asarray(self.profile(s - t), dtype=float)
+            if prof.shape != (5, 5) or not np.max(abs(prof - vals)) <= 1e-12 * np.max(abs(vals)):
+                raise GridCompatibilityError(
+                    f"kernel {self.label!r}: profile k(s - t) disagrees with K(s, t)"
+                )
+
+
+def _stationary(profile: Callable[[np.ndarray], np.ndarray], label: str) -> KernelSpec:
+    """K(s, t) = profile(s - t), evaluator and profile from one formula."""
+    return KernelSpec(lambda s, t: profile(s - t), label, profile)
 
 
 def constant_kernel(kappa: float = 1.0) -> KernelSpec:
-    return KernelSpec(lambda s, t: np.broadcast_to(float(kappa), np.broadcast(s, t).shape).copy(),
-                      f"constant({kappa})")
+    return _stationary(lambda d: np.full(np.shape(d), float(kappa)), f"constant({kappa})")
 
 
 def separable_kernel() -> KernelSpec:
@@ -81,9 +101,7 @@ def separable_kernel() -> KernelSpec:
 def gaussian_kernel(sigma: float) -> KernelSpec:
     if sigma <= 0:
         raise GridCompatibilityError("gaussian kernel needs sigma > 0")
-    return KernelSpec(
-        lambda s, t: np.exp(-((s - t) ** 2) / sigma**2), f"gaussian({sigma})"
-    )
+    return _stationary(lambda d: np.exp(-(d**2) / sigma**2), f"gaussian({sigma})")
 
 
 @dataclass(frozen=True)
@@ -284,8 +302,9 @@ def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np
 
 
 def _positive_ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_ldl(d, e)` of a Gram weight, which must be positive definite."""
-    p, r = _ldl(d, e)
+    """`_ldl(d, e)` of a Gram weight, which must be positive definite; a diagonal
+    weight (no nonzero e) is its own factor, p = d and r = 0, with no elimination."""
+    p, r = _ldl(d, e) if np.any(e) else (d, np.zeros(len(d)))
     if not np.all(p > 0.0):
         i = int(np.argmin(p > 0.0))
         raise GridCompatibilityError(
@@ -368,15 +387,25 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     w_j (1 - theta_j) and w_j theta_j. With input_m = quad_m those weights
     are exactly 1 and 0, so `integral_matrix` is K(s_j, s_i) w_j to the bit.
 
-    Cost: one kernel evaluation at quad_m^2 points and 2 c quad_m^2 flops,
-    c the input nodes a block spans (about _BLOCK_ROWS (input_m - 1) /
-    (quad_m - 1) + 2; 6 at 8193 x 513). Scratch is a few kernel blocks,
-    O(_BLOCK_ROWS * quad_m); no quad_m x quad_m array is formed. The result
-    is the F-ordered transpose of the accumulator.
+    A stationary kernel, K(s_j, s_i) = k(s_j - s_i), is evaluated once on the
+    2 quad_m - 1 node offsets (-s[:0:-1], s); with that vector reversed, row j
+    of G is its window of quad_m values that starts at quad_m - 1 - j, so a
+    block of G is a row gather. On 2^k + 1 grids the node differences are
+    exact, and G is the evaluator's to the bit.
+
+    Cost: the kernel at 2 quad_m - 1 offsets if it is stationary, else at
+    quad_m^2 points, and 2 c quad_m^2 flops, c the input nodes a block spans
+    (about _BLOCK_ROWS (input_m - 1) / (quad_m - 1) + 2; 6 at 8193 x 513).
+    Scratch is a few kernel blocks, O(_BLOCK_ROWS * quad_m); no
+    quad_m x quad_m array is formed. The result is the F-ordered transpose of
+    the accumulator.
     """
     s = grid_nodes(quad_m)
     w = trapezoid_weights(quad_m)
     idx, theta = interpolation_weights(grid_nodes(input_m), s)
+    if kernel.profile is not None:
+        k = np.asarray(kernel.profile(np.concatenate((-s[:0:-1], s))), dtype=float)
+        windows = sliding_window_view(k[::-1].copy(), quad_m)
     at = np.zeros((input_m, quad_m))
     for js in _row_blocks(quad_m):
         first = idx[js.start]
@@ -385,7 +414,10 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
         p[idx[js] - first, cols] = w[js] * (1.0 - theta[js])
         p[idx[js] + 1 - first, cols] += w[js] * theta[js]
         # no `del g` before this: freeing the block first made it ~2x slower
-        g = np.asarray(kernel.evaluator(s[js, None], s[None, :]), dtype=float)
+        if kernel.profile is None:
+            g = np.asarray(kernel.evaluator(s[js, None], s[None, :]), dtype=float)
+        else:
+            g = windows[quad_m - 1 - js.start - cols]
         at[first : first + p.shape[0]] += p @ g
     return at.T
 

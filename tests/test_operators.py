@@ -221,21 +221,75 @@ def _assert_rel_close(got, want, rtol):
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
 @pytest.mark.parametrize("m_ref, levels", FAMILY_CASES)
 def test_family_operators_equal_the_dense_products(kernel, m_ref, levels):
-    # the dense formulas the family assembly avoids, kept here as the oracle
+    # the dense formulas the family assembly avoids, kept here as the oracle;
+    # the oracle's kernel has no profile, so it evaluates K at every node pair
     family = make_quadrature_family(kernel, levels, m_ref, input_m=65)
-    ref = integral_matrix(kernel, m_ref) @ resample_matrix(65, m_ref)
+    pointwise = KernelSpec(kernel.evaluator, kernel.label)
+    ref = integral_matrix(pointwise, m_ref) @ resample_matrix(65, m_ref)
     _assert_rel_close(family.reference.matrix, ref, 1e-13)
     for n in levels:
-        dense = resample_matrix(n, m_ref) @ integral_matrix(kernel, n) @ resample_matrix(65, n)
+        dense = resample_matrix(n, m_ref) @ integral_matrix(pointwise, n) @ resample_matrix(65, n)
         _assert_rel_close(family.operator_at(n).matrix, dense, 1e-13)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
 @pytest.mark.parametrize("quad_m, input_m", [(9, 65), (100, 7)])
 def test_quadrature_matrix_equals_the_dense_product(kernel, quad_m, input_m):
-    # quadrature coarser than the input, and grids that do not nest
-    dense = integral_matrix(kernel, quad_m) @ resample_matrix(input_m, quad_m)
+    # quadrature coarser than the input, and grids that do not nest; the
+    # oracle's kernel has no profile, so it evaluates K at every node pair
+    pointwise = KernelSpec(kernel.evaluator, kernel.label)
+    dense = integral_matrix(pointwise, quad_m) @ resample_matrix(input_m, quad_m)
     _assert_rel_close(_quadrature_matrix(kernel, quad_m, input_m), dense, 1e-13)
+
+
+# A stationary kernel K(s, t) = k(s - t) is evaluated once per node offset.
+# On 2^k + 1 grids the offsets are the node differences exactly; elsewhere
+# they may differ from them by an ulp, and so may the kernel values.
+STATIONARY = [gaussian_kernel(0.2), constant_kernel(1.5)]
+
+
+@pytest.mark.parametrize("kernel", STATIONARY, ids=lambda k: k.label)
+@pytest.mark.parametrize("quad_m, input_m", [(257, 17), (2049, 65), (8193, 513)])
+def test_stationary_kernel_matrix_is_the_pointwise_one_to_the_bit(kernel, quad_m, input_m):
+    pointwise = _quadrature_matrix(KernelSpec(kernel.evaluator, kernel.label), quad_m, input_m)
+    assert _quadrature_matrix(kernel, quad_m, input_m).tobytes() == pointwise.tobytes()
+
+
+@pytest.mark.parametrize("kernel", STATIONARY, ids=lambda k: k.label)
+@pytest.mark.parametrize("quad_m, input_m", [(1000, 65), (100, 7)])
+def test_stationary_kernel_matrix_is_the_pointwise_one_off_dyadic_grids(kernel, quad_m, input_m):
+    pointwise = _quadrature_matrix(KernelSpec(kernel.evaluator, kernel.label), quad_m, input_m)
+    _assert_rel_close(_quadrature_matrix(kernel, quad_m, input_m), pointwise, 1e-14)
+
+
+def test_stationary_kernel_integrates_over_the_first_kernel_argument():
+    # K(s, t) = k(s - t), k(d) = exp(d) + d: with x = 1, (Fx)(t) is the
+    # integral of exp(s - t) + s - t over s, (e - 1) exp(-t) + 1/2 - t; read
+    # as k(t - s) it would be (1 - 1/e) exp(t) + t - 1/2
+    def k(d):
+        return np.exp(d) + d
+
+    kernel = KernelSpec(lambda s, t: k(s - t), "exp-plus-offset", k)
+    t = grid_nodes(257)
+    out = integral_matrix(kernel, 257) @ np.ones(257)
+    # the trapezoid error is h^2 / 12 times the integrand's derivative jump, below 1e-5
+    assert np.allclose(out, (np.e - 1.0) * np.exp(-t) + 0.5 - t, rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "evaluator, profile",
+    [
+        (gaussian_kernel(0.2).evaluator, lambda d: np.exp(-d)),
+        (lambda s, t: np.exp(s - t), lambda d: np.exp(-d)),  # k(t - s), the sign flipped
+        (lambda s, t: np.exp(s - t), lambda d: np.exp(d) * (1.0 + 1e-9)),
+        (constant_kernel(1.5).evaluator, lambda d: 1.5),  # a scalar, not elementwise
+        (lambda s, t: 0.0 * (s - t), lambda d: np.where(d == 0.0, np.nan, 0.0)),
+    ],
+    ids=["other-formula", "flipped", "1e-9-off", "scalar", "nan"],
+)
+def test_a_profile_that_disagrees_with_its_kernel_is_refused(evaluator, profile):
+    with pytest.raises(GridCompatibilityError, match="profile"):
+        KernelSpec(evaluator, "disagreeing", profile)
 
 
 def test_kept_operator_matrices_are_c_contiguous():
