@@ -7,205 +7,21 @@ solvers with closed-form cross-checks, and studies that turn
 Gamma-convergence statements into finite computations with verdicts.
 """
 
-from .config import (
-    ProblemSpec,
-    RunSpec,
-    ScheduleSpec,
-    StudySpec,
-    build_family,
-    build_sequence,
-    build_target,
-    load_config,
-    parse_config,
-    resolve_potential,
-    truth_profile,
-)
-from .errors import (
-    ConfigError,
-    EllipticityError,
-    GridCompatibilityError,
-    InconsistentDataError,
-    NumericalError,
-    ResolutionError,
-    StudyRefusal,
-    UnsupportedPenaltyError,
-)
-from .fem import (
-    EllipticProblem,
-    RateStudy,
-    assemble,
-    l2_error_vs_exact,
-    make_fem_family,
-    rate_study,
-    solve_bvp,
-    thomas_solve,
-)
-from .functionals import (
-    AlphaSchedule,
-    ApproxSequence,
-    NoiseSchedule,
-    PenaltySpec,
-    TikhonovProblem,
-    eval_T,
-    eval_Tn,
-    half_sq_l2,
-    is_eps_minimizer,
-    linf_penalty,
-    make_approx_sequence,
-    noise_direction,
-    p_power_norm,
-    shifted_half_sq,
-)
-from .grids import (
-    GridFunction,
-    NormTag,
-    from_callable,
-    grid_nodes,
-    norm,
-    resample,
-    resample_matrix,
-    trapezoid_weights,
-)
-from .operators import (
-    DomainSpec,
-    ForwardOperator,
-    KernelSpec,
-    OperatorFamily,
-    constant_kernel,
-    gaussian_kernel,
-    identity_operator,
-    integral_matrix,
-    make_constant_family,
-    make_quadrature_family,
-    membership,
-    norm_ball,
-    norm_ball_nonneg,
-    separable_kernel,
-    standard_samples,
-    uniform_gap,
-    whole_space,
-)
-from .solvers import (
-    SolveConfig,
-    SolveResult,
-    grad_check,
-    min_penalty_solution,
-    minimize_problem,
-    projected_gradient,
-    solve_linear_quadratic,
-)
-from .studies import (
-    AlphaZeroReport,
-    CoercivityProbe,
-    EpsChainReport,
-    GammaEstimate,
-    InfConvergenceReport,
-    ScalingReport,
-    alpha_zero_study,
-    eps_minimizer_chain,
-    equi_coercivity_probe,
-    estimate_gamma_limits,
-    inf_convergence_study,
-    richardson_limit,
-    scaling_invariance_check,
-)
+from . import config, errors, fem, functionals, grids, operators, solvers, studies
+from .config import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .fem import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
+from .studies import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ConfigError",
-    "EllipticityError",
-    "GridCompatibilityError",
-    "InconsistentDataError",
-    "NumericalError",
-    "ResolutionError",
-    "StudyRefusal",
-    "UnsupportedPenaltyError",
-    # grids
-    "GridFunction",
-    "NormTag",
-    "from_callable",
-    "grid_nodes",
-    "norm",
-    "resample",
-    "resample_matrix",
-    "trapezoid_weights",
-    # operators
-    "DomainSpec",
-    "ForwardOperator",
-    "KernelSpec",
-    "OperatorFamily",
-    "constant_kernel",
-    "gaussian_kernel",
-    "identity_operator",
-    "integral_matrix",
-    "make_constant_family",
-    "make_quadrature_family",
-    "membership",
-    "norm_ball",
-    "norm_ball_nonneg",
-    "separable_kernel",
-    "standard_samples",
-    "uniform_gap",
-    "whole_space",
-    # fem
-    "EllipticProblem",
-    "RateStudy",
-    "assemble",
-    "l2_error_vs_exact",
-    "make_fem_family",
-    "rate_study",
-    "solve_bvp",
-    "thomas_solve",
-    # functionals
-    "AlphaSchedule",
-    "ApproxSequence",
-    "NoiseSchedule",
-    "PenaltySpec",
-    "TikhonovProblem",
-    "eval_T",
-    "eval_Tn",
-    "half_sq_l2",
-    "is_eps_minimizer",
-    "linf_penalty",
-    "make_approx_sequence",
-    "noise_direction",
-    "p_power_norm",
-    "shifted_half_sq",
-    # config
-    "ProblemSpec",
-    "RunSpec",
-    "ScheduleSpec",
-    "StudySpec",
-    "build_family",
-    "build_sequence",
-    "build_target",
-    "load_config",
-    "parse_config",
-    "resolve_potential",
-    "truth_profile",
-    # solvers
-    "SolveConfig",
-    "SolveResult",
-    "grad_check",
-    "min_penalty_solution",
-    "minimize_problem",
-    "projected_gradient",
-    "solve_linear_quadratic",
-    # studies
-    "AlphaZeroReport",
-    "CoercivityProbe",
-    "EpsChainReport",
-    "GammaEstimate",
-    "InfConvergenceReport",
-    "ScalingReport",
-    "alpha_zero_study",
-    "eps_minimizer_chain",
-    "equi_coercivity_probe",
-    "estimate_gamma_limits",
-    "inf_convergence_study",
-    "richardson_limit",
-    "scaling_invariance_check",
+# each module's __all__ is its one list of public names
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, grids, operators, fem, functionals, config, solvers, studies)
+    for name in module.__all__
 ]

@@ -63,8 +63,6 @@ __all__ = [
     "build_sequence",
     "truth_profile",
     "resolve_potential",
-    "POTENTIALS",
-    "DEFAULT_LEVELS",
 ]
 
 STUDY_KINDS = (

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GridCompatibilityError",
+    "EllipticityError",
+    "UnsupportedPenaltyError",
+    "ResolutionError",
+    "NumericalError",
+    "InconsistentDataError",
+    "StudyRefusal",
+    "ConfigError",
+]
+
 
 class GridCompatibilityError(ValueError):
     """Grids, norm tags, or shapes that do not fit together."""

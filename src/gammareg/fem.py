@@ -29,11 +29,9 @@ from .operators import _ldl, _ldl_solve
 
 __all__ = [
     "EllipticProblem",
-    "TridiagonalSystem",
     "assemble",
     "thomas_solve",
     "solve_bvp",
-    "fem_operator_matrix",
     "make_fem_family",
     "l2_error_vs_exact",
     "rate_study",

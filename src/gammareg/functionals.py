@@ -32,7 +32,6 @@ __all__ = [
     "linf_penalty",
     "shifted_half_sq",
     "TikhonovProblem",
-    "linear_quadratic",
     "AlphaSchedule",
     "NoiseSchedule",
     "ApproxSequence",

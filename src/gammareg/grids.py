@@ -22,12 +22,8 @@ __all__ = [
     "GridFunction",
     "grid_nodes",
     "trapezoid_weights",
-    "weighted_l2",
     "norm",
     "resample",
-    "interpolation_weights",
-    "interpolation_matrix",
-    "interpolate_rows",
     "resample_matrix",
     "from_callable",
 ]

@@ -302,9 +302,8 @@ def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np
 
 
 def _positive_ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_ldl(d, e)` of a Gram weight, which must be positive definite; a diagonal
-    weight (no nonzero e) is its own factor, p = d and r = 0, with no elimination."""
-    p, r = _ldl(d, e) if np.any(e) else (d, np.zeros(len(d)))
+    """`_ldl(d, e)` of a Gram weight, which must be positive definite."""
+    p, r = _ldl(d, e)
     if not np.all(p > 0.0):
         i = int(np.argmin(p > 0.0))
         raise GridCompatibilityError(

@@ -28,8 +28,6 @@ from .operators import DomainSpec, ForwardOperator, _weighted_r, membership
 __all__ = [
     "SolveConfig",
     "SolveResult",
-    "TikhonovObjective",
-    "normal_equations",
     "solve_linear_quadratic",
     "projected_gradient",
     "minimize_problem",

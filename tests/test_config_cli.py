@@ -745,7 +745,8 @@ def test_every_traced_attribute_exists():
 
 def test_exported_names_are_listed_where_they_are_defined():
     # one list of public names per module: what the package exports, the
-    # module that defines it lists too
+    # module that defines it lists too, and what a library module lists, the
+    # package exports, once
     unlisted = []
     for name in gammareg.__all__:
         if name == "__version__":
@@ -754,3 +755,11 @@ def test_exported_names_are_listed_where_they_are_defined():
         if hasattr(module, "__all__") and name not in module.__all__:
             unlisted.append(f"{module.__name__}.{name}")
     assert unlisted == []
+    unexported = []
+    for info in pkgutil.iter_modules(gammareg.__path__):
+        if info.name == "cli":  # the command line, not the library
+            continue
+        module = importlib.import_module(f"gammareg.{info.name}")
+        unexported += [f"{info.name}.{n}" for n in module.__all__ if n not in gammareg.__all__]
+    assert unexported == []
+    assert len(gammareg.__all__) == len(set(gammareg.__all__))
