@@ -400,12 +400,13 @@ def parse_config(text: str) -> RunSpec:
     tol_default = {
         "inf-study": INF_STUDY_TOL, "alpha-zero": ALPHA_ZERO_TOL, "eps-chain": EPS_CHAIN_TOL
     }.get(kind)
-    tol_text = col.raw("study", "tol") if parser.has_section("study") else None
-    tol = (
-        col.number("study", "tol", tol_default or 0.0, positive=True)
-        if tol_text is not None
-        else tol_default
-    )
+    tol = tol_default
+    if parser.has_section("study") and col.raw("study", "tol") is not None:
+        if tol_default is None:
+            col.complain("study", "tol", f"kind {kind} has no tolerance; "
+                         "inf-study, eps-chain and alpha-zero read it")
+        else:
+            tol = col.number("study", "tol", tol_default, positive=True)
 
     # Fallbacks come from the spec dataclasses, so each default is written once.
     d = StudySpec(kind)

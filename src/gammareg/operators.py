@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridCompatibilityError
+from .errors import GridCompatibilityError, NumericalError
 from .grids import (
     GridFunction,
     NormTag,
@@ -213,26 +213,29 @@ class ForwardOperator:
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """C^T (P^T v): the transpose applied to nodal values on the output grid."""
-        return self.core.T @ self._restrict(v)
-
-    def _restrict(self, v: np.ndarray) -> np.ndarray:
-        """P^T v: nodal values on the output grid, summed onto the k core rows."""
-        if self.prolong is None:
-            return v
-        idx, theta = self.prolong
-        k = self.core.shape[0]
-        return np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
+        if self.prolong is not None:  # P^T v sums the output nodes onto the k core rows
+            idx, theta = self.prolong
+            k = self.core.shape[0]
+            v = np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
+        return self.core.T @ v
 
     def gram(self) -> np.ndarray:
         """A^T W A, W the output trapezoid weights; read-only and kept.
 
-        Solves on the same operator differ only in alpha W_X and the right
-        side, so the operator keeps this input_m x input_m product, formed
-        on the first call as C^T (P^T W P) C from the k core rows in blocks
-        of 1024. P^T W P is tridiagonal; without a prolongation it is W.
+        Both solvers read it, and solves on the same operator differ only in
+        alpha W_X and the right side, so the operator keeps this input_m x
+        input_m product, formed on the first call as C^T (P^T W P) C from the
+        k core rows in blocks of 1024. P^T W P is tridiagonal; without a
+        prolongation it is W. Once formed, G 1 must match A^T (W (A 1)) to
+        1e-10 of ||G||_inf (a scale that holds when A 1 = 0), else NumericalError.
         """
         if self._gram is None:
             gram = _tridiagonal_gram(self.core, *self._weight_bands())
+            ones = np.ones(self.input_m)
+            through_a = self.adjoint(trapezoid_weights(self.output_m) * self.forward(ones))
+            gap = float(np.max(np.abs(gram @ ones - through_a)))
+            if not gap <= 1e-10 * float(np.max(np.abs(gram).sum(axis=1))):
+                raise NumericalError(f"Gram check: G 1 is off A^T W A 1 by {gap:.2e}")
             gram.setflags(write=False)
             object.__setattr__(self, "_gram", gram)
         return self._gram
@@ -268,7 +271,7 @@ def identity_operator(m: int, domain: DomainSpec | None = None) -> ForwardOperat
 
 
 _BLOCK_ROWS = 64  # quadrature nodes evaluated at once: O(_BLOCK_ROWS * quad_m) scratch
-_GRAM_ROWS = 1024  # core rows weighted at once by `_tridiagonal_gram` and `_weighted_r`
+_GRAM_ROWS = 1024  # core rows weighted at once by `_tridiagonal_gram`
 
 
 def _row_blocks(m: int, block: int = _BLOCK_ROWS):
@@ -301,69 +304,32 @@ def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np
     return x
 
 
-def _positive_ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_ldl(d, e)` of a Gram weight, which must be positive definite."""
+def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """`c.T @ t @ c`, t the symmetric positive definite tridiagonal matrix with diagonal d
+    and off-diagonal e.
+
+    With t = L D L^T (`_ldl`) it is B^T B, B = sqrt(D) L^T c, row i of B being
+    sqrt(p_i) (c_i + r_i c_{i+1}); with r = 0 (a diagonal t) that is sqrt(p) c
+    to the bit, but for the sign of a zero. B is formed a block of rows at a
+    time: each block adds a symmetric rank-k update, so the sum is exactly
+    symmetric, and the scratch is one block of rows, not a copy of `c`.
+    """
     p, r = _ldl(d, e)
     if not np.all(p > 0.0):
         i = int(np.argmin(p > 0.0))
         raise GridCompatibilityError(
             f"Gram weight is not positive definite: pivot {p[i]:g} at row {i}"
         )
-    return p, r
-
-
-def _lt_rows(c: np.ndarray, p: np.ndarray, r: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of sqrt(D) L^T c, row i being sqrt(p_i) (c_i + r_i c_{i+1}); with r = 0
-    (a diagonal weight) it is sqrt(p) c to the bit, but for the sign of a zero."""
-    # rows i + 1; past the last row, "clip" repeats it and r = 0 drops it
-    block = np.take(c, np.arange(rows.start + 1, rows.stop + 1), axis=0, mode="clip")
-    block *= r[rows, None]
-    block += c[rows]
-    block *= np.sqrt(p[rows])[:, None]
-    return block
-
-
-def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """`c.T @ t @ c`, t the symmetric tridiagonal matrix with diagonal d and off-diagonal e.
-
-    With t = L D L^T (`_ldl`) it is B^T B, B = sqrt(D) L^T c, formed a block of
-    rows at a time: each block adds a symmetric rank-k update, so the sum is
-    exactly symmetric, and the scratch is one block of rows, not a copy of `c`.
-    """
-    p, r = _positive_ldl(d, e)
     gram = np.zeros((c.shape[1], c.shape[1]))
     for rows in _row_blocks(c.shape[0], _GRAM_ROWS):
-        block = _lt_rows(c, p, r, rows)
+        # rows i + 1; past the last row, "clip" repeats it and r = 0 drops it
+        block = np.take(c, np.arange(rows.start + 1, rows.stop + 1), axis=0, mode="clip")
+        block *= r[rows, None]
+        block += c[rows]
+        block *= np.sqrt(p[rows])[:, None]
         gram += block.T @ block
         del block  # else the next block is built while this one is alive
     return gram
-
-
-def _weighted_r(op: ForwardOperator, y: np.ndarray, w: np.ndarray) -> tuple:
-    """R, z, rho^2 with ||A x - y||_W^2 = ||R x - z||^2 + rho^2 for all x; A = P C = `op.matrix`.
-
-    With P^T W P = L D L^T, B = sqrt(D) L^T C and u = sqrt(D) L^T v, v solving
-    (P^T W P) v = P^T W y, it is ||B x - u||^2 + ||P v - y||_W^2. The QR
-    [[R, z], [0, rho_1]] of [B | u], k core rows, is folded in over blocks of
-    rows (TSQR; Q is not formed), and rho^2 = rho_1^2 + ||P v - y||_W^2; rho_1
-    is 0 when k <= input_m. Without P, v = y: [B | u] is sqrt(W) [A | y].
-    """
-    d, e = op._weight_bands()
-    p, r = _positive_ldl(d, e)
-    v, rho0_sq = y, 0.0
-    if op.prolong is not None:
-        v = _ldl_solve(p, r, e, op._restrict(w * y))
-        residual = interpolate_rows(op.prolong, v) - y
-        rho0_sq = float(residual * residual @ w)
-    m, u = op.input_m, _lt_rows(v[:, None], p, r, slice(0, v.size))
-    tri = np.zeros((0, m + 1))
-    for rows in _row_blocks(v.size, _GRAM_ROWS):
-        # one expression, so no block or stack outlives the QR that reads it
-        tri = np.linalg.qr(
-            np.vstack((tri, np.hstack((_lt_rows(op.core, p, r, rows), u[rows])))), mode="r"
-        )
-    rho1 = float(tri[m, m]) if tri.shape[0] > m else 0.0
-    return tri[:m, :m], tri[:m, m], rho1 * rho1 + rho0_sq
 
 
 def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:

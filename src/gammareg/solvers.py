@@ -4,7 +4,10 @@ All gradients keep the discrete L2 geometry explicit. The coordinate
 gradient of 0.5 ||Ax - y||_W^2 is A^T W (Ax - y); dividing by the input
 weights gives the Riesz representative, which is what descent steps and
 norm-ball projections use so that radial scaling is the exact metric
-projection.
+projection. Both solvers read one description of an operator, its kept
+Gram A^T W A: the closed form solves with it, and projected gradient
+takes its values and gradients from it before each step is confirmed on
+the full formula.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (
 )
 from .functionals import TikhonovProblem, _power, eval_T
 from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
-from .operators import DomainSpec, ForwardOperator, _weighted_r, membership
+from .operators import DomainSpec, ForwardOperator, membership
 
 __all__ = [
     "SolveConfig",
@@ -90,9 +93,6 @@ class TikhonovObjective:
         r = op.forward(vals) - pr.data_y.values
         return _gradient(pr, vals, op.adjoint(self.w_out * r), lambda: weighted_l2(r, self.w_out))
 
-    def riesz_gradient(self, vals: np.ndarray) -> np.ndarray:
-        return self.coordinate_gradient(vals) / self.w_in
-
 
 def _gradient(
     problem: TikhonovProblem, vals: np.ndarray, half_sq: np.ndarray, misfit: Callable[[], float]
@@ -110,31 +110,32 @@ def _gradient(
     return g
 
 
-class _RangeModel:
-    """Value and gradient of T through the R factor of the weighted operator.
+class _GramModel:
+    """Value and gradient of T through the operator's kept Gram G = A^T W A.
 
-    With ||A x - y||_W^2 = ||R x - z||^2 + rho^2 for every x (W the output
-    weights; `operators._weighted_r`), A^T W (A x - y) = R^T (R x - z), so
-    both cost input_m^2 flops instead of output_m * input_m. Neither Q nor a
-    solve with R is used, so this holds for a rank-deficient A too.
+    With b = A^T W y, ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
+    A^T W (A x - y) = G x - b (W the output weights), so both cost input_m^2
+    flops instead of output_m * input_m, from the Gram the closed form reads.
     """
 
     def __init__(self, objective: TikhonovObjective):
         pr = objective.problem
+        y, w = pr.data_y.values, objective.w_out
         self.problem = pr
-        self.r, self.z, self.rho_sq = _weighted_r(pr.operator, pr.data_y.values, objective.w_out)
+        self.gram = pr.operator.gram()
+        self.b = pr.operator.adjoint(w * y)
+        self.y_sq = float(y * y @ w)
 
-    def _misfit(self, residual: np.ndarray) -> float:
-        return math.sqrt(float(residual @ residual) + self.rho_sq)
+    def _misfit(self, vals: np.ndarray, half_sq: np.ndarray) -> float:
+        """||A x - y||_W from x and its G x - b; rounding below 0 reads as 0."""
+        return math.sqrt(max(float(vals @ (half_sq - self.b)) + self.y_sq, 0.0))
 
     def value_at(self, vals: np.ndarray) -> float:
-        return self.problem._value(self._misfit(self.r @ vals - self.z), vals)
+        return self.problem._value(self._misfit(vals, self.gram @ vals - self.b), vals)
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
-        residual = self.r @ vals - self.z
-        return _gradient(
-            self.problem, vals, self.r.T @ residual, lambda: self._misfit(residual)
-        )
+        half_sq = self.gram @ vals - self.b
+        return _gradient(self.problem, vals, half_sq, lambda: self._misfit(vals, half_sq))
 
 
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -215,15 +216,10 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
                 f"normal equations residual {residual:.2e} exceeds 1e-10 relative"
             )
     minimizer = GridFunction(x)
-    objective = TikhonovObjective(problem)
-    grad = objective.riesz_gradient(x)
-    return SolveResult(
-        minimizer,
-        eval_T(problem, minimizer),
-        1,
-        "converged",
-        weighted_l2(grad, objective.w_in),
-    )
+    value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
+    w_in = trapezoid_weights(op.input_m)
+    grad = (gram @ x - rhs) / w_in  # the coordinate gradient of T is gram x - rhs
+    return SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, w_in))
 
 
 @np.errstate(over="ignore")  # a candidate that overflows is worth inf, and rejected
@@ -236,10 +232,11 @@ def projected_gradient(
 
     Smooth objectives only. Convergence is declared when the projected
     gradient norm drops below grad_tol; a line search that accepts no step
-    ends the run early with status "stalled". Gradients come from the range
-    model of the problem (`_RangeModel`), and each candidate must pass the
-    Armijo test on the model before the same test on T itself decides it,
-    so every accepted step decreases T as `eval_T` computes it.
+    ends the run early with status "stalled". Gradients come from the
+    operator's kept Gram (`_GramModel`), the one the closed form reads, and
+    each candidate must pass the Armijo test on that model before the same
+    test on T itself decides it, so every accepted step decreases T as
+    `eval_T` computes it.
     """
     if not problem.penalty.is_smooth and problem.alpha > 0.0:
         raise UnsupportedPenaltyError(
@@ -256,7 +253,7 @@ def projected_gradient(
     w_in = objective.w_in
     x = x0.values.copy()
     f = eval_T(problem, x0)  # refuses a start where T overflows
-    model = _RangeModel(objective)
+    model = _GramModel(objective)
     f_model = model.value_at(x)
     iterations = 0
     grad_norm = math.inf

@@ -20,6 +20,7 @@ import pytest
 from gammareg import (
     AlphaSchedule,
     GridFunction,
+    KernelSpec,
     NoiseSchedule,
     SolveConfig,
     TikhonovProblem,
@@ -27,6 +28,7 @@ from gammareg import (
     gaussian_kernel,
     grid_nodes,
     make_approx_sequence,
+    make_fem_family,
     make_quadrature_family,
     projected_gradient,
 )
@@ -59,6 +61,25 @@ def build_gaussian_sequence(levels=GAUSS_LEVELS):
         AlphaSchedule("power", amplitude=1.0, exponent=1.0),
         NoiseSchedule("power", amplitude=1.0, exponent=1.0),
     )
+
+
+# the other kernels under test are symmetric, so a swap of s and t would pass their oracles
+ASYMMETRIC_KERNEL = KernelSpec(lambda s, t: np.exp(s - 2.0 * t) + s, "asymmetric")
+# reference grids, with levels that nest (n - 1 divides m_ref - 1), do not nest, or equal m_ref
+FAMILY_CASES = [(257, (9, 17, 100, 257)), (1000, (9, 33, 65, 513, 1000))]
+# Level operators, each its core C and its prolongation P: the quadrature levels
+# of FAMILY_CASES, and FEM levels prolonged from n + 2 nodes onto the 1025 + 2
+# reference nodes. Their oracles form the dense P C through `.matrix`.
+LEVEL_CASES = [("quadrature", m_ref, levels) for m_ref, levels in FAMILY_CASES]
+LEVEL_CASES += [("fem", 16 * 64 + 3, (8, 16, 33, 64))]
+LEVEL_IDS = [f"{kind}-{m_ref}" for kind, m_ref, _ in LEVEL_CASES]
+
+
+def level_family(kind, m_ref, levels):
+    """The family of a LEVEL_CASES row, on 65 input nodes."""
+    if kind == "fem":
+        return make_fem_family(lambda t: 1.0 + np.cos(3.0 * t), levels, input_m=65)
+    return make_quadrature_family(ASYMMETRIC_KERNEL, levels, m_ref, input_m=65)
 
 
 @pytest.fixture(scope="session")

@@ -521,6 +521,14 @@ CASES: dict[str, Case] = {
     "test_doubling_needs_two_levels": Case(
         "[study]\nkind = integral-demo\n[schedule]\nlevels = doubling:8:1\n", VALIDATE, 2,
         "[schedule] levels: doubling needs start >= 2 and count >= 2 (line 4)\n"),
+    # a tolerance for a kind that reads none used to validate, run and pass
+    **{
+        f"test_tol_is_refused_by_a_kind_that_reads_none[{kind}]": Case(
+            f"[study]\nkind = {kind}\ntol = 1e-30\n", VALIDATE, 2,
+            f"[study] tol: kind {kind} has no tolerance; "
+            "inf-study, eps-chain and alpha-zero read it (line 3)\n")
+        for kind in ("fem-rate", "integral-demo", "gamma-estimate", "coercivity")
+    },
     "test_validate_agrees_with_run_on_grids[fem-rate-two-levels]": Case(
         "[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", VALIDATE, 2,
         "[schedule] levels: fem-rate needs at least three levels (line 4)\n"),
@@ -612,7 +620,7 @@ CASES: dict[str, Case] = {
     "test_p_power_norm_with_q_2_reports_like_half_sq_l2": Case(
         PENALTY.format("half_sq_l2"), RUN, 0,
         partner=Case(PENALTY.format("p_power_norm"), RUN, 0)),
-    # a numerically singular operator goes through projected gradient's range model
+    # a numerically singular operator goes through projected gradient, which reads its Gram
     "test_gaussian_kernel_on_a_ball_passes": Case(
         "[study]\nkind = inf-study\n[problem]\nkernel = gaussian\nsigma = 0.6\ninput_m = 33\n"
         "quad_m = 129\ndomain = l2_ball\nradius = 0.05\n[schedule]\nlevels = 9, 17, 33\n", RUN, 0,

@@ -17,6 +17,7 @@ from gammareg import (
     KernelSpec,
     NoiseSchedule,
     NormTag,
+    NumericalError,
     TikhonovProblem,
     constant_kernel,
     from_callable,
@@ -39,14 +40,11 @@ from gammareg import (
     uniform_gap,
     whole_space,
 )
-from gammareg.operators import (
-    _BLOCK_ROWS,
-    _GRAM_ROWS,
-    _quadrature_matrix,
-    _tridiagonal_gram,
-    _weighted_r,
-)
-from gammareg.solvers import TikhonovObjective, _RangeModel, normal_equations
+from gammareg import operators
+from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
+from gammareg.solvers import TikhonovObjective, normal_equations
+
+from conftest import ASYMMETRIC_KERNEL, FAMILY_CASES, LEVEL_CASES, LEVEL_IDS, level_family
 
 
 # ------------------------------------------------------------- kernels
@@ -203,14 +201,7 @@ def test_quadrature_family_gap_decays_with_level():
     assert gaps[-1] < gaps[0] / 20.0
 
 
-KERNELS = [
-    gaussian_kernel(0.2),
-    separable_kernel(),
-    constant_kernel(1.5),
-    # the others are symmetric, so a swap of s and t would pass their oracles
-    KernelSpec(lambda s, t: np.exp(s - 2.0 * t) + s, "asymmetric"),
-]
-FAMILY_CASES = [(257, (9, 17, 100, 257)), (1000, (9, 33, 65, 513, 1000))]
+KERNELS = [gaussian_kernel(0.2), separable_kernel(), constant_kernel(1.5), ASYMMETRIC_KERNEL]
 
 
 def _assert_rel_close(got, want, rtol):
@@ -301,24 +292,11 @@ def test_kept_operator_matrices_are_c_contiguous():
         assert op.core.flags.c_contiguous and op.matrix.flags.c_contiguous
 
 
-# A level keeps its core C and its prolongation P; the oracles below form the
-# dense P C through `.matrix` and apply the formulas the factored path avoids.
-# Quadrature levels nest, do not nest, or equal the reference grid; the FEM
-# levels are prolonged from n + 2 nodes onto the 1025 + 2 reference nodes.
-LEVEL_CASES = [("quadrature", m_ref, levels) for m_ref, levels in FAMILY_CASES]
-LEVEL_CASES += [("fem", 16 * 64 + 3, (8, 16, 33, 64))]
-LEVEL_IDS = [f"{kind}-{m_ref}" for kind, m_ref, _ in LEVEL_CASES]
-
-
-def _level_family(kind, m_ref, levels):
-    if kind == "fem":
-        return make_fem_family(lambda t: 1.0 + np.cos(3.0 * t), levels, input_m=65)
-    return make_quadrature_family(KERNELS[-1], levels, m_ref, input_m=65)  # asymmetric
-
-
 @pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
 def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
-    family = _level_family(kind, m_ref, levels)
+    # a level keeps C and P; the oracle forms the dense P C and applies the
+    # formulas the factored path avoids
+    family = level_family(kind, m_ref, levels)
     rng = np.random.default_rng(11)
     for n in levels:
         op = family.operator_at(n)
@@ -335,38 +313,6 @@ def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
         grad = a.T @ (w * r) + 0.1 * problem.penalty.coordinate_gradient(GridFunction(x))
         _assert_rel_close(TikhonovObjective(problem).coordinate_gradient(x), grad, 1e-13)
         _assert_rel_close(normal_equations(problem)[1], a.T @ (w * y), 1e-13)
-
-
-@pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
-def test_range_model_of_a_level_is_the_dense_one_to_the_bit(kind, m_ref, levels):
-    # the oracle is the QR of [sqrt(W) A | sqrt(W) y] over the m_ref rows of
-    # the dense product. A level without a prolongation (n = m_ref) folds the
-    # same rows and matches it to the bit; a prolonged level folds its k core
-    # rows, so its R is the same only up to row signs, and [R | z]^T [R | z]
-    # + rho^2 e_kk, the weighted normal product of [A | y], is compared.
-    family = _level_family(kind, m_ref, levels)
-    rng = np.random.default_rng(5)
-    for n in levels:
-        op = family.operator_at(n)
-        y = rng.standard_normal(m_ref)
-        model = _RangeModel(TikhonovObjective(TikhonovProblem(op, GridFunction(y), alpha=0.1)))
-        r, z, rho_sq = _weighted_r(ForwardOperator(op.matrix), y, trapezoid_weights(m_ref))
-        if op.prolong is None:
-            assert model.r.tobytes() == r.tobytes()
-            assert model.z.tobytes() == z.tobytes()
-            assert model.rho_sq == rho_sq
-        else:
-            _assert_rel_close(
-                _normal_product(model.r, model.z, model.rho_sq), _normal_product(r, z, rho_sq),
-                1e-13,
-            )
-
-
-def _normal_product(r, z, rho_sq):
-    rz = np.column_stack((r, z))
-    product = rz.T @ rz
-    product[-1, -1] += rho_sq
-    return product
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():
@@ -608,6 +554,27 @@ def test_tridiagonal_gram_matches_the_dense_product(n, cols, seed):
 def test_gram_weight_must_be_positive_definite(d, e):
     with pytest.raises(GridCompatibilityError, match="positive definite"):
         _tridiagonal_gram(np.ones((2, 3)), np.array(d), np.array(e))
+
+
+def test_a_gram_off_by_1e_6_is_refused_where_it_is_formed(monkeypatch):
+    # both solvers trust the kept Gram, and the closed form's gradient reads
+    # it, so gram() checks G 1 against A^T (W (A 1)) when it forms it
+    tridiagonal_gram = operators._tridiagonal_gram
+    monkeypatch.setattr(
+        operators, "_tridiagonal_gram", lambda c, d, e: tridiagonal_gram(c, d, e) * (1.0 + 1e-6)
+    )
+    family = make_quadrature_family(gaussian_kernel(0.2), (17,), 257, input_m=17)
+    for op in (family.reference, family.operator_at(17)):
+        with pytest.raises(NumericalError, match="Gram check"):
+            op.gram()
+
+
+def test_an_operator_that_annihilates_constants_passes_the_gram_check():
+    # A 1 = 0, so A^T W A 1 holds no scale; the check measures against ||G||_inf
+    op = ForwardOperator(np.diff(np.eye(9), axis=0))
+    w = trapezoid_weights(8)
+    dense = op.core.T @ (w[:, None] * op.core)
+    assert np.max(np.abs(op.gram() - dense)) <= 1e-15
 
 
 # nested levels (n - 1 divides m_ref - 1), levels that do not nest, and n = m_ref

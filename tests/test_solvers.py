@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 
@@ -46,9 +47,9 @@ from gammareg import (
 from gammareg import solvers
 from gammareg.grids import weighted_l2
 from gammareg.operators import _GRAM_ROWS
-from gammareg.solvers import TikhonovObjective, _project, _RangeModel
+from gammareg.solvers import TikhonovObjective, _GramModel, _project
 
-from conftest import uphill_steps
+from conftest import LEVEL_CASES, LEVEL_IDS, level_family, uphill_steps
 
 
 def doubling_surrogate():
@@ -134,14 +135,6 @@ def test_shift_on_another_grid_is_resampled_by_the_closed_form():
 def test_closed_form_gradient_is_small_at_solution():
     res = solve_linear_quadratic(gaussian_problem())
     assert res.grad_norm_final < 1e-10
-
-
-def test_closed_form_gradient_goes_through_the_operator(monkeypatch):
-    # the gradient is taken through A, not through the Gram the solve used,
-    # so a Gram off by a relative 1e-6 shows up in grad_norm_final
-    gram = ForwardOperator.gram
-    monkeypatch.setattr(ForwardOperator, "gram", lambda op: gram(op) * (1.0 + 1e-6))
-    assert solve_linear_quadratic(gaussian_problem()).grad_norm_final > 1e-8
 
 
 def test_residual_check_survives_huge_right_sides(monkeypatch):
@@ -295,59 +288,81 @@ def test_overflowing_start_is_refused():
         projected_gradient(problem, GridFunction(np.zeros(9)))
 
 
-# ------------------------------------------------------------- range model
+# ------------------------------------------------------------- Gram model
 
 
-@settings(deadline=None, max_examples=60)
+def _reference_operator(kind, rng):
+    if kind == "identity":
+        return identity_operator(int(rng.integers(2, 40)))
+    kernel = gaussian_kernel(0.6) if kind == "gaussian" else constant_kernel(1.0)
+    m_ref = int(rng.integers(3, 120))
+    return make_quadrature_family(kernel, (m_ref,), m_ref, input_m=int(rng.integers(2, 40))).reference
+
+
+@functools.cache
+def _level_operators(case_id):
+    """Every level of a LEVEL_CASES family, built once per session."""
+    kind, m_ref, levels = LEVEL_CASES[LEVEL_IDS.index(case_id)]
+    family = level_family(kind, m_ref, levels)
+    return [family.operator_at(n) for n in levels]
+
+
+@pytest.mark.parametrize("kind", ["identity", "gaussian", "constant", *LEVEL_IDS])
+@settings(deadline=None, max_examples=20)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(["identity", "gaussian", "constant"]),
     st.sampled_from([2.0, 3.0, 4.0]),
     st.booleans(),
 )
-def test_range_model_matches_the_full_formula(seed, kind, p, in_range):
+def test_gram_model_matches_the_full_formula(kind, seed, p, in_range):
+    # references of random sizes, and every level of a LEVEL_CASES family:
+    # prolonged quadrature and FEM levels, and levels with n = m_ref
     rng = np.random.default_rng(seed)
-    if kind == "identity":
-        op = identity_operator(int(rng.integers(2, 40)))
-    else:
-        kernel = gaussian_kernel(0.6) if kind == "gaussian" else constant_kernel(1.0)
-        m_ref = int(rng.integers(3, 120))
-        op = make_quadrature_family(
-            kernel, (m_ref,), m_ref, input_m=int(rng.integers(2, 40))
-        ).reference
-    a = op.matrix
-    y = a @ rng.standard_normal(op.input_m) if in_range else rng.standard_normal(op.output_m)
-    problem = TikhonovProblem(op, GridFunction(y), alpha=0.1, exponent_p=p)
-    objective = TikhonovObjective(problem)
-    model = _RangeModel(objective)
-    x = rng.standard_normal(op.input_m)
-    # |A||x| + |y| bounds every partial sum of the residual, so these scales
-    # bound what rounding can do to either formula
-    w = objective.w_out
-    bound = np.abs(a) @ np.abs(x) + np.abs(y)
-    size = weighted_l2(bound, w)
-    value = objective.value_at(x)
-    assert abs(model.value_at(x) - value) <= 1e-13 * (size**p + value)
-    grad_scale = size ** (p - 2.0) * (np.abs(a).T @ (w * bound)) + 0.1 * objective.w_in * np.abs(x)
-    gap = np.abs(model.coordinate_gradient(x) - objective.coordinate_gradient(x))
-    assert np.all(gap <= 1e-13 * grad_scale)
+    ops = [_reference_operator(kind, rng)] if kind in ("identity", "gaussian", "constant") \
+        else _level_operators(kind)
+    for op in ops:
+        a = op.matrix
+        y = a @ rng.standard_normal(op.input_m) if in_range else rng.standard_normal(op.output_m)
+        problem = TikhonovProblem(op, GridFunction(y), alpha=0.1, exponent_p=p)
+        objective = TikhonovObjective(problem)
+        model = _GramModel(objective)
+        x = rng.standard_normal(op.input_m)
+        # |A||x| + |y| bounds every partial sum of the residual, so these scales
+        # bound what rounding can do to either formula
+        w = objective.w_out
+        bound = np.abs(a) @ np.abs(x) + np.abs(y)
+        size = weighted_l2(bound, w)
+        value = objective.value_at(x)
+        assert abs(model.value_at(x) - value) <= 1e-13 * (size**p + value)
+        grad_scale = (
+            size ** (p - 2.0) * (np.abs(a).T @ (w * bound)) + 0.1 * objective.w_in * np.abs(x)
+        )
+        gap = np.abs(model.coordinate_gradient(x) - objective.coordinate_gradient(x))
+        assert np.all(gap <= 1e-13 * grad_scale)
 
 
-def test_range_model_forms_no_weighted_copy_of_the_operator():
-    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=257).reference
-    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(257))), alpha=0.1)
-    objective = TikhonovObjective(problem)
+def _first_solve_peak(op):
+    """Traced peak of a projected-gradient solve that forms op's Gram."""
+    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(op.input_m))), alpha=0.1)
+    x0 = GridFunction(np.zeros(op.input_m))
+    assert op._gram is None
     tracemalloc.start()
     try:
-        _RangeModel(objective)
+        projected_gradient(problem, x0, SolveConfig(max_iter=3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the R factor so far stacked on one weighted block of rows and numpy's
-    # copy of that stack inside the QR; the old R, the new one and QR's
-    # upper-triangle scratch; the square roots of the weights
-    cols = op.input_m + 1
-    bound = 2 * (cols + _GRAM_ROWS) * cols * 8 + 3 * cols * cols * 8 + op.output_m * 8
+    assert op._gram is not None
+    return peak
+
+
+def test_gram_model_forms_no_weighted_copy_of_the_operator():
+    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=257).reference
+    peak = _first_solve_peak(op)
+    # the kept Gram, one weighted block of rows and its product; a dozen
+    # vectors on the output grid: data, weights, A x, residuals, the check's
+    cols = op.input_m
+    bound = 2 * cols * cols * 8 + _GRAM_ROWS * cols * 8 + 12 * op.output_m * 8
     assert bound < op.matrix.nbytes  # a weighted copy of the operator cannot fit
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
@@ -355,15 +370,14 @@ def test_range_model_forms_no_weighted_copy_of_the_operator():
 def _gradient_mapping(problem, x):
     """||x - P(x - grad T(x))|| with the full-formula gradient."""
     objective = TikhonovObjective(problem)
-    g = objective.riesz_gradient(x.values)
+    g = objective.coordinate_gradient(x.values) / objective.w_in
     moved = _project(problem.operator.domain, x.values - g, objective.w_in)
     return weighted_l2(x.values - moved, objective.w_in)
 
 
-def test_a_model_without_rho_is_caught_at_the_minimizer(monkeypatch):
-    # data far outside the range of a smoothing operator, so rho is as large
-    # as the misfit inside the range; for p = 3 it scales the gradient. The
-    # level's 17 core rows leave no QR corner: its rho is rho_0 alone.
+def test_a_model_without_the_data_norm_is_caught_at_the_minimizer(monkeypatch):
+    # data far outside the range of a smoothing operator, so ||y||_W^2 is
+    # most of the misfit; for p = 3 the misfit scales the gradient
     family = make_quadrature_family(gaussian_kernel(0.6), (17,), 65, input_m=17)
     y = GridFunction(np.random.default_rng(7).standard_normal(65))
     problems = [
@@ -375,34 +389,27 @@ def test_a_model_without_rho_is_caught_at_the_minimizer(monkeypatch):
     for problem in problems:
         assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) < 1e-8
 
-    class WithoutRho(_RangeModel):
+    class WithoutDataNorm(_GramModel):
         def __init__(self, objective):
             super().__init__(objective)
-            self.rho_sq = 0.0
+            self.y_sq = 0.0
 
-    monkeypatch.setattr(solvers, "_RangeModel", WithoutRho)
+    monkeypatch.setattr(solvers, "_GramModel", WithoutDataNorm)
     for problem in problems:
         assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) > 1e-4
 
 
-def test_range_model_of_a_level_keeps_only_its_core_rows():
-    # the QR runs over the level's k core rows, not the m_ref reference rows
+def test_gram_model_of_a_level_reads_only_its_core_rows():
+    # the first solve forms the level's Gram from its k core rows, not from
+    # the m_ref reference rows
     family = make_quadrature_family(gaussian_kernel(0.2), (9,), 8193, input_m=513)
     op = family.operator_at(9)
-    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(513))), alpha=0.1)
-    objective = TikhonovObjective(problem)
-    tracemalloc.start()
-    try:
-        _RangeModel(objective)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the R factor (at most input_m + 1 rows) stacked on the k core rows and
-    # numpy's copy of that stack inside the QR; a dozen vectors on the
-    # reference grid: data, weights, P v, the residual and their products
-    k, cols = op.core.shape[0], op.input_m + 1
-    bound = 2 * (k + cols) * cols * 8 + 12 * op.output_m * 8
-    assert bound < 2 * _GRAM_ROWS * cols * 8  # a fold over reference rows cannot fit
+    peak = _first_solve_peak(op)
+    # the kept Gram and the product of its one block (the check's |G| comes
+    # after that product is freed); a dozen vectors on the reference grid
+    cols = op.input_m
+    bound = 2 * cols * cols * 8 + 12 * op.output_m * 8
+    assert bound < 2 * _GRAM_ROWS * cols * 8  # a Gram from reference rows cannot fit
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 

@@ -38,9 +38,11 @@ from gammareg import (
     norm,
     norm_ball,
     p_power_norm,
+    projected_gradient,
     richardson_limit,
     scaling_invariance_check,
     shifted_half_sq,
+    solve_linear_quadratic,
     standard_samples,
     uniform_gap,
 )
@@ -350,6 +352,27 @@ def test_each_operator_forms_its_gram_once(monkeypatch):
     scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
     family = seq.family
     assert formed == Counter((family.reference.output_m,) + family.levels)
+
+    # projected gradient reads the same kept Gram: on a ball every solve of an
+    # inf-study and an eps-chain is iterative, and still one Gram per operator
+    formed.clear()
+    family = make_fem_family(lambda t: 1.0 + t, (4, 8, 16), input_m=33, domain=norm_ball(0.05))
+    truth = from_callable(lambda t: np.sin(np.pi * t), 33)
+    target = TikhonovProblem(family.reference, family.reference.apply(truth), alpha=0.01)
+    fem_seq = make_approx_sequence(target, family)
+    inf_convergence_study(fem_seq)
+    eps_minimizer_chain(fem_seq)
+    ops = [family.reference] + [family.operator_at(n) for n in family.levels]
+    assert formed == Counter(op.core.shape[0] for op in ops)
+
+    # on one operator, an iterative solve forms the Gram a closed-form solve reads
+    formed.clear()
+    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 257, input_m=17).operator_at(9)
+    problem = TikhonovProblem(op, op.apply(GridFunction(np.ones(17))), alpha=0.1)
+    projected_gradient(problem, GridFunction(np.zeros(17)))
+    assert formed == Counter([9])
+    solve_linear_quadratic(problem)
+    assert formed == Counter([9])
 
 
 def test_no_solve_or_evaluation_forms_a_prolonged_level(monkeypatch):
