@@ -136,6 +136,22 @@ KERNELS = {
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 
+# [study] keys that only some kinds read, every other kind refusing them: the
+# name a refusal gives the key, and the kinds that read it
+_KIND_KEYS = {
+    "tol": ("tolerance", ("inf-study", "eps-chain", "alpha-zero")),
+    "thresholds": ("thresholds", ("coercivity",)),
+    **{key: (key, ("gamma-estimate",))
+       for key in ("family", "point", "radii", "index_window", "grid_m")},
+}
+
+
+def _read_by(kinds: tuple[str, ...]) -> str:
+    """'a reads it', or 'a, b and c read it'."""
+    if len(kinds) == 1:
+        return f"{kinds[0]} reads it"
+    return f"{', '.join(kinds[:-1])} and {kinds[-1]} read it"
+
 
 @dataclass(frozen=True)
 class StudySpec:
@@ -397,16 +413,20 @@ def parse_config(text: str) -> RunSpec:
         else:
             kind = kind_text
 
+    # a [study] key its kind does not read is refused (unless the kind itself
+    # was), then dropped, so that its value draws no second complaint
+    if parser.has_section("study"):
+        for key in parser.options("study"):
+            noun, readers = _KIND_KEYS.get(key, (key, STUDY_KINDS))
+            if kind not in readers:
+                col.raw("study", key)  # read: refused, not unknown
+                col.conflict("study", key, f"kind {kind} has no {noun}; {_read_by(readers)}",
+                             ("study", "kind"), ("study", None))
+                parser.remove_option("study", key)
     tol_default = {
         "inf-study": INF_STUDY_TOL, "alpha-zero": ALPHA_ZERO_TOL, "eps-chain": EPS_CHAIN_TOL
     }.get(kind)
-    tol = tol_default
-    if parser.has_section("study") and col.raw("study", "tol") is not None:
-        if tol_default is None:
-            col.complain("study", "tol", f"kind {kind} has no tolerance; "
-                         "inf-study, eps-chain and alpha-zero read it")
-        else:
-            tol = col.number("study", "tol", tol_default, positive=True)
+    tol = col.number("study", "tol", tol_default, positive=True)
 
     # Fallbacks come from the spec dataclasses, so each default is written once.
     d = StudySpec(kind)

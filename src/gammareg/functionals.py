@@ -259,6 +259,7 @@ class ApproxSequence:
         for n in self.family.levels:
             if self.alpha_at(n) <= 0.0:
                 raise GridCompatibilityError("alpha_n must be positive at every level")
+        object.__setattr__(self, "_problems", {})
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -280,14 +281,22 @@ class ApproxSequence:
         return y + e * size
 
     def problem_at(self, n: int) -> TikhonovProblem:
-        """The level-n functional packaged as a standalone problem."""
-        return TikhonovProblem(
-            self.family.operator_at(n),
-            self.data_at(n),
-            self.alpha_at(n),
-            self.target.exponent_p,
-            self.target.penalty,
-        )
+        """The level-n functional packaged as a standalone problem.
+
+        Each level's problem is built once and kept, as `OperatorFamily.operator_at`
+        keeps its operator: y_n depends only on the schedules and n, and studies
+        evaluate T_n at many samples per level.
+        """
+        problems = self._problems
+        if n not in problems:
+            problems[n] = TikhonovProblem(
+                self.family.operator_at(n),
+                self.data_at(n),
+                self.alpha_at(n),
+                self.target.exponent_p,
+                self.target.penalty,
+            )
+        return problems[n]
 
 
 def make_approx_sequence(

@@ -207,7 +207,7 @@ class ForwardOperator:
         return kept
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """P (C x), nodal values on the output grid."""
+        """P (C x), nodal values on the output grid; x may be a block of columns."""
         v = self.core @ x
         return v if self.prolong is None else interpolate_rows(self.prolong, v)
 
@@ -469,16 +469,20 @@ def make_constant_family(
 def uniform_gap(
     family: OperatorFamily, n: int, samples: Sequence[GridFunction]
 ) -> float:
-    """Sampled sup of ||F_n(x) - F(x)||_L2 over the given sample set."""
+    """Sampled sup of ||F_n(x) - F(x)||_L2 over the given sample set.
+
+    The samples, each resampled onto the input grid as `apply` does, are the
+    columns of one input_m x S block, so F_n and F take one product each.
+    """
     if not samples:
         raise GridCompatibilityError("uniform_gap needs at least one sample")
-    op = family.operator_at(n)
-    gap = 0.0
+    op, m = family.operator_at(n), family.reference.input_m
     for i, x in enumerate(samples):
         if not membership(op.domain, x):
             raise GridCompatibilityError(f"sample {i} lies outside dom(F_{n})")
-        gap = max(gap, norm(op.apply(x) - family.reference.apply(x)))
-    return gap
+    block = np.column_stack([(x if x.node_count == m else resample(x, m)).values for x in samples])
+    diff = op.forward(block) - family.reference.forward(block)
+    return math.sqrt(float(np.max(trapezoid_weights(op.output_m) @ (diff * diff))))
 
 
 def standard_samples(

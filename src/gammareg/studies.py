@@ -271,7 +271,9 @@ def estimate_gamma_limits(
 
     lower_by_radius, upper_by_radius = [], []
     for r in radii:
-        neigh_inf = values[:, _neighborhood(grid, point, r)].min(axis=1)
+        # on a strictly increasing grid the neighborhood is one run of nodes: a slice
+        near = np.flatnonzero(_neighborhood(grid, point, r))
+        neigh_inf = values[:, near[0] : near[-1] + 1].min(axis=1)
         lower_by_radius.append(float(neigh_inf.min()))
         upper_by_radius.append(float(neigh_inf.max()))
 

@@ -102,11 +102,19 @@ def test_full_config_round_trip():
 
 
 def test_readme_config_block_validates():
-    # the README's example lists every key; all but tol and point at their defaults
+    # the README's example lists every key; all but tol and point at their defaults,
+    # and the keys of other kinds commented out
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     run = parse_config(block)
-    assert run.study == StudySpec("inf-study", tol=1e-3, point=0.785)
+    assert run.study == StudySpec("inf-study", tol=1e-3)
+    for kind, keys, spec in [
+        ("gamma-estimate", "family|point|radii|index_window|grid_m",
+         StudySpec("gamma-estimate", point=0.785)),
+        ("coercivity", "thresholds", StudySpec("coercivity")),
+    ]:
+        text = block.replace("kind = inf-study", f"kind = {kind}").replace("tol = 1e-3\n", "")
+        assert parse_config(re.sub(rf"^;({keys}) =", r"\1 =", text, flags=re.M)).study == spec
     assert run.problem == ProblemSpec()
     assert run.schedule == ScheduleSpec()
     assert run.solver == SolveConfig()
@@ -155,8 +163,9 @@ def test_capitalised_keys_are_located():
 
 @pytest.mark.parametrize("key, value", [("thresholds", "0.5, nan"), ("radii", "0.2, inf")])
 def test_non_finite_list_values_are_refused(key, value):
+    kind = "coercivity" if key == "thresholds" else "gamma-estimate"  # the kind that reads it
     with pytest.raises(ConfigError) as err:
-        parse_config(f"[study]\nkind = coercivity\n{key} = {value}\n")
+        parse_config(f"[study]\nkind = {kind}\n{key} = {value}\n")
     assert err.value.problems == [f"[study] {key}: must be finite (line 3)"]
 
 
@@ -529,6 +538,32 @@ CASES: dict[str, Case] = {
             "inf-study, eps-chain and alpha-zero read it (line 3)\n")
         for kind in ("fem-rate", "integral-demo", "gamma-estimate", "coercivity")
     },
+    # the gamma-estimate and coercivity keys used to validate for every kind, and
+    # the run ignored them; a refused value draws no second complaint
+    "test_study_keys_are_refused_by_a_kind_that_reads_none[inf-study]": Case(
+        "[study]\nkind = inf-study\nthresholds = -5\ngrid_m = 99\nfamily = uniform_shift\n",
+        VALIDATE, 2,
+        "[study] thresholds: kind inf-study has no thresholds; coercivity reads it (line 3)\n"
+        "[study] grid_m: kind inf-study has no grid_m; gamma-estimate reads it (line 4)\n"
+        "[study] family: kind inf-study has no family; gamma-estimate reads it (line 5)\n"),
+    **{
+        f"test_study_keys_are_refused_by_a_kind_that_reads_none[{kind}-{key}]": Case(
+            f"[study]\nkind = {kind}\n{key} = {value}\n", VALIDATE, 2,
+            f"[study] {key}: kind {kind} has no {key}; {reader} reads it (line 3)\n")
+        for kind, key, value, reader in [
+            ("fem-rate", "family", "oscillation", "gamma-estimate"),
+            ("integral-demo", "grid_m", "4096", "gamma-estimate"),
+            ("coercivity", "index_window", "64", "gamma-estimate"),
+            ("inf-study", "point", "0.5", "gamma-estimate"),
+            ("eps-chain", "radii", "0.2, 0.1", "gamma-estimate"),
+            ("gamma-estimate", "thresholds", "1", "coercivity"),
+        ]
+    },
+    # the kind is not known, so no key can be judged against it
+    "test_a_refused_kind_refuses_no_other_study_key": Case(
+        "[study]\nkind = bogus\nthresholds = 1\n", VALIDATE, 2,
+        "[study] kind: expected one of fem-rate, integral-demo, inf-study, eps-chain, "
+        "gamma-estimate, coercivity, alpha-zero; got 'bogus' (line 2)\n"),
     "test_validate_agrees_with_run_on_grids[fem-rate-two-levels]": Case(
         "[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", VALIDATE, 2,
         "[schedule] levels: fem-rate needs at least three levels (line 4)\n"),

@@ -319,6 +319,15 @@ def test_problem_at_wires_level_pieces(gaussian_sequence):
     )
 
 
+def test_problem_at_keeps_each_level_problem(gaussian_sequence):
+    # y_n is a function of the schedules and n alone, so the kept problem is
+    # the one a fresh build would give
+    n = 17
+    level_problem = gaussian_sequence.problem_at(n)
+    assert gaussian_sequence.problem_at(n) is level_problem
+    assert level_problem.data_y.values.tobytes() == gaussian_sequence.data_at(n).values.tobytes()
+
+
 def test_level_problem_takes_its_level_operators_domain():
     # shrinking level balls of radius 1 - 1/n: a point inside the reference
     # ball but outside level 8's is feasible for T and +inf for T_8

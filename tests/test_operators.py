@@ -33,6 +33,7 @@ from gammareg import (
     norm,
     norm_ball,
     norm_ball_nonneg,
+    resample,
     resample_matrix,
     separable_kernel,
     standard_samples,
@@ -377,6 +378,38 @@ def test_uniform_gap_needs_samples():
     family = make_constant_family(identity_operator(5), (2, 4))
     with pytest.raises(GridCompatibilityError):
         uniform_gap(family, 2, [])
+
+
+@pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
+def test_uniform_gap_is_the_largest_sample_gap(kind, m_ref, levels):
+    # the per-sample formula the block product replaces, as the oracle; the gap
+    # is a difference of nearly equal vectors, so the bound is on the scale of F x
+    family = level_family(kind, m_ref, levels)
+    rng = np.random.default_rng(5)
+    samples = standard_samples(65) + [GridFunction(rng.standard_normal(65)) for _ in range(4)]
+    samples.append(GridFunction(rng.standard_normal(33)))  # off the input grid: resampled
+    scale = max(norm(family.reference.apply(x)) for x in samples)
+    for n in levels:
+        op = family.operator_at(n)
+        want = max(norm(op.apply(x) - family.reference.apply(x)) for x in samples)
+        assert abs(uniform_gap(family, n, samples) - want) <= 1e-13 * scale
+
+
+def test_uniform_gap_resamples_samples_off_the_input_grid():
+    family = level_family("quadrature", 257, (9, 17))
+    coarse = GridFunction(np.random.default_rng(3).standard_normal(33))
+    assert uniform_gap(family, 9, [coarse]) == uniform_gap(family, 9, [resample(coarse, 65)])
+    assert uniform_gap(family, 9, [coarse]) > 0.0
+
+
+def test_uniform_gap_names_the_first_sample_outside_the_domain():
+    family = make_quadrature_family(
+        gaussian_kernel(0.2), (2, 4), 65, input_m=9, domain=norm_ball(1.0),
+        shrinking_domains=True,
+    )
+    inside, outside = standard_samples(9, rho=0.5)[0], standard_samples(9, rho=1.0)[0]
+    with pytest.raises(GridCompatibilityError, match=r"^sample 2 lies outside dom\(F_4\)$"):
+        uniform_gap(family, 4, [inside, inside, outside, outside])
 
 
 # --------------------------------------------------------------- samples

@@ -46,7 +46,7 @@ from gammareg import (
     standard_samples,
     uniform_gap,
 )
-from gammareg import operators, studies
+from gammareg import functionals, operators, studies
 
 from conftest import build_gaussian_sequence
 
@@ -184,6 +184,27 @@ def test_coercivity_probe_refuses_vanishing_alpha():
     )
     with pytest.raises(StudyRefusal):
         equi_coercivity_probe(seq, standard_samples(9), (1.0,))
+
+
+def test_coercivity_probe_builds_each_level_problem_once(monkeypatch):
+    # T_n is still evaluated once per sample and level, but y_n, which every
+    # evaluation used to rebuild, is built once per level
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(functionals, "noise_direction",
+                        counted("noise_direction", functionals.noise_direction))
+    monkeypatch.setattr(studies, "eval_Tn", counted("eval_Tn", studies.eval_Tn))
+    seq = build_gaussian_sequence()
+    samples = standard_samples(65, rho=1.0)
+    equi_coercivity_probe(seq, samples, (0.1, 1.0, 10.0))
+    assert 0 < calls["noise_direction"] <= len(seq.levels)
+    assert calls["eval_Tn"] == len(samples) * len(seq.levels)
 
 
 # ------------------------------------------------------------- alpha to zero
