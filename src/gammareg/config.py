@@ -136,10 +136,15 @@ KERNELS = {
 
 DEFAULT_LEVELS = (8, 16, 32, 64, 128)
 
+# The kinds that read a tolerance, each with its default
+_TOL_DEFAULTS = {
+    "inf-study": INF_STUDY_TOL, "eps-chain": EPS_CHAIN_TOL, "alpha-zero": ALPHA_ZERO_TOL
+}
+
 # [study] keys that only some kinds read, every other kind refusing them: the
 # name a refusal gives the key, and the kinds that read it
 _KIND_KEYS = {
-    "tol": ("tolerance", ("inf-study", "eps-chain", "alpha-zero")),
+    "tol": ("tolerance", tuple(_TOL_DEFAULTS)),
     "thresholds": ("thresholds", ("coercivity",)),
     **{key: (key, ("gamma-estimate",))
        for key in ("family", "point", "radii", "index_window", "grid_m")},
@@ -423,10 +428,7 @@ def parse_config(text: str) -> RunSpec:
                 col.conflict("study", key, f"kind {kind} has no {noun}; {_read_by(readers)}",
                              ("study", "kind"), ("study", None))
                 parser.remove_option("study", key)
-    tol_default = {
-        "inf-study": INF_STUDY_TOL, "alpha-zero": ALPHA_ZERO_TOL, "eps-chain": EPS_CHAIN_TOL
-    }.get(kind)
-    tol = col.number("study", "tol", tol_default, positive=True)
+    tol = col.number("study", "tol", _TOL_DEFAULTS.get(kind), positive=True)
 
     # Fallbacks come from the spec dataclasses, so each default is written once.
     d = StudySpec(kind)

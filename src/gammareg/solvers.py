@@ -6,15 +6,15 @@ weights gives the Riesz representative, which is what descent steps and
 norm-ball projections use so that radial scaling is the exact metric
 projection. Both solvers read one description of an operator, its kept
 Gram A^T W A: the closed form solves with it, and projected gradient
-takes its values and gradients from it before each step is confirmed on
-the full formula.
+takes its values and gradients from it (`TikhonovObjective`) before each
+step is confirmed on the full formula. `grad_check` differentiates that
+full formula to check the gradient projected gradient follows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,66 +76,45 @@ class SolveResult:
 
 
 class TikhonovObjective:
-    """Value/gradient oracle for a Tikhonov problem on nodal coordinates."""
+    """T and its coordinate gradient on nodal values, through the kept Gram.
+
+    With G = A^T W A (W the output weights) and b = A^T W y,
+    ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
+    A^T W (A x - y) = G x - b, so the model value and the gradient cost
+    input_m^2 flops instead of output_m * input_m, from the Gram the closed
+    form reads. `value_at` is T on the full formula, as `eval_T` computes it.
+    """
 
     def __init__(self, problem: TikhonovProblem):
+        op, y = problem.operator, problem.data_y.values
+        w_out = trapezoid_weights(op.output_m)
         self.problem = problem
-        self.w_out = trapezoid_weights(problem.operator.output_m)
-        self.w_in = trapezoid_weights(problem.operator.input_m)
+        self.w_in = trapezoid_weights(op.input_m)
+        self.gram = op.gram()
+        self.b = op.adjoint(w_out * y)
+        self.y_sq = float(y * y @ w_out)
 
     def value_at(self, vals: np.ndarray) -> float:
         return self.problem.value_at(vals)
-
-    def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
-        pr, op = self.problem, self.problem.operator
-        if pr.exponent_p <= 1.0:
-            raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
-        r = op.forward(vals) - pr.data_y.values
-        return _gradient(pr, vals, op.adjoint(self.w_out * r), lambda: weighted_l2(r, self.w_out))
-
-
-def _gradient(
-    problem: TikhonovProblem, vals: np.ndarray, half_sq: np.ndarray, misfit: Callable[[], float]
-) -> np.ndarray:
-    """Coordinate gradient of T from `half_sq`, that of 0.5 ||F x - y||_W^2.
-
-    `misfit()` gives ||F x - y||_W; it is needed, and called, for p != 2 only.
-    """
-    p, g = problem.exponent_p, half_sq
-    if p != 2.0:
-        size = misfit()
-        g = _power(size, p - 2.0) * g if size > 0.0 else 0.0 * g
-    if problem.alpha > 0.0:
-        g = g + problem.alpha * problem.penalty.coordinate_gradient(GridFunction(vals))
-    return g
-
-
-class _GramModel:
-    """Value and gradient of T through the operator's kept Gram G = A^T W A.
-
-    With b = A^T W y, ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
-    A^T W (A x - y) = G x - b (W the output weights), so both cost input_m^2
-    flops instead of output_m * input_m, from the Gram the closed form reads.
-    """
-
-    def __init__(self, objective: TikhonovObjective):
-        pr = objective.problem
-        y, w = pr.data_y.values, objective.w_out
-        self.problem = pr
-        self.gram = pr.operator.gram()
-        self.b = pr.operator.adjoint(w * y)
-        self.y_sq = float(y * y @ w)
 
     def _misfit(self, vals: np.ndarray, half_sq: np.ndarray) -> float:
         """||A x - y||_W from x and its G x - b; rounding below 0 reads as 0."""
         return math.sqrt(max(float(vals @ (half_sq - self.b)) + self.y_sq, 0.0))
 
-    def value_at(self, vals: np.ndarray) -> float:
+    def model_value_at(self, vals: np.ndarray) -> float:
         return self.problem._value(self._misfit(vals, self.gram @ vals - self.b), vals)
 
     def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
-        half_sq = self.gram @ vals - self.b
-        return _gradient(self.problem, vals, half_sq, lambda: self._misfit(vals, half_sq))
+        pr, p = self.problem, self.problem.exponent_p
+        if p <= 1.0:
+            raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
+        g = self.gram @ vals - self.b
+        if p != 2.0:
+            size = self._misfit(vals, g)
+            g = _power(size, p - 2.0) * g if size > 0.0 else 0.0 * g
+        if pr.alpha > 0.0:
+            g = g + pr.alpha * pr.penalty.coordinate_gradient(GridFunction(vals))
+        return g
 
 
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
@@ -209,12 +188,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
     x = np.linalg.solve(gram, rhs)
     residual = _relative_residual(gram, x, rhs)
     if residual > 1e-10:
-        x = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        residual = _relative_residual(gram, x, rhs)
-        if residual > 1e-10:
-            raise NumericalError(
-                f"normal equations residual {residual:.2e} exceeds 1e-10 relative"
-            )
+        raise NumericalError(f"normal equations residual {residual:.2e} exceeds 1e-10 relative")
     minimizer = GridFunction(x)
     value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
     w_in = trapezoid_weights(op.input_m)
@@ -233,10 +207,10 @@ def projected_gradient(
     Smooth objectives only. Convergence is declared when the projected
     gradient norm drops below grad_tol; a line search that accepts no step
     ends the run early with status "stalled". Gradients come from the
-    operator's kept Gram (`_GramModel`), the one the closed form reads, and
-    each candidate must pass the Armijo test on that model before the same
-    test on T itself decides it, so every accepted step decreases T as
-    `eval_T` computes it.
+    operator's kept Gram (`TikhonovObjective`), the one the closed form
+    reads, and each candidate must pass the Armijo test on that model before
+    the same test on T itself decides it, so every accepted step decreases T
+    as `eval_T` computes it, and the value returned is that T.
     """
     if not problem.penalty.is_smooth and problem.alpha > 0.0:
         raise UnsupportedPenaltyError(
@@ -244,17 +218,16 @@ def projected_gradient(
         )
     if problem.exponent_p <= 1.0:
         raise UnsupportedPenaltyError("projected gradient needs p > 1")
-    objective = TikhonovObjective(problem)
     if x0.node_count != problem.operator.input_m:
         raise GridCompatibilityError("x0 must live on the operator input grid")
     if not membership(problem.operator.domain, x0):
         return SolveResult(x0, math.inf, 0, "infeasible", math.inf)
 
-    w_in = objective.w_in
     x = x0.values.copy()
     f = eval_T(problem, x0)  # refuses a start where T overflows
-    model = _GramModel(objective)
-    f_model = model.value_at(x)
+    objective = TikhonovObjective(problem)
+    w_in = objective.w_in
+    f_model = objective.model_value_at(x)
     iterations = 0
     grad_norm = math.inf
 
@@ -262,7 +235,7 @@ def projected_gradient(
         step = _STEP0
         status = "max_iter"
         for _ in range(config.max_iter):
-            g = model.coordinate_gradient(x) / w_in
+            g = objective.coordinate_gradient(x) / w_in
             moved = _project(problem.operator.domain, x - g, w_in)
             grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
@@ -276,7 +249,7 @@ def projected_gradient(
                 delta = candidate - x
                 move = float(delta * delta @ w_in)
                 decrease = _SUFFICIENT_DECREASE / max(t, 1e-30) * move
-                f_model_new = model.value_at(candidate)
+                f_model_new = objective.model_value_at(candidate)
                 if f_model_new <= f_model - decrease and move > 0.0:
                     f_new = objective.value_at(candidate)
                     if f_new <= f - decrease:
@@ -291,14 +264,9 @@ def projected_gradient(
         if status == "converged":
             break
 
-    minimizer = GridFunction(x)
-    return SolveResult(
-        minimizer,
-        eval_T(problem, minimizer),
-        iterations,
-        status,
-        grad_norm,
-    )
+    # f is T at x as `eval_T` computes it: at x0 by that call, later by the
+    # full formula each accepted step passed
+    return SolveResult(GridFunction(x), f, iterations, status, grad_norm)
 
 
 def minimize_problem(problem: TikhonovProblem, config: SolveConfig = SolveConfig()) -> SolveResult:
@@ -341,8 +309,10 @@ def grad_check(
 ) -> float:
     """Max deviation between analytic and central-difference gradients.
 
-    Normalized by max(1, ||grad||_inf) so the figure reads as a relative
-    error on well-scaled problems without blowing up near zero entries.
+    The analytic gradient is the Gram gradient projected gradient follows;
+    the differences are taken of T's full formula. Normalized by
+    max(1, ||grad||_inf) so the figure reads as a relative error on
+    well-scaled problems without blowing up near zero entries.
     """
     objective = TikhonovObjective(problem)
     vals = x.values.astype(float)

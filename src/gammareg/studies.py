@@ -326,13 +326,12 @@ def equi_coercivity_probe(
             "the supplied schedule tends to alpha = 0"
         )
     delta = min([seq.alpha_limit] + [seq.alpha_at(n) for n in seq.levels])
-    penalty = seq.target.penalty
+    omegas = [seq.target.penalty.evaluate(x) for x in samples]  # Omega does not depend on n
     violations = []
     hits = 0
     for n in seq.levels:
-        for i, x in enumerate(samples):
+        for i, (x, omega) in enumerate(zip(samples, omegas)):
             value = eval_Tn(seq, n, x)
-            omega = penalty.evaluate(x)
             for t in thresholds:
                 if value <= t:
                     hits += 1

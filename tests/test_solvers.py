@@ -29,6 +29,7 @@ from gammareg import (
     half_sq_l2,
     identity_operator,
     linf_penalty,
+    make_fem_family,
     make_quadrature_family,
     NormTag,
     membership,
@@ -47,7 +48,7 @@ from gammareg import (
 from gammareg import solvers
 from gammareg.grids import weighted_l2
 from gammareg.operators import _GRAM_ROWS
-from gammareg.solvers import TikhonovObjective, _GramModel, _project
+from gammareg.solvers import TikhonovObjective, _project
 
 from conftest import LEVEL_CASES, LEVEL_IDS, level_family, uphill_steps
 
@@ -146,11 +147,8 @@ def test_residual_check_survives_huge_right_sides(monkeypatch):
     gram, rhs = solvers.normal_equations(problem)
     assert np.max(np.abs(rhs)) > 1e157
     assert solvers._relative_residual(gram, np.linalg.solve(gram, rhs), rhs) < 1e-15
-    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda g, r: solve(g, r) * (1.0 + 1e-6))
-    monkeypatch.setattr(
-        np.linalg, "lstsq", lambda g, r, rcond: (lstsq(g, r, rcond=rcond)[0] * (1.0 + 1e-6),)
-    )
     with pytest.raises(NumericalError):
         solve_linear_quadratic(problem)
 
@@ -325,19 +323,18 @@ def test_gram_model_matches_the_full_formula(kind, seed, p, in_range):
         y = a @ rng.standard_normal(op.input_m) if in_range else rng.standard_normal(op.output_m)
         problem = TikhonovProblem(op, GridFunction(y), alpha=0.1, exponent_p=p)
         objective = TikhonovObjective(problem)
-        model = _GramModel(objective)
         x = rng.standard_normal(op.input_m)
         # |A||x| + |y| bounds every partial sum of the residual, so these scales
         # bound what rounding can do to either formula
-        w = objective.w_out
+        w = trapezoid_weights(op.output_m)
         bound = np.abs(a) @ np.abs(x) + np.abs(y)
         size = weighted_l2(bound, w)
         value = objective.value_at(x)
-        assert abs(model.value_at(x) - value) <= 1e-13 * (size**p + value)
+        assert abs(objective.model_value_at(x) - value) <= 1e-13 * (size**p + value)
         grad_scale = (
             size ** (p - 2.0) * (np.abs(a).T @ (w * bound)) + 0.1 * objective.w_in * np.abs(x)
         )
-        gap = np.abs(model.coordinate_gradient(x) - objective.coordinate_gradient(x))
+        gap = np.abs(objective.coordinate_gradient(x) - _dense_gradient(problem, x))
         assert np.all(gap <= 1e-13 * grad_scale)
 
 
@@ -367,12 +364,20 @@ def test_gram_model_forms_no_weighted_copy_of_the_operator():
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
+def _dense_gradient(problem, vals):
+    """A^T (W r) ||r||_W^(p - 2) + alpha grad Omega, r = A x - y, from the dense A."""
+    a, w = problem.operator.matrix, trapezoid_weights(problem.operator.output_m)
+    r = a @ vals - problem.data_y.values
+    grad = a.T @ (w * r) * weighted_l2(r, w) ** (problem.exponent_p - 2.0)
+    return grad + problem.alpha * problem.penalty.coordinate_gradient(GridFunction(vals))
+
+
 def _gradient_mapping(problem, x):
-    """||x - P(x - grad T(x))|| with the full-formula gradient."""
-    objective = TikhonovObjective(problem)
-    g = objective.coordinate_gradient(x.values) / objective.w_in
-    moved = _project(problem.operator.domain, x.values - g, objective.w_in)
-    return weighted_l2(x.values - moved, objective.w_in)
+    """||x - P(x - grad T(x))|| with the gradient of the dense formula."""
+    w_in = trapezoid_weights(problem.operator.input_m)
+    g = _dense_gradient(problem, x.values) / w_in
+    moved = _project(problem.operator.domain, x.values - g, w_in)
+    return weighted_l2(x.values - moved, w_in)
 
 
 def test_a_model_without_the_data_norm_is_caught_at_the_minimizer(monkeypatch):
@@ -389,12 +394,12 @@ def test_a_model_without_the_data_norm_is_caught_at_the_minimizer(monkeypatch):
     for problem in problems:
         assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) < 1e-8
 
-    class WithoutDataNorm(_GramModel):
-        def __init__(self, objective):
-            super().__init__(objective)
+    class WithoutDataNorm(TikhonovObjective):
+        def __init__(self, problem):
+            super().__init__(problem)
             self.y_sq = 0.0
 
-    monkeypatch.setattr(solvers, "_GramModel", WithoutDataNorm)
+    monkeypatch.setattr(solvers, "TikhonovObjective", WithoutDataNorm)
     for problem in problems:
         assert _gradient_mapping(problem, projected_gradient(problem, x0, config).minimizer) > 1e-4
 
@@ -413,7 +418,40 @@ def test_gram_model_of_a_level_reads_only_its_core_rows():
     assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
+def _pg_operators(case_id):
+    if case_id != "fem-ball":
+        return _level_operators(case_id)
+    family = make_fem_family(lambda t: 1.0 + t, (8, 16), input_m=33, domain=norm_ball(0.05))
+    return [family.operator_at(16)]
+
+
+@pytest.mark.parametrize("case_id", [*LEVEL_IDS, "fem-ball"])
+def test_projected_gradient_value_is_eval_T_at_its_minimizer(case_id):
+    # the value a run returns is the one its last accepted step passed on T's
+    # full formula, so it is eval_T at the minimizer, bit for bit
+    rng = np.random.default_rng(5)
+    for op in _pg_operators(case_id):
+        y = op.forward(np.ones(op.input_m)) + 0.1 * rng.standard_normal(op.output_m)
+        p = 2.0 if op.domain.radius < math.inf else 3.0  # never linear-quadratic
+        problem = TikhonovProblem(op, GridFunction(y), alpha=0.1, exponent_p=p)
+        res = projected_gradient(problem, GridFunction(np.zeros(op.input_m)),
+                                 SolveConfig(max_iter=200))
+        assert res.iterations > 0
+        assert res.value == eval_T(problem, res.minimizer)
+
+
 # ----------------------------------------------------------- gradient check
+
+
+def test_grad_check_catches_a_gram_off_by_1e_3():
+    # the analytic side is the Gram gradient projected gradient follows, and
+    # the differences are of T's full formula, so the two disagree
+    op = identity_operator(9)
+    problem = TikhonovProblem(op, from_callable(lambda t: np.sin(np.pi * t), 9), alpha=0.1)
+    x = from_callable(lambda t: 0.4 + 0.2 * t, 9)
+    assert grad_check(problem, x) < 1e-10
+    object.__setattr__(op, "_gram", op.gram() * (1.0 + 1e-3))
+    assert grad_check(problem, x) > 1e-5
 
 
 def test_grad_check_tiny_on_quadratic_problems():

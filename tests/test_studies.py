@@ -25,6 +25,7 @@ from gammareg import (
     equi_coercivity_probe,
     estimate_gamma_limits,
     eval_T,
+    eval_Tn,
     from_callable,
     gaussian_kernel,
     half_sq_l2,
@@ -205,6 +206,34 @@ def test_coercivity_probe_builds_each_level_problem_once(monkeypatch):
     equi_coercivity_probe(seq, samples, (0.1, 1.0, 10.0))
     assert 0 < calls["noise_direction"] <= len(seq.levels)
     assert calls["eval_Tn"] == len(samples) * len(seq.levels)
+
+
+def test_coercivity_probe_evaluates_the_penalty_once_per_sample(monkeypatch):
+    # Omega(x) does not depend on the level; T_n's own penalty terms reach
+    # evaluate with copies, so a call on a sample itself is the probe's
+    seq = build_gaussian_sequence()
+    samples = standard_samples(65, rho=1.0)
+    thresholds = (0.1, 1.0, 10.0)
+    penalty = seq.target.penalty
+    delta = min([seq.alpha_limit] + [seq.alpha_at(n) for n in seq.levels])
+    hits, violations = 0, []
+    for n in seq.levels:
+        for i, x in enumerate(samples):
+            value, omega = eval_Tn(seq, n, x), penalty.evaluate(x)
+            hits += sum(value <= t for t in thresholds)
+            violations += [(n, i, t) for t in thresholds if value <= t and omega > t / delta]
+
+    sample_ids, on_samples = {id(x) for x in samples}, []
+    evaluate = functionals.PenaltySpec.evaluate
+
+    def counted(self, x):
+        on_samples.append(id(x) in sample_ids)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(functionals.PenaltySpec, "evaluate", counted)
+    probe = equi_coercivity_probe(seq, samples, thresholds)
+    assert sum(on_samples) == len(samples)
+    assert (probe.antecedent_hits, probe.violations) == (hits, tuple(violations))
 
 
 # ------------------------------------------------------------- alpha to zero
