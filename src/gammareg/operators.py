@@ -356,20 +356,27 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     2 quad_m - 1 node offsets (-s[:0:-1], s); with that vector reversed, row j
     of G is its window of quad_m values that starts at quad_m - 1 - j, so a
     block of G is a row gather. On 2^k + 1 grids the node differences are
-    exact, and G is the evaluator's to the bit.
+    exact, and G is the evaluator's to the bit. When the grids also nest,
+    quad_m - 1 = r (input_m - 1), `_nested_quadrature` builds the matrix from
+    three correlations of that vector instead.
 
-    Cost: the kernel at 2 quad_m - 1 offsets if it is stationary, else at
-    quad_m^2 points, and 2 c quad_m^2 flops, c the input nodes a block spans
-    (about _BLOCK_ROWS (input_m - 1) / (quad_m - 1) + 2; 6 at 8193 x 513).
-    Scratch is a few kernel blocks, O(_BLOCK_ROWS * quad_m); no
-    quad_m x quad_m array is formed. The result is the F-ordered transpose of
-    the accumulator.
+    Cost: a stationary kernel on nesting grids takes its 2 quad_m - 1 values,
+    correlations of about 8 (r + 1) quad_m multiply-adds and one strided copy
+    into the C-ordered result, with O(quad_m) scratch. Otherwise the kernel is
+    evaluated at 2 quad_m - 1 offsets if it is stationary, else at quad_m^2
+    points, and the block products take 2 c quad_m^2 flops, c the input nodes
+    a block spans (about _BLOCK_ROWS (input_m - 1) / (quad_m - 1) + 2; 6 at
+    8193 x 500). Their scratch is a few kernel blocks, O(_BLOCK_ROWS * quad_m);
+    no quad_m x quad_m array is formed. That result is the F-ordered transpose
+    of the accumulator.
     """
     s = grid_nodes(quad_m)
     w = trapezoid_weights(quad_m)
     idx, theta = interpolation_weights(grid_nodes(input_m), s)
     if kernel.profile is not None:
         k = np.asarray(kernel.profile(np.concatenate((-s[:0:-1], s))), dtype=float)
+        if (quad_m - 1) % (input_m - 1) == 0:
+            return _nested_quadrature(k, w, idx, theta, input_m)
         windows = sliding_window_view(k[::-1].copy(), quad_m)
     at = np.zeros((input_m, quad_m))
     for js in _row_blocks(quad_m):
@@ -385,6 +392,40 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
             g = windows[quad_m - 1 - js.start - cols]
         at[first : first + p.shape[0]] += p @ g
     return at.T
+
+
+def _nested_quadrature(
+    k: np.ndarray, w: np.ndarray, idx: np.ndarray, theta: np.ndarray, input_m: int
+) -> np.ndarray:
+    """`_quadrature_matrix` of a stationary kernel on grids that nest.
+
+    k holds the kernel at the 2 quad_m - 1 node offsets, w, idx and theta the
+    trapezoid and interpolation weights of the quad_m quadrature nodes; input
+    node i sits on quadrature node r i. Column i gathers the taps
+    w_j R[j, i] over quad nodes j = r (i - 1) ... r (i + 1), R the
+    interpolation rows, so entry (l, i) is g[r (i - 1) + quad_m - 1 - l] with
+    g = correlate(k, taps). Every interior column takes the taps of input
+    node 1; on grids whose nodes are not dyadic, those of the others differ
+    from them by the nodes' rounding (at 301 x 101 the gaussian matrix moves
+    by 7.6e-15 of its largest entry). The two end columns have one-sided
+    taps and a correlation each. The result is C-ordered: the interior is a
+    strided view of g, rows reversed.
+    """
+    quad_m = w.size
+    r = (quad_m - 1) // (input_m - 1)
+
+    def correlation(i: int, js: slice) -> np.ndarray:  # g of input node i, taps over quad nodes js
+        hat = np.where(idx[js] == i, 1.0 - theta[js], 0.0)
+        hat += np.where(idx[js] + 1 == i, theta[js], 0.0)
+        return np.correlate(k, w[js] * hat, "valid")
+
+    out = np.empty((quad_m, input_m))
+    out[:, 0] = correlation(0, slice(0, r + 1))[quad_m - 1 :: -1]
+    out[:, -1] = correlation(input_m - 1, slice(quad_m - 1 - r, quad_m))[::-1][:quad_m]
+    if input_m > 2:
+        g = correlation(1, slice(0, 2 * r + 1))
+        out[:, 1:-1] = sliding_window_view(g, r * (input_m - 3) + 1)[::-1, ::r]
+    return out
 
 
 @dataclass(frozen=True)

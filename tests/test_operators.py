@@ -202,6 +202,14 @@ def test_quadrature_family_gap_decays_with_level():
     assert gaps[-1] < gaps[0] / 20.0
 
 
+def _exp_plus_offset(d):
+    return np.exp(d) + d
+
+
+# a stationary kernel whose profile is not even: k(s - t) read as k(t - s) is caught
+EXP_PLUS_OFFSET = KernelSpec(
+    lambda s, t: _exp_plus_offset(s - t), "exp-plus-offset", _exp_plus_offset
+)
 KERNELS = [gaussian_kernel(0.2), separable_kernel(), constant_kernel(1.5), ASYMMETRIC_KERNEL]
 
 
@@ -224,10 +232,15 @@ def test_family_operators_equal_the_dense_products(kernel, m_ref, levels):
         _assert_rel_close(family.operator_at(n).matrix, dense, 1e-13)
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label)
-@pytest.mark.parametrize("quad_m, input_m", [(9, 65), (100, 7)])
+@pytest.mark.parametrize("kernel", KERNELS + [EXP_PLUS_OFFSET], ids=lambda k: k.label)
+@pytest.mark.parametrize(
+    "quad_m, input_m",
+    [(9, 65), (100, 7), (65, 65), (257, 17), (1025, 5), (33, 2), (17, 3), (301, 101)],
+)
 def test_quadrature_matrix_equals_the_dense_product(kernel, quad_m, input_m):
-    # quadrature coarser than the input, and grids that do not nest; the
+    # quadrature coarser than the input, grids that do not nest, and nested
+    # grids, quad_m - 1 = r (input_m - 1): r = 1, 16 and 256, grids with end
+    # columns only or one interior column, and r = 3, whose nodes round; the
     # oracle's kernel has no profile, so it evaluates K at every node pair
     pointwise = KernelSpec(kernel.evaluator, kernel.label)
     dense = integral_matrix(pointwise, quad_m) @ resample_matrix(input_m, quad_m)
@@ -243,8 +256,15 @@ STATIONARY = [gaussian_kernel(0.2), constant_kernel(1.5)]
 @pytest.mark.parametrize("kernel", STATIONARY, ids=lambda k: k.label)
 @pytest.mark.parametrize("quad_m, input_m", [(257, 17), (2049, 65), (8193, 513)])
 def test_stationary_kernel_matrix_is_the_pointwise_one_to_the_bit(kernel, quad_m, input_m):
+    # these grids nest, so the profile's matrix comes from correlations that
+    # sum in another order than the pointwise block loop: a gaussian agrees to
+    # 1e-14, and a constant kernel, whose dyadic sums are exact, to the bit
     pointwise = _quadrature_matrix(KernelSpec(kernel.evaluator, kernel.label), quad_m, input_m)
-    assert _quadrature_matrix(kernel, quad_m, input_m).tobytes() == pointwise.tobytes()
+    got = _quadrature_matrix(kernel, quad_m, input_m)
+    if kernel.label.startswith("constant"):
+        assert got.tobytes() == pointwise.tobytes()
+    else:
+        _assert_rel_close(got, pointwise, 1e-14)
 
 
 @pytest.mark.parametrize("kernel", STATIONARY, ids=lambda k: k.label)
@@ -258,12 +278,8 @@ def test_stationary_kernel_integrates_over_the_first_kernel_argument():
     # K(s, t) = k(s - t), k(d) = exp(d) + d: with x = 1, (Fx)(t) is the
     # integral of exp(s - t) + s - t over s, (e - 1) exp(-t) + 1/2 - t; read
     # as k(t - s) it would be (1 - 1/e) exp(t) + t - 1/2
-    def k(d):
-        return np.exp(d) + d
-
-    kernel = KernelSpec(lambda s, t: k(s - t), "exp-plus-offset", k)
     t = grid_nodes(257)
-    out = integral_matrix(kernel, 257) @ np.ones(257)
+    out = integral_matrix(EXP_PLUS_OFFSET, 257) @ np.ones(257)
     # the trapezoid error is h^2 / 12 times the integrand's derivative jump, below 1e-5
     assert np.allclose(out, (np.e - 1.0) * np.exp(-t) + 0.5 - t, rtol=0.0, atol=1e-5)
 
@@ -538,6 +554,20 @@ def test_a_level_build_forms_no_dense_level():
     dense = 8193 * 513 * F64  # 33.6 MB
     assert op.nbytes < dense / 10
     assert peak < dense, f"peak {peak / 1e6:.1f} MB, one dense level {dense / 1e6:.1f} MB"
+
+
+def test_nested_stationary_quadrature_takes_o_quad_m_scratch():
+    # 4097 - 1 = 16 (257 - 1): the matrix is built in place from correlations
+    # of the kernel's offset vector, with no kernel block or transposed copy
+    tracemalloc.start()
+    try:
+        core = _quadrature_matrix(gaussian_kernel(0.2), 4097, 257)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = core.nbytes + 16 * 4097 * F64
+    assert core.flags.c_contiguous
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 # ------------------------------------------------------------------ Gram
