@@ -128,6 +128,13 @@ def _samples(run: RunSpec, family: OperatorFamily):
     return [x for x in samples if membership(domain, x)]
 
 
+def _level_rows(kind: str, levels, **columns) -> list[ReportRow]:
+    """One row per level and column: level by level, the columns in the order given."""
+    return [ReportRow(kind, n, metric, value)
+            for n, *values in zip(levels, *columns.values())
+            for metric, value in zip(columns, values)]
+
+
 def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
     """Execute the configured study; return its rows and overall verdict.
 
@@ -140,8 +147,7 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
 
     if kind == "fem-rate":
         report = rate_study(_manufactured(resolve_potential(run.problem.potential)), run.schedule.levels)
-        for n, err in zip(report.levels, report.errors):
-            rows.append(ReportRow(kind, n, "l2_error", err))
+        rows = _level_rows(kind, report.levels, l2_error=report.errors)
         verdict = -2.2 <= report.slope <= -1.8
         rows.append(ReportRow(kind, None, "rate_slope", report.slope, _verdict_word(verdict)))
         return rows, verdict
@@ -169,8 +175,7 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
         family = build_family(run)
         samples = _samples(run, family)
         gaps = [uniform_gap(family, n, samples) for n in family.levels]
-        for n, gap in zip(family.levels, gaps):
-            rows.append(ReportRow(kind, n, "uniform_gap", gap))
+        rows = _level_rows(kind, family.levels, uniform_gap=gaps)
         verdict = gaps[-1] <= max(gaps[0] / 4.0, 1e-12)
         rows.append(ReportRow(kind, None, "final_gap", gaps[-1], _verdict_word(verdict)))
         return rows, verdict
@@ -179,12 +184,8 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
 
     if kind == "inf-study":
         report = inf_convergence_study(seq, solver, tol=run.study.tol)
-        for n, v, gap, dist in zip(
-            report.levels, report.inf_values, report.gaps, report.minimizer_distances
-        ):
-            rows.append(ReportRow(kind, n, "inf_value", v))
-            rows.append(ReportRow(kind, n, "gap", gap))
-            rows.append(ReportRow(kind, n, "min_distance", dist))
+        rows = _level_rows(kind, report.levels, inf_value=report.inf_values, gap=report.gaps,
+                           min_distance=report.minimizer_distances)
         rows.append(ReportRow(kind, None, "reference_min", report.reference_min))
         rows.append(
             ReportRow(kind, None, "final_gap", report.gaps[-1], _verdict_word(report.verdict))
@@ -193,14 +194,9 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
 
     if kind == "eps-chain":
         report = eps_minimizer_chain(seq, solver=solver, value_gap_tol=run.study.tol)
-        for n, eps, v, cert in zip(
-            report.levels, report.eps_values, report.chain_values, report.certified
-        ):
-            rows.append(ReportRow(kind, n, "eps", eps))
-            rows.append(ReportRow(kind, n, "chain_value", v))
-            rows.append(ReportRow(kind, n, "certified", 1.0 if cert else 0.0))
-        for n, step in zip(report.levels[1:], report.step_distances):
-            rows.append(ReportRow(kind, n, "step_distance", step))
+        rows = _level_rows(kind, report.levels, eps=report.eps_values,
+                           chain_value=report.chain_values, certified=map(float, report.certified))
+        rows += _level_rows(kind, report.levels[1:], step_distance=report.step_distances)
         rows.append(
             ReportRow(kind, None, "cluster_found", 1.0 if report.cluster_found else 0.0)
         )
@@ -228,12 +224,9 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
 
     if kind == "alpha-zero":
         report = alpha_zero_study(seq, solver, tol=run.study.tol)
-        for i, n in enumerate(report.levels):
-            rows.append(ReportRow(kind, n, "alpha", report.alphas[i]))
-            rows.append(ReportRow(kind, n, "noise_ratio", report.noise_ratios[i]))
-            rows.append(ReportRow(kind, n, "operator_ratio", report.operator_ratios[i]))
-            rows.append(ReportRow(kind, n, "distance_to_min_penalty", report.distances[i]))
-            rows.append(ReportRow(kind, n, "omega_gap", report.omega_gaps[i]))
+        rows = _level_rows(kind, report.levels, alpha=report.alphas,
+                           noise_ratio=report.noise_ratios, operator_ratio=report.operator_ratios,
+                           distance_to_min_penalty=report.distances, omega_gap=report.omega_gaps)
         rows.append(
             ReportRow(kind, None, "final_distance", report.distances[-1],
                       _verdict_word(report.verdict))

@@ -12,12 +12,13 @@ from __future__ import annotations
 import configparser
 import math
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import ConfigError, GridCompatibilityError, ResolutionError
 from .fem import make_fem_family
 from .functionals import (
     ALPHA_KINDS,
@@ -173,7 +174,10 @@ class StudySpec:
 
     @property
     def grid(self) -> np.ndarray:
-        """The gamma-estimate grid: grid_m nodes on [0, 2 pi]."""
+        """The gamma-estimate grid: grid_m nodes on [0, 2 pi]. A grid whose size in
+        bytes numpy cannot index raises MemoryError, as one too large to allocate does."""
+        if self.grid_m > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise MemoryError(f"grid_m = {self.grid_m} nodes are more than numpy can index")
         return np.linspace(0.0, 2.0 * np.pi, self.grid_m)
 
 
@@ -220,7 +224,7 @@ class RunSpec:
 
 
 class _Collector:
-    """Typed readers over configparser that log problems instead of raising."""
+    """One reader over configparser that logs problems instead of raising."""
 
     def __init__(self, parser: configparser.ConfigParser, raw_lines: list[str]):
         self.parser = parser
@@ -263,121 +267,99 @@ class _Collector:
             return self.parser.get(section, key).strip()
         return None
 
-    def choice(self, section: str, key: str, allowed, default: str) -> str:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        if text not in allowed:
-            self.complain(section, key, f"expected one of {', '.join(allowed)}; got {text!r}")
-            return default
-        return text
-
-    def number(
-        self,
-        section: str,
-        key: str,
-        default: float,
-        positive: bool = False,
-        nonnegative: bool = False,
-    ) -> float:
+    def value(self, section: str, key: str, default, parse: Callable[[str], object], *checks):
+        """The key's text as `parse` reads it, or `default` when the key is absent or
+        refused: a refusal logs the parser's ValueError, or else the complaint of the
+        first check `(refuses, complaint)` whose `refuses(value)` holds."""
         text = self.raw(section, key)
         if text is None:
             return default
         try:
-            value = float(text)
-        except ValueError:
-            self.complain(section, key, f"not a number: {text!r}")
+            value = parse(text)
+        except ValueError as exc:
+            self.complain(section, key, str(exc))
             return default
-        if not math.isfinite(value):
-            self.complain(section, key, "must be finite")
-            return default
-        if positive and value <= 0.0:
-            self.complain(section, key, "must be positive")
-            return default
-        if nonnegative and value < 0.0:
-            self.complain(section, key, "must be nonnegative")
-            return default
-        return value
-
-    def integer(self, section: str, key: str, default: int, minimum: int = 1) -> int:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        try:
-            value = int(text)
-        except ValueError:
-            self.complain(section, key, f"not an integer: {text!r}")
-            return default
-        if value < minimum:
-            self.complain(section, key, f"must be >= {minimum}")
-            return default
-        return value
-
-    def boolean(self, section: str, key: str, default: bool) -> bool:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        lowered = text.lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        self.complain(section, key, f"not a boolean: {text!r}")
-        return default
-
-    def levels(self, section: str, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        match = re.fullmatch(r"doubling:(\d+):(\d+)", text)
-        if match:
-            start, count = int(match.group(1)), int(match.group(2))
-            if start < 2 or count < 2:
-                self.complain(section, key, "doubling needs start >= 2 and count >= 2")
+        for refuses, complaint in checks:
+            if refuses(value):
+                self.complain(section, key, complaint)
                 return default
-            return tuple(start * 2**k for k in range(count))
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            self.complain(section, key, f"not a comma list of integers: {text!r}")
-            return default
-        if len(values) < 2 or any(b <= a for a, b in zip(values, values[1:])) or values[0] < 2:
-            self.complain(
-                section, key, "need at least two strictly increasing levels, all >= 2"
-            )
-            return default
-        return values
-
-    def floats(self, section: str, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        text = self.raw(section, key)
-        if text is None:
-            return default
-        try:
-            values = tuple(float(part) for part in text.split(","))
-        except ValueError:
-            self.complain(section, key, f"not a comma list of numbers: {text!r}")
-            return default
-        if not all(map(math.isfinite, values)):
-            self.complain(section, key, "must be finite")
-            return default
-        return values
+        return value
 
 
-def _potential_label(col: _Collector) -> str:
-    """Potential label: a name in POTENTIALS or a table that resolve_potential accepts."""
-    text = col.raw("problem", "potential")
-    if text is None:
-        return ProblemSpec.potential
+# Parsers: each returns the value its text spells, or raises ValueError with
+# the complaint that refuses the text.
+
+
+def _as(convert: Callable[[str], object], noun: str, text: str):
     try:
-        resolve_potential(text)
-    except KeyError:
-        col.complain("problem", "potential", f"expected one of {', '.join(POTENTIALS)} "
-                     f"or table:v0,v1,...; got {text!r}")
-    except ValueError as exc:
-        col.complain("problem", "potential", str(exc))
-    else:
+        return convert(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"not {noun}: {text!r}") from None
+
+
+def _finite(values):
+    if not np.isfinite(values).all():
+        raise ValueError("must be finite")
+    return values
+
+
+def _number(text: str) -> float:
+    return _finite(_as(float, "a number", text))
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    return _finite(_as(lambda t: tuple(map(float, t.split(","))), "a comma list of numbers", text))
+
+
+def _integer(text: str) -> int:
+    return _as(int, "an integer", text)
+
+
+def _boolean(text: str) -> bool:
+    return _as(lambda t: configparser.ConfigParser.BOOLEAN_STATES[t.lower()], "a boolean", text)
+
+
+def _levels(text: str) -> tuple[int, ...]:
+    """doubling:start:count, or a comma list of integers."""
+    match = re.fullmatch(r"doubling:(\d+):(\d+)", text)
+    if not match:
+        return _as(lambda t: tuple(map(int, t.split(","))), "a comma list of integers", text)
+    start, count = int(match.group(1)), int(match.group(2))
+    if start < 2 or count < 2:
+        raise ValueError("doubling needs start >= 2 and count >= 2")
+    return tuple(start * 2**k for k in range(count))
+
+
+def _one_of(allowed) -> Callable[[str], str]:
+    """The parser of a name in `allowed`."""
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}; got {text!r}")
         return text
-    return ProblemSpec.potential
+    return parse
+
+
+def _potential(text: str) -> str:
+    """A name in POTENTIALS, or a table that resolve_potential accepts."""
+    try:
+        resolve_potential(text)  # a table it refuses raises ValueError
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(POTENTIALS)} "
+                         f"or table:v0,v1,...; got {text!r}") from None
+    return text
+
+
+# Checks: (refuses, complaint)
+_POSITIVE = (lambda v: v <= 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v < 0.0, "must be nonnegative")
+
+
+def _at_least(minimum: int):
+    return (lambda v: v < minimum, f"must be >= {minimum}")
+
+
+# sin(truth_frequency * pi * t) needs the product finite
+_MAX_FREQUENCY = sys.float_info.max / math.pi
 
 
 def parse_config(text: str) -> RunSpec:
@@ -404,19 +386,9 @@ def parse_config(text: str) -> RunSpec:
 
     if not parser.has_section("study"):
         col.problems.append("[study]: section is required")
-        kind = "inf-study"
-    else:
-        kind_text = col.raw("study", "kind")
-        if kind_text is None:
-            col.complain("study", None, "missing required key 'kind'")
-            kind = "inf-study"
-        elif kind_text not in STUDY_KINDS:
-            col.complain(
-                "study", "kind", f"expected one of {', '.join(STUDY_KINDS)}; got {kind_text!r}"
-            )
-            kind = "inf-study"
-        else:
-            kind = kind_text
+    elif not parser.has_option("study", "kind"):
+        col.complain("study", None, "missing required key 'kind'")
+    kind = col.value("study", "kind", "inf-study", _one_of(STUDY_KINDS))
 
     # a [study] key its kind does not read is refused (unless the kind itself
     # was), then dropped, so that its value draws no second complaint
@@ -428,48 +400,45 @@ def parse_config(text: str) -> RunSpec:
                 col.conflict("study", key, f"kind {kind} has no {noun}; {_read_by(readers)}",
                              ("study", "kind"), ("study", None))
                 parser.remove_option("study", key)
-    tol = col.number("study", "tol", _TOL_DEFAULTS.get(kind), positive=True)
 
     # Fallbacks come from the spec dataclasses, so each default is written once.
+    # Keyword arguments are read in the order written, which is the order of
+    # the complaints.
     d = StudySpec(kind)
-    radii = col.floats("study", "radii", d.radii)
-    if any(r <= 0 for r in radii) or any(b >= a for a, b in zip(radii, radii[1:])):
-        col.complain("study", "radii", "must be positive and strictly decreasing")
-        radii = d.radii
-    thresholds = col.floats("study", "thresholds", d.thresholds)
-    if any(t <= 0 for t in thresholds):
-        col.complain("study", "thresholds", "must be positive")
-        thresholds = d.thresholds
-
     study = StudySpec(
         kind=kind,
-        tol=tol,
-        gamma_family=col.choice("study", "family", GAMMA_FAMILIES, d.gamma_family),
-        point=col.number("study", "point", d.point),
-        radii=radii,
-        index_window=col.integer("study", "index_window", d.index_window, minimum=2),
-        grid_m=col.integer("study", "grid_m", d.grid_m, minimum=16),
-        thresholds=thresholds,
+        tol=col.value("study", "tol", _TOL_DEFAULTS.get(kind), _number, _POSITIVE),
+        radii=col.value("study", "radii", d.radii, _numbers, (
+            lambda rs: min(rs) <= 0 or any(b >= a for a, b in zip(rs, rs[1:])),
+            "must be positive and strictly decreasing")),
+        thresholds=col.value("study", "thresholds", d.thresholds, _numbers, (
+            lambda ts: min(ts) <= 0, "must be positive")),
+        gamma_family=col.value("study", "family", d.gamma_family, _one_of(GAMMA_FAMILIES)),
+        point=col.value("study", "point", d.point, _number),
+        index_window=col.value("study", "index_window", d.index_window, _integer, _at_least(2)),
+        grid_m=col.value("study", "grid_m", d.grid_m, _integer, _at_least(16)),
     )
 
     d = ProblemSpec()
     problem = ProblemSpec(
-        kernel=col.choice("problem", "kernel", KERNELS, d.kernel),
-        sigma=col.number("problem", "sigma", d.sigma, positive=True),
-        kappa=col.number("problem", "kappa", d.kappa),
-        potential=_potential_label(col),
-        input_m=col.integer("problem", "input_m", d.input_m, minimum=3),
-        quad_m=col.integer("problem", "quad_m", d.quad_m, minimum=3),
-        alpha=col.number("problem", "alpha", d.alpha, nonnegative=True),
-        exponent_p=col.number("problem", "exponent_p", d.exponent_p),
-        penalty=col.choice("problem", "penalty", PENALTIES, d.penalty),
-        penalty_q=col.number("problem", "penalty_q", d.penalty_q),
-        domain=col.choice("problem", "domain", DOMAINS, d.domain),
-        radius=col.number("problem", "radius", d.radius, positive=True),
-        truth=col.choice("problem", "truth", TRUTHS, d.truth),
-        truth_amplitude=col.number("problem", "truth_amplitude", d.truth_amplitude),
-        truth_frequency=col.integer("problem", "truth_frequency", d.truth_frequency, minimum=1),
-        data=col.choice("problem", "data", DATA, d.data),
+        kernel=col.value("problem", "kernel", d.kernel, _one_of(KERNELS)),
+        sigma=col.value("problem", "sigma", d.sigma, _number, _POSITIVE),
+        kappa=col.value("problem", "kappa", d.kappa, _number),
+        potential=col.value("problem", "potential", d.potential, _potential),
+        input_m=col.value("problem", "input_m", d.input_m, _integer, _at_least(3)),
+        quad_m=col.value("problem", "quad_m", d.quad_m, _integer, _at_least(3)),
+        alpha=col.value("problem", "alpha", d.alpha, _number, _NONNEGATIVE),
+        exponent_p=col.value("problem", "exponent_p", d.exponent_p, _number),
+        penalty=col.value("problem", "penalty", d.penalty, _one_of(PENALTIES)),
+        penalty_q=col.value("problem", "penalty_q", d.penalty_q, _number),
+        domain=col.value("problem", "domain", d.domain, _one_of(DOMAINS)),
+        radius=col.value("problem", "radius", d.radius, _number, _POSITIVE),
+        truth=col.value("problem", "truth", d.truth, _one_of(TRUTHS)),
+        truth_amplitude=col.value("problem", "truth_amplitude", d.truth_amplitude, _number),
+        truth_frequency=col.value(
+            "problem", "truth_frequency", d.truth_frequency, _integer, _at_least(1),
+            (lambda f: f > _MAX_FREQUENCY, f"must be <= {_MAX_FREQUENCY:.6g}")),
+        data=col.value("problem", "data", d.data, _one_of(DATA)),
     )
     if problem.exponent_p < 1.0:
         col.complain("problem", "exponent_p", "must be >= 1")
@@ -480,25 +449,30 @@ def parse_config(text: str) -> RunSpec:
 
     d = ScheduleSpec()
     schedule = ScheduleSpec(
-        levels=col.levels("schedule", "levels", d.levels),
-        alpha_kind=col.choice("schedule", "alpha_kind", ALPHA_KINDS, d.alpha_kind),
-        alpha_amplitude=col.number("schedule", "alpha_amplitude", d.alpha_amplitude, positive=True),
-        alpha_exponent=col.number("schedule", "alpha_exponent", d.alpha_exponent, positive=True),
-        noise_kind=col.choice("schedule", "noise_kind", NOISE_KINDS, d.noise_kind),
-        noise_amplitude=col.number("schedule", "noise_amplitude", d.noise_amplitude, positive=True),
-        noise_exponent=col.number("schedule", "noise_exponent", d.noise_exponent, positive=True),
-        noise_direction=col.choice(
-            "schedule", "noise_direction", NOISE_DIRECTIONS, d.noise_direction
-        ),
-        noise_seed=col.integer("schedule", "noise_seed", d.noise_seed, minimum=0),
-        exact_family=col.boolean("schedule", "exact_family", d.exact_family),
+        levels=col.value("schedule", "levels", d.levels, _levels, (
+            lambda ls: len(ls) < 2 or ls[0] < 2 or any(b <= a for a, b in zip(ls, ls[1:])),
+            "need at least two strictly increasing levels, all >= 2")),
+        alpha_kind=col.value("schedule", "alpha_kind", d.alpha_kind, _one_of(ALPHA_KINDS)),
+        alpha_amplitude=col.value("schedule", "alpha_amplitude", d.alpha_amplitude, _number,
+                                  _POSITIVE),
+        alpha_exponent=col.value("schedule", "alpha_exponent", d.alpha_exponent, _number,
+                                 _POSITIVE),
+        noise_kind=col.value("schedule", "noise_kind", d.noise_kind, _one_of(NOISE_KINDS)),
+        noise_amplitude=col.value("schedule", "noise_amplitude", d.noise_amplitude, _number,
+                                  _POSITIVE),
+        noise_exponent=col.value("schedule", "noise_exponent", d.noise_exponent, _number,
+                                 _POSITIVE),
+        noise_direction=col.value(
+            "schedule", "noise_direction", d.noise_direction, _one_of(NOISE_DIRECTIONS)),
+        noise_seed=col.value("schedule", "noise_seed", d.noise_seed, _integer, _at_least(0)),
+        exact_family=col.value("schedule", "exact_family", d.exact_family, _boolean),
     )
 
     d = SolveConfig()
     solver = SolveConfig(
-        max_iter=col.integer("solver", "max_iter", d.max_iter, minimum=1),
-        grad_tol=col.number("solver", "grad_tol", d.grad_tol, positive=True),
-        restarts=col.integer("solver", "restarts", d.restarts, minimum=0),
+        max_iter=col.value("solver", "max_iter", d.max_iter, _integer, _at_least(1)),
+        grad_tol=col.value("solver", "grad_tol", d.grad_tol, _number, _POSITIVE),
+        restarts=col.value("solver", "restarts", d.restarts, _integer, _at_least(0)),
     )
     # a key no reader above asked for is unknown
     for section in parser.sections():
@@ -532,6 +506,11 @@ def parse_config(text: str) -> RunSpec:
                 except ResolutionError as exc:
                     col.conflict("study", "radii", f"{exc} with grid_m = {study.grid_m}",
                                  ("study", "grid_m"), ("study", "point"))
+    if problem.kernel == "gaussian":
+        try:
+            gaussian_kernel(problem.sigma)
+        except GridCompatibilityError as exc:
+            col.conflict("problem", "sigma", str(exc), ("problem", "kernel"))
     if problem.alpha == 0.0 and schedule.alpha_kind == "constant" and kind != "fem-rate":
         col.conflict(
             "schedule", "alpha_kind", "alpha = 0 with a constant schedule gives alpha_n = 0",

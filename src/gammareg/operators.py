@@ -101,6 +101,10 @@ def separable_kernel() -> KernelSpec:
 def gaussian_kernel(sigma: float) -> KernelSpec:
     if sigma <= 0:
         raise GridCompatibilityError("gaussian kernel needs sigma > 0")
+    # every offset lies in [-1, 1], so d**2 / sigma**2 stays finite with 1 / sigma**2
+    square = float(sigma) * float(sigma)
+    if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+        raise GridCompatibilityError("gaussian kernel needs sigma**2 and 1/sigma**2 finite")
     return _stationary(lambda d: np.exp(-(d**2) / sigma**2), f"gaussian({sigma})")
 
 

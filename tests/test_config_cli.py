@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gammareg
 from gammareg import (
@@ -43,6 +45,10 @@ from gammareg import (
     resolve_potential,
 )
 from gammareg.cli import run_study
+from gammareg.config import (
+    _KIND_KEYS, DATA, DOMAINS, GAMMA_FAMILIES, KERNELS, PENALTIES, STUDY_KINDS, TRUTHS,
+)
+from gammareg.functionals import ALPHA_KINDS, NOISE_DIRECTIONS, NOISE_KINDS
 
 
 # ---------------------------------------------------------------- parsing
@@ -167,6 +173,25 @@ def test_non_finite_list_values_are_refused(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(f"[study]\nkind = {kind}\n{key} = {value}\n")
     assert err.value.problems == [f"[study] {key}: must be finite (line 3)"]
+
+
+@pytest.mark.parametrize("kind, section, line, problem", [
+    ("inf-study", "problem", "sigma = abc", "sigma: not a number: 'abc'"),
+    ("inf-study", "problem", "radius = 0", "radius: must be positive"),
+    ("inf-study", "problem", "alpha = -1", "alpha: must be nonnegative"),
+    ("inf-study", "problem", "alpha = inf", "alpha: must be finite"),
+    ("inf-study", "problem", "quad_m = 9.5", "quad_m: not an integer: '9.5'"),
+    ("inf-study", "problem", "input_m = 2", "input_m: must be >= 3"),
+    ("inf-study", "problem", "exponent_p = 0.5", "exponent_p: must be >= 1"),
+    ("inf-study", "schedule", "exact_family = maybe", "exact_family: not a boolean: 'maybe'"),
+    ("inf-study", "schedule", "levels = 4, x", "levels: not a comma list of integers: '4, x'"),
+    ("coercivity", "study", "thresholds = 1, x", "thresholds: not a comma list of numbers: '1, x'"),
+])
+def test_each_reader_complaint_names_its_key_and_line(kind, section, line, problem):
+    text = f"[study]\nkind = {kind}\n" + ("" if section == "study" else f"[{section}]\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"{text}{line}\n")
+    assert err.value.problems == [f"[{section}] {problem} (line {text.count(chr(10)) + 1})"]
 
 
 def test_syntax_errors_are_reported_as_config_errors():
@@ -587,6 +612,22 @@ CASES: dict[str, Case] = {
         "[study]\nkind = gamma-estimate\ngrid_m = 100000000000\n", VALIDATE, 2,
         "error: out of memory\n",
         patch=("gammareg.config.StudySpec.grid", property(_no_memory))),
+    # np.linspace raised "Maximum allowed size exceeded" past 2**60 nodes
+    "test_a_grid_numpy_cannot_index_exits_two": Case(
+        "[study]\nkind = gamma-estimate\ngrid_m = 100000000000000000000000\n", RUN, 2,
+        "error: grid_m = 100000000000000000000000 nodes are more than numpy can index\n"),
+    # validated, then the sine truth raised OverflowError converting it to a float
+    "test_a_truth_frequency_past_the_floats_is_refused": Case(
+        f"[study]\nkind = inf-study\n[problem]\ntruth_frequency = 1{'0' * 330}\n", RUN, 2,
+        "[problem] truth_frequency: must be <= 5.72223e+307 (line 4)\n"),
+    # validated, then sigma**2 raised OverflowError (1e160), or numpy warned of
+    # an overflow in 1/sigma**2 (1e-160)
+    **{
+        f"test_a_gaussian_width_whose_square_leaves_the_floats_is_refused[{sigma}]": Case(
+            f"[study]\nkind = inf-study\n[problem]\nsigma = {sigma}\n", RUN, 2,
+            "[problem] sigma: gaussian kernel needs sigma**2 and 1/sigma**2 finite (line 4)\n")
+        for sigma in ("1e160", "1e-160")
+    },
     # ------------------------------------------------ run, exit codes
     "test_missing_config_is_an_io_error": Case(
         "", "run --config {tmp}/absent.ini", 4, _one_line("cannot read config: ")),
@@ -737,6 +778,101 @@ def _table_test(name: str, keys: list[str]):
 
 for _name in dict.fromkeys(key.partition("[")[0] for key in CASES):
     globals()[_name] = _table_test(_name, [k for k in CASES if k.partition("[")[0] == _name])
+
+
+# ------------------------------------------------------- drawn configs
+
+# The values each key is drawn from: small sizes, and the extreme values that
+# used to validate and then end in a traceback or a numpy warning
+_HUGE_GRID = "100000000000000000000000"
+_HUGE_FREQUENCY = "1" + "0" * 330
+_DRAWN_KEYS = {
+    "problem": {
+        "kernel": st.sampled_from(list(KERNELS)),
+        "sigma": st.sampled_from(["0.2", "0.6", "1e160", "1e-160"]),
+        "kappa": st.sampled_from(["1", "-0.5"]),
+        "potential": st.sampled_from(["one", "cosine", "table:1,2,0.5"]),
+        "input_m": st.integers(3, 17),
+        "quad_m": st.sampled_from([9, 17, 33, 65]),
+        "alpha": st.sampled_from(["0", "0.05", "0.1"]),
+        "exponent_p": st.sampled_from(["1", "1.5", "2", "3"]),
+        "penalty": st.sampled_from(list(PENALTIES)),
+        "penalty_q": st.sampled_from(["1.5", "2", "3"]),
+        "domain": st.sampled_from(list(DOMAINS)),
+        "radius": st.sampled_from(["0.05", "1"]),
+        "truth": st.sampled_from(list(TRUTHS)),
+        "truth_amplitude": st.sampled_from(["0.01", "1"]),
+        "truth_frequency": st.sampled_from(["1", "3", _HUGE_FREQUENCY]),
+        "data": st.sampled_from(list(DATA)),
+    },
+    "schedule": {
+        "levels": st.one_of(
+            st.lists(st.integers(2, 33), min_size=2, max_size=4, unique=True).map(
+                lambda ls: ", ".join(map(str, sorted(ls)))),
+            st.sampled_from(["doubling:2:5", "doubling:4:3"])),
+        "alpha_kind": st.sampled_from(ALPHA_KINDS),
+        "alpha_amplitude": st.sampled_from(["0.5", "1"]),
+        "alpha_exponent": st.sampled_from(["1", "2"]),
+        "noise_kind": st.sampled_from(NOISE_KINDS),
+        "noise_amplitude": st.sampled_from(["0.01", "1"]),
+        "noise_exponent": st.sampled_from(["1", "2"]),
+        "noise_direction": st.sampled_from(NOISE_DIRECTIONS),
+        "noise_seed": st.integers(0, 9),
+        "exact_family": st.booleans(),
+    },
+    "solver": {
+        "max_iter": st.integers(1, 50),
+        "grad_tol": st.sampled_from(["1e-8", "1e-4"]),
+        "restarts": st.integers(0, 2),
+    },
+}
+# [study] keys, each drawn for the kinds that read it
+_DRAWN_STUDY_KEYS = {
+    "tol": st.sampled_from(["1e-2", "1e-6"]),
+    "family": st.sampled_from(list(GAMMA_FAMILIES)),
+    "point": st.sampled_from(["0.5", "1.3"]),
+    "radii": st.sampled_from(["0.5, 0.1", "0.2, 0.1, 0.05"]),
+    "index_window": st.sampled_from([16, 64]),
+    "grid_m": st.sampled_from(["64", "256", _HUGE_GRID]),
+    "thresholds": st.sampled_from(["0.5, 1, 2", "0.1, 10"]),
+}
+
+
+def _ini(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@st.composite
+def drawn_configs(draw) -> str:
+    kind = draw(st.sampled_from(STUDY_KINDS))
+    study = draw(st.fixed_dictionaries({}, optional={
+        key: values for key, values in _DRAWN_STUDY_KEYS.items() if kind in _KIND_KEYS[key][1]}))
+    sections = {"study": {"kind": kind, **study}}
+    for name, keys in _DRAWN_KEYS.items():
+        sections[name] = draw(st.fixed_dictionaries({}, optional=keys))
+    return _ini(sections)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(config=drawn_configs())
+@example(config=f"[study]\nkind = gamma-estimate\ngrid_m = {_HUGE_GRID}\n")
+@example(config=f"[study]\nkind = inf-study\n[problem]\ntruth_frequency = {_HUGE_FREQUENCY}\n")
+@example(config="[study]\nkind = integral-demo\n[problem]\nsigma = 1e160\n")
+@example(config="[study]\nkind = inf-study\n[problem]\nsigma = 1e-160\ninput_m = 9\nquad_m = 33\n"
+         "[schedule]\nlevels = 5, 9\n")
+def test_a_config_is_refused_by_validate_or_runs_to_an_exit_code(cli, tmp_path, config):
+    # no exception escapes main, and no warning is raised, on either command
+    path = tmp_path / "drawn.ini"
+    path.write_text(config)
+    validated = cli("validate", "--config", str(path))
+    assert validated.warnings == []
+    assert validated.code in (0, 2), validated.stderr
+    if validated.code == 0:
+        ran = cli("run", "--config", str(path))
+        assert ran.warnings == []
+        assert ran.code in (0, 2, 3), ran.stderr
 
 
 def test_module_entry_point_passes_mains_exit_code_on(cli, tmp_path):

@@ -99,8 +99,11 @@ def test_gaussian_kernel_peaks_on_diagonal():
 
 
 def test_gaussian_kernel_needs_positive_width():
-    with pytest.raises(GridCompatibilityError):
-        gaussian_kernel(0.0)
+    # and one whose square is a float with a float reciprocal: sigma**2
+    # overflows past 1.3e154, and 1/sigma**2 below 7.5e-155
+    for sigma in (0.0, 1e160, 1e-160):
+        with pytest.raises(GridCompatibilityError):
+            gaussian_kernel(sigma)
 
 
 # ------------------------------------------------------------ operators
