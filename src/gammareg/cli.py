@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -72,41 +72,22 @@ def _verdict_word(verdict: bool | None) -> str:
     return "pass" if verdict else "fail"
 
 
+def _plain(row: ReportRow) -> dict:
+    """The row's columns by name, in field order, each float column a Python float."""
+    return {f.name: float(v) if f.type == "float" else v
+            for f, v in zip(fields(row), astuple(row))}
+
+
 def rows_to_csv(rows: list[ReportRow]) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["study", "level", "metric", "value", "verdict", "wall_time_ms"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.study,
-                "" if row.level is None else row.level,
-                row.metric,
-                repr(float(row.value)),
-                row.verdict,
-                repr(float(row.wall_time_ms)),
-            ]
-        )
+    writer = csv.DictWriter(buffer, [f.name for f in fields(ReportRow)], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(_plain, rows))
     return buffer.getvalue()
 
 
 def rows_to_jsonl(rows: list[ReportRow]) -> str:
-    lines = []
-    for row in rows:
-        lines.append(
-            json.dumps(
-                {
-                    "study": row.study,
-                    "level": row.level,
-                    "metric": row.metric,
-                    "value": float(row.value),
-                    "verdict": row.verdict,
-                    "wall_time_ms": float(row.wall_time_ms),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps(_plain(row), sort_keys=True) + "\n" for row in rows)
 
 
 _EXACT_SINE = lambda t: np.sin(np.pi * t)  # noqa: E731

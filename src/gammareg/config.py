@@ -33,7 +33,7 @@ from .functionals import (
     linf_penalty,
     p_power_norm,
 )
-from .grids import GridFunction, from_callable
+from .grids import GridFunction, _refuse_unindexable, from_callable
 from .operators import (
     DomainSpec,
     ForwardOperator,
@@ -50,7 +50,7 @@ from .operators import (
     whole_space,
 )
 from .solvers import SolveConfig
-from .studies import ALPHA_ZERO_TOL, EPS_CHAIN_TOL, INF_STUDY_TOL, _neighborhood
+from .studies import ALPHA_ZERO_TOL, EPS_CHAIN_TOL, INF_STUDY_TOL, _gamma_tail, _neighborhood
 
 __all__ = [
     "StudySpec",
@@ -174,10 +174,11 @@ class StudySpec:
 
     @property
     def grid(self) -> np.ndarray:
-        """The gamma-estimate grid: grid_m nodes on [0, 2 pi]. A grid whose size in
-        bytes numpy cannot index raises MemoryError, as one too large to allocate does."""
-        if self.grid_m > np.iinfo(np.intp).max // np.dtype(float).itemsize:
-            raise MemoryError(f"grid_m = {self.grid_m} nodes are more than numpy can index")
+        """The gamma-estimate grid: grid_m nodes on [0, 2 pi]. A grid, or a block of
+        family values over the window's tail, whose size in bytes numpy cannot index
+        raises MemoryError, as one too large to allocate does."""
+        _refuse_unindexable(self.grid_m, f"grid_m = {self.grid_m} nodes are")
+        _gamma_tail(self.index_window, self.grid_m)
         return np.linspace(0.0, 2.0 * np.pi, self.grid_m)
 
 

@@ -35,10 +35,18 @@ class NormTag(enum.Enum):
     H1_0 = "h1_0"
 
 
+def _refuse_unindexable(count: int, what: str) -> None:
+    """MemoryError "<what> more than numpy can index" when `count` floats take more
+    bytes than numpy can index, as for an array too large to allocate."""
+    if count > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise MemoryError(f"{what} more than numpy can index")
+
+
 def grid_nodes(m: int) -> np.ndarray:
     """Node coordinates of the uniform grid with `m` stored values."""
     if m < 2:
         raise GridCompatibilityError("grid needs at least 2 nodes")
+    _refuse_unindexable(m, f"{m} grid nodes are")
     return np.linspace(0.0, 1.0, m)
 
 

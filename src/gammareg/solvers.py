@@ -1,18 +1,20 @@
-"""Minimization backends: normal equations, projected gradient, pseudoinverse ladder.
+"""Minimization backends: closed form, projected gradient, vanishing-alpha ladder.
 
 All gradients keep the discrete L2 geometry explicit. The coordinate
 gradient of 0.5 ||Ax - y||_W^2 is A^T W (Ax - y); dividing by the input
 weights gives the Riesz representative, which is what descent steps and
 norm-ball projections use so that radial scaling is the exact metric
-projection. Both solvers read one description of an operator, its kept
-Gram A^T W A: the closed form solves with it, and projected gradient
-takes its values and gradients from it (`TikhonovObjective`) before each
-step is confirmed on the full formula. `grad_check` differentiates that
-full formula to check the gradient projected gradient follows.
+projection. One objective per problem, `TikhonovObjective`, reads the
+operator's kept Gram A^T W A and assembles the normal equations; every
+dense solve of them is `_checked_solve`, refused above a relative residual
+of 1e-10. Projected gradient takes its values and gradients from the same
+objective before each step is confirmed on the full formula, which
+`grad_check` differentiates to check the gradient projected gradient follows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,18 +83,31 @@ class TikhonovObjective:
     With G = A^T W A (W the output weights) and b = A^T W y,
     ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
     A^T W (A x - y) = G x - b, so the model value and the gradient cost
-    input_m^2 flops instead of output_m * input_m, from the Gram the closed
-    form reads. `value_at` is T on the full formula, as `eval_T` computes it.
+    input_m^2 flops instead of output_m * input_m, and the normal equations
+    are G and b with alpha W_X added (W_X the input weights).
+    `value_at` is T on the full formula, as `eval_T` computes it.
     """
 
     def __init__(self, problem: TikhonovProblem):
-        op, y = problem.operator, problem.data_y.values
-        w_out = trapezoid_weights(op.output_m)
+        op = problem.operator
         self.problem = problem
         self.w_in = trapezoid_weights(op.input_m)
         self.gram = op.gram()
-        self.b = op.adjoint(w_out * y)
-        self.y_sq = float(y * y @ w_out)
+        self.b = op.adjoint(trapezoid_weights(op.output_m) * problem.data_y.values)
+
+    @functools.cached_property
+    def y_sq(self) -> float:  # lazy: the closed form never squares data near the float limit
+        y = self.problem.data_y.values
+        return float(y * y @ trapezoid_weights(self.problem.operator.output_m))
+
+    def normal_equations(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """G + alpha W_X and b + alpha W_X x0, x0 the penalty shift on the input grid, or 0."""
+        gram = self.gram.copy()
+        gram.flat[:: self.w_in.size + 1] += alpha * self.w_in
+        penalty = self.problem.penalty
+        if penalty.shift is None:
+            return gram, self.b
+        return gram, self.b + alpha * self.w_in * penalty._shift_on(self.w_in.size).values
 
     def value_at(self, vals: np.ndarray) -> float:
         return self.problem.value_at(vals)
@@ -138,40 +153,27 @@ def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarr
     return out
 
 
-def normal_equations(problem: TikhonovProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix A^T W A + alpha W_X and right side A^T W y + alpha W_X x0.
-
-    W and W_X are the trapezoid weights of the output and input grids; x0
-    is the penalty shift on the input grid, or 0. A^T W A is the operator's
-    kept Gram, formed on its first solve.
-    """
-    op, alpha = problem.operator, problem.alpha
-    w_in = trapezoid_weights(op.input_m)
-    gram = op.gram().copy()
-    gram.flat[:: op.input_m + 1] += alpha * w_in
-    rhs = op.adjoint(trapezoid_weights(op.output_m) * problem.data_y.values)
-    if problem.penalty.shift is not None:
-        rhs = rhs + alpha * w_in * problem.penalty._shift_on(op.input_m).values
-    return gram, rhs
-
-
-def _relative_residual(gram: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
-    """||gram x - rhs|| / ||rhs||, with ||rhs|| floored at 1e-30.
+def _checked_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x of gram x = rhs, refused when ||gram x - rhs|| / ||rhs|| > 1e-10.
 
     Both vectors are divided by max|rhs| before their norms are taken, so
-    neither norm overflows while the entries of rhs are finite.
+    neither norm overflows while the entries of rhs are finite; ||rhs|| is
+    floored at 1e-30.
     """
+    x = np.linalg.solve(gram, rhs)
     peak = float(np.max(np.abs(rhs))) or 1.0
     residual = float(np.linalg.norm((gram @ x - rhs) / peak))
-    return residual / max(float(np.linalg.norm(rhs / peak)), 1e-30)
+    residual /= max(float(np.linalg.norm(rhs / peak)), 1e-30)
+    if residual > 1e-10:
+        raise NumericalError(f"normal equations residual {residual:.2e} exceeds 1e-10 relative")
+    return x
 
 
 def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
-    """Closed-form minimizer: solves the system of `normal_equations`.
+    """Closed-form minimizer: the checked solve of the problem's normal equations.
 
-    Verifies the relative residual of the solve; at alpha = 0 a
-    rank-deficient operator yields an infeasible result instead of a
-    spurious solution.
+    At alpha = 0 a rank-deficient operator yields an infeasible result
+    instead of a spurious solution.
     """
     if not problem.is_linear_quadratic:
         raise UnsupportedPenaltyError(
@@ -184,16 +186,13 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
         zero = GridFunction(np.zeros(op.input_m))
         return SolveResult(zero, math.inf, 0, "infeasible", math.inf)
 
-    gram, rhs = normal_equations(problem)
-    x = np.linalg.solve(gram, rhs)
-    residual = _relative_residual(gram, x, rhs)
-    if residual > 1e-10:
-        raise NumericalError(f"normal equations residual {residual:.2e} exceeds 1e-10 relative")
+    objective = TikhonovObjective(problem)
+    gram, rhs = objective.normal_equations(problem.alpha)
+    x = _checked_solve(gram, rhs)
     minimizer = GridFunction(x)
     value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
-    w_in = trapezoid_weights(op.input_m)
-    grad = (gram @ x - rhs) / w_in  # the coordinate gradient of T is gram x - rhs
-    return SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, w_in))
+    grad = (gram @ x - rhs) / objective.w_in  # the coordinate gradient of T is gram x - rhs
+    return SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, objective.w_in))
 
 
 @np.errstate(over="ignore")  # a candidate that overflows is worth inf, and rejected
@@ -279,7 +278,7 @@ def minimize_problem(problem: TikhonovProblem, config: SolveConfig = SolveConfig
 def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunction:
     """Minimum-L2-norm solution of F x = y via a vanishing-alpha ladder.
 
-    Solves the regularized normal equations at the three alpha rungs of
+    Solves one objective's normal equations at the three alpha rungs of
     `_LADDER` and Richardson-extrapolates them (the solution path is
     analytic in alpha near zero). Refuses data outside the range of F:
     the least-squares residual must be below 1e-8.
@@ -293,10 +292,8 @@ def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunc
             f"y is not attainable: least-squares residual {ls_residual:.2e} > 1e-8"
         )
 
-    x1, x2, x3 = (
-        np.linalg.solve(*normal_equations(TikhonovProblem(operator, y, alpha)))
-        for alpha in _LADDER
-    )
+    objective = TikhonovObjective(TikhonovProblem(operator, y, alpha=0.0))
+    x1, x2, x3 = (_checked_solve(*objective.normal_equations(alpha)) for alpha in _LADDER)
     ratio = _LADDER[1] / _LADDER[2]
     e12 = x2 + (x2 - x1) / (ratio - 1.0)
     e23 = x3 + (x3 - x2) / (ratio - 1.0)

@@ -27,13 +27,14 @@ from .errors import (
     UnsupportedPenaltyError,
 )
 from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
-from .grids import GridFunction, norm
+from .grids import GridFunction, _refuse_unindexable, norm
 from .solvers import (
     SolveConfig,
     SolveResult,
+    TikhonovObjective,
+    _checked_solve,
     min_penalty_solution,
     minimize_problem,
-    normal_equations,
 )
 
 __all__ = [
@@ -58,7 +59,6 @@ ALPHA_ZERO_TOL = 1e-3  # final distance to the minimum-penalty solution
 EPS_CHAIN_TOL = 1e-4  # |T(cluster) - last chain value|
 
 _TAIL_SLACK = 0.1  # multiplicative slack per step of a tail-monotone sequence
-_GAMMA_TAIL_FRACTION = 0.5  # share of the index window that is the tail
 _GAMMA_STABILIZATION_TOL = 1e-2  # last change across radii of a stable estimate
 # C7's contractual bounds: identity residual, argmin distance, limit gap
 _SCALING_IDENTITY_TOL = 1e-12
@@ -72,6 +72,11 @@ def _solve(problem: TikhonovProblem, solver: SolveConfig, where: str) -> SolveRe
     if result.status != "converged":
         raise NumericalError(f"solver failed at {where}: status {result.status}")
     return result
+
+
+def _sweep(seq: ApproxSequence, solver: SolveConfig) -> list[SolveResult]:
+    """The converged solve of every level, in level order, as `_solve` refuses them."""
+    return [_solve(seq.problem_at(n), solver, f"level {n}") for n in seq.levels]
 
 
 def _tail_monotone(values: Sequence[float], tail: int = 3) -> bool:
@@ -111,12 +116,10 @@ def inf_convergence_study(
     NumericalError naming where it failed.
     """
     ref = _solve(seq.target, solver, "reference")
-    inf_values, gaps, distances = [], [], []
-    for n in seq.levels:
-        res = _solve(seq.problem_at(n), solver, f"level {n}")
-        inf_values.append(res.value)
-        gaps.append(abs(res.value - ref.value))
-        distances.append(norm(res.minimizer - ref.minimizer))
+    results = _sweep(seq, solver)
+    inf_values = [res.value for res in results]
+    gaps = [abs(v - ref.value) for v in inf_values]
+    distances = [norm(res.minimizer - ref.minimizer) for res in results]
     verdict = gaps[-1] <= tol and _tail_monotone(gaps)
     return InfConvergenceReport(
         tuple(seq.levels),
@@ -158,16 +161,13 @@ def eps_minimizer_chain(
     diagnostic (verdict None), not a failure.
     """
     eps_at = eps_at or (lambda n: 1.0 / n)
-    xs, values, eps_values, certified = [], [], [], []
-    for n in seq.levels:
-        eps = eps_at(n)
-        if eps <= 0.0:
-            raise GridCompatibilityError("eps sequence must stay positive")
-        res = _solve(seq.problem_at(n), solver, f"level {n}")
-        xs.append(res.minimizer)
-        values.append(res.value)
-        eps_values.append(eps)
-        certified.append(is_eps_minimizer(res.value, res.value, eps))
+    eps_values = [eps_at(n) for n in seq.levels]
+    if any(eps <= 0.0 for eps in eps_values):
+        raise GridCompatibilityError("eps sequence must stay positive")
+    results = _sweep(seq, solver)
+    xs = [res.minimizer for res in results]
+    values = [res.value for res in results]
+    certified = [is_eps_minimizer(v, v, eps) for v, eps in zip(values, eps_values)]
     steps = tuple(norm(b - a) for a, b in zip(xs, xs[1:]))
     tail_pts = xs[-tail:]
     spread = max(
@@ -234,6 +234,14 @@ def _neighborhood(grid: np.ndarray, point: float, r: float) -> np.ndarray:
     return mask
 
 
+def _gamma_tail(index_window: int, grid_m: int) -> range:
+    """The last half of the indices 1 ... index_window. A (tail x grid_m) block of
+    values that numpy cannot index raises MemoryError, as one too large to allocate does."""
+    _refuse_unindexable(index_window // 2 * grid_m,
+                        f"index_window = {index_window} on {grid_m} grid nodes: its tail is")
+    return range(index_window - index_window // 2 + 1, index_window + 1)
+
+
 def estimate_gamma_limits(
     family: Callable[[int, np.ndarray], np.ndarray],
     grid: np.ndarray,
@@ -263,8 +271,7 @@ def estimate_gamma_limits(
     if index_window < 2:
         raise GridCompatibilityError("index window must cover at least two indices")
 
-    tail_start = max(1, index_window - int(index_window * _GAMMA_TAIL_FRACTION) + 1)
-    tail = range(tail_start, index_window + 1)
+    tail = _gamma_tail(index_window, grid.size)
     values = np.stack([np.asarray(family(j, grid), dtype=float) for j in tail])
     if not np.all(np.isfinite(values)):
         raise NumericalError("family returned non-finite values on the grid")
@@ -291,7 +298,7 @@ def estimate_gamma_limits(
         upper_by_radius[-1],
         stabilized(lower_by_radius),
         stabilized(upper_by_radius),
-        (tail_start, index_window),
+        (tail.start, index_window),
     )
 
 
@@ -340,9 +347,7 @@ def equi_coercivity_probe(
 
     witness = None
     if seq.target.is_linear_quadratic:
-        witness = max(
-            norm(_solve(seq.problem_at(n), solver, f"level {n}").minimizer) for n in seq.levels
-        )
+        witness = max(norm(res.minimizer) for res in _sweep(seq, solver))
     return CoercivityProbe(
         delta,
         tuple(seq.levels),
@@ -405,11 +410,9 @@ def alpha_zero_study(
 
     penalty = seq.target.penalty
     omega_dagger = penalty.evaluate(x_dagger)
-    distances, omega_gaps = [], []
-    for n in levels:
-        res = _solve(seq.problem_at(n), solver, f"level {n}")
-        distances.append(norm(res.minimizer - x_dagger))
-        omega_gaps.append(abs(penalty.evaluate(res.minimizer) - omega_dagger))
+    results = _sweep(seq, solver)
+    distances = [norm(res.minimizer - x_dagger) for res in results]
+    omega_gaps = [abs(penalty.evaluate(res.minimizer) - omega_dagger) for res in results]
     return AlphaZeroReport(
         tuple(levels),
         tuple(alphas),
@@ -458,19 +461,17 @@ def scaling_invariance_check(
         raise UnsupportedPenaltyError("scaling check uses the closed-form solver")
 
     levels = seq.levels
-    lambdas, values, scaled_values = [], [], []
-    residuals, distances = [], []
-    for n in levels:
-        lam = float(lam_at(n))
-        if not (0.0 < lam < math.inf):
-            raise GridCompatibilityError("per-level scaling must be positive and finite")
+    lambdas = [float(lam_at(n)) for n in levels]
+    if not all(0.0 < lam < math.inf for lam in lambdas):
+        raise GridCompatibilityError("per-level scaling must be positive and finite")
+    results = _sweep(seq, solver)
+    values = [res.value for res in results]
+    scaled_values, residuals, distances = [], [], []
+    for n, lam, res in zip(levels, lambdas, results):
         problem = seq.problem_at(n)
-        res = _solve(problem, solver, f"level {n}")
-        gram, rhs = normal_equations(problem)
-        x_scaled = np.linalg.solve(lam * gram, lam * rhs)
+        gram, rhs = TikhonovObjective(problem).normal_equations(problem.alpha)
+        x_scaled = _checked_solve(lam * gram, lam * rhs)
         v_scaled = lam * problem.value_at(x_scaled)
-        lambdas.append(lam)
-        values.append(res.value)
         scaled_values.append(v_scaled)
         residuals.append(abs(lam * res.value - v_scaled) / max(1.0, abs(v_scaled)))
         distances.append(norm(GridFunction(x_scaled) - res.minimizer))

@@ -616,6 +616,23 @@ CASES: dict[str, Case] = {
     "test_a_grid_numpy_cannot_index_exits_two": Case(
         "[study]\nkind = gamma-estimate\ngrid_m = 100000000000000000000000\n", RUN, 2,
         "error: grid_m = 100000000000000000000000 nodes are more than numpy can index\n"),
+    # validated, then the tail's int(index_window * 0.5) raised OverflowError (10**330),
+    # or the family was evaluated for 5e19 indices (10**20)
+    **{
+        f"test_a_gamma_tail_numpy_cannot_index_exits_two[{label}-{command}]": Case(
+            f"[study]\nkind = gamma-estimate\nindex_window = {window}\n", argv, 2,
+            f"error: index_window = {window} on 4096 grid nodes: its tail is more than "
+            "numpy can index\n")
+        for label, window in (("1e330", 10**330), ("1e20", 10**20))
+        for command, argv in (("validate", VALIDATE), ("run", RUN))
+    },
+    # validated, then np.linspace returned no nodes and the run read node -1
+    **{
+        f"test_an_operator_grid_numpy_cannot_index_exits_two[{key}]": Case(
+            f"[study]\nkind = integral-demo\n[problem]\n{key} = {2**63 - 1}\n", RUN, 2,
+            f"error: {2**63 - 1} grid nodes are more than numpy can index\n")
+        for key in ("input_m", "quad_m")
+    },
     # validated, then the sine truth raised OverflowError converting it to a float
     "test_a_truth_frequency_past_the_floats_is_refused": Case(
         f"[study]\nkind = inf-study\n[problem]\ntruth_frequency = 1{'0' * 330}\n", RUN, 2,

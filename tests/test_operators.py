@@ -43,7 +43,7 @@ from gammareg import (
 )
 from gammareg import operators
 from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
-from gammareg.solvers import TikhonovObjective, normal_equations
+from gammareg.solvers import TikhonovObjective
 
 from conftest import ASYMMETRIC_KERNEL, FAMILY_CASES, LEVEL_CASES, LEVEL_IDS, level_family
 
@@ -331,8 +331,9 @@ def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
         value = 0.5 * float(r * r @ w) + 0.1 * omega
         assert abs(problem.value_at(x) - value) <= 1e-13 * value
         grad = a.T @ (w * r) + 0.1 * problem.penalty.coordinate_gradient(GridFunction(x))
-        _assert_rel_close(TikhonovObjective(problem).coordinate_gradient(x), grad, 1e-13)
-        _assert_rel_close(normal_equations(problem)[1], a.T @ (w * y), 1e-13)
+        objective = TikhonovObjective(problem)
+        _assert_rel_close(objective.coordinate_gradient(x), grad, 1e-13)
+        _assert_rel_close(objective.normal_equations(problem.alpha)[1], a.T @ (w * y), 1e-13)
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():

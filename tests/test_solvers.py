@@ -144,9 +144,11 @@ def test_residual_check_survives_huge_right_sides(monkeypatch):
     op = identity_operator(9)
     y = from_callable(lambda t: 1e158 * (1.0 + t), 9)
     problem = TikhonovProblem(op, y, alpha=0.5)
-    gram, rhs = solvers.normal_equations(problem)
+    gram, rhs = TikhonovObjective(problem).normal_equations(problem.alpha)
     assert np.max(np.abs(rhs)) > 1e157
-    assert solvers._relative_residual(gram, np.linalg.solve(gram, rhs), rhs) < 1e-15
+    peak = np.max(np.abs(rhs))
+    residual = np.linalg.norm((gram @ solvers._checked_solve(gram, rhs) - rhs) / peak)
+    assert residual < 1e-15 * np.linalg.norm(rhs / peak)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda g, r: solve(g, r) * (1.0 + 1e-6))
     with pytest.raises(NumericalError):
@@ -509,15 +511,23 @@ def test_min_penalty_solution_consistency_on_smoothing_kernel():
 def test_min_penalty_rungs_come_from_normal_equations(monkeypatch):
     # alpha W_X is added in one place: each rung is the system of its alpha
     alphas = []
-    assemble = solvers.normal_equations
+    assemble = TikhonovObjective.normal_equations
 
-    def spy(problem):
-        alphas.append(problem.alpha)
-        return assemble(problem)
+    def spy(objective, alpha):
+        alphas.append(alpha)
+        return assemble(objective, alpha)
 
-    monkeypatch.setattr(solvers, "normal_equations", spy)
+    monkeypatch.setattr(TikhonovObjective, "normal_equations", spy)
     min_penalty_solution(identity_operator(9), from_callable(np.sin, 9))
     assert alphas == list(solvers._LADDER)
+
+
+def test_an_inaccurate_rung_solve_is_refused(monkeypatch):
+    # every rung is a checked solve: one off by 1e-6 must not pass silently
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda g, r: solve(g, r) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="normal equations residual"):
+        min_penalty_solution(identity_operator(9), from_callable(np.sin, 9))
 
 
 def test_min_penalty_solution_refuses_unattainable_data():

@@ -366,6 +366,22 @@ def test_scaling_identity_holds_per_level_and_in_the_limit():
         assert report.lambdas == tuple(2.0 + 1.0 / n for n in (4, 8, 16))
 
 
+def test_an_inaccurate_scaled_solve_is_refused(monkeypatch):
+    # only the scaled systems, whose right sides lam = 1e6 lifts past 1e3, are
+    # solved 1e-6 off: the check refuses them instead of reporting a verdict
+    solve, peaks = np.linalg.solve, []
+
+    def off_when_scaled(gram, rhs):
+        peaks.append(np.max(np.abs(rhs)))
+        return solve(gram, rhs) * (1.0 + 1e-6 if peaks[-1] > 1e3 else 1.0)
+
+    monkeypatch.setattr(np.linalg, "solve", off_when_scaled)
+    with pytest.raises(NumericalError, match="normal equations residual"):
+        scaling_invariance_check(scaling_sequence(), lambda n: 1e6, 1e6)
+    # the three unscaled solves passed first, their right sides far below 1e3
+    assert len(peaks) == 4 and max(peaks[:3]) < 1.0 and peaks[3] > 1e3
+
+
 def test_scaling_check_validates_scalings():
     seq = scaling_sequence()
     with pytest.raises(GridCompatibilityError):
