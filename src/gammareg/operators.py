@@ -216,12 +216,21 @@ class ForwardOperator:
         return v if self.prolong is None else interpolate_rows(self.prolong, v)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """C^T (P^T v): the transpose applied to nodal values on the output grid."""
-        if self.prolong is not None:  # P^T v sums the output nodes onto the k core rows
-            idx, theta = self.prolong
-            k = self.core.shape[0]
-            v = np.bincount(idx, (1.0 - theta) * v, k) + np.bincount(idx + 1, theta * v, k)
-        return self.core.T @ v
+        """C^T (P^T v): the transpose applied to nodal values on the output grid;
+        v may be a block of columns."""
+        return self.core.T @ self.restrict(v)
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """P^T v, the output nodes summed onto the k core rows; v may be a block of columns."""
+        if self.prolong is None:
+            return v
+        idx, theta = self.prolong
+        k = self.core.shape[0]
+
+        def column(u):
+            return np.bincount(idx, (1.0 - theta) * u, k) + np.bincount(idx + 1, theta * u, k)
+
+        return column(v) if v.ndim == 1 else np.column_stack([column(u) for u in v.T])
 
     def gram(self) -> np.ndarray:
         """A^T W A, W the output trapezoid weights; read-only and kept.

@@ -5,11 +5,25 @@ gradient of 0.5 ||Ax - y||_W^2 is A^T W (Ax - y); dividing by the input
 weights gives the Riesz representative, which is what descent steps and
 norm-ball projections use so that radial scaling is the exact metric
 projection. One objective per problem, `TikhonovObjective`, reads the
-operator's kept Gram A^T W A and assembles the normal equations; every
-dense solve of them is `_checked_solve`, refused above a relative residual
-of 1e-10. Projected gradient takes its values and gradients from the same
-objective before each step is confirmed on the full formula, which
-`grad_check` differentiates to check the gradient projected gradient follows.
+operator's kept Gram A^T W A and assembles the normal equations that
+projected gradient models and the minimum-penalty ladder solves.
+
+The closed form of linear-quadratic problems, `_closed_form`, solves
+problems that share one operator, alpha and penalty (a run of levels of a
+constant family, or the one problem of `solve_linear_quadratic`) with one
+factorization and a right side per problem. It takes one of two paths:
+
+- dual, when the operator's core A = P C has k < input_m rows and alpha > 0:
+  a k x k system, with no input_m^2 array and no Gram formed;
+- primal otherwise, and when a dual residual is refused: G + alpha W_X from
+  the kept Gram.
+
+Every dense solve is refused, column by column, with NumericalError unless
+its solution is finite and its relative residual is at most 1e-10 (so a NaN
+residual is refused); so is a matrix numpy cannot factor. Projected
+gradient takes its values and gradients from the objective before each
+step is confirmed on the full formula, which `grad_check` differentiates
+to check the gradient projected gradient follows.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,18 +111,17 @@ class TikhonovObjective:
         self.b = op.adjoint(trapezoid_weights(op.output_m) * problem.data_y.values)
 
     @functools.cached_property
-    def y_sq(self) -> float:  # lazy: the closed form never squares data near the float limit
+    def y_sq(self) -> float:  # lazy: `normal_equations` never squares data near the float limit
         y = self.problem.data_y.values
         return float(y * y @ trapezoid_weights(self.problem.operator.output_m))
 
     def normal_equations(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """G + alpha W_X and b + alpha W_X x0, x0 the penalty shift on the input grid, or 0."""
-        gram = self.gram.copy()
-        gram.flat[:: self.w_in.size + 1] += alpha * self.w_in
+        matrix = _normal_matrix(self.gram, alpha, self.w_in)
         penalty = self.problem.penalty
         if penalty.shift is None:
-            return gram, self.b
-        return gram, self.b + alpha * self.w_in * penalty._shift_on(self.w_in.size).values
+            return matrix, self.b
+        return matrix, self.b + alpha * self.w_in * penalty._shift_on(self.w_in.size).values
 
     def value_at(self, vals: np.ndarray) -> float:
         return self.problem.value_at(vals)
@@ -132,6 +146,13 @@ class TikhonovObjective:
         return g
 
 
+def _normal_matrix(gram: np.ndarray, alpha: float, w_in: np.ndarray) -> np.ndarray:
+    """G + alpha W_X, a new array."""
+    matrix = gram.copy()
+    matrix.flat[:: w_in.size + 1] += alpha * w_in
+    return matrix
+
+
 def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarray:
     """Exact metric projection onto the domain in the weighted-L2 geometry."""
     if domain.nonneg:
@@ -153,27 +174,141 @@ def _project(domain: DomainSpec, vals: np.ndarray, w_in: np.ndarray) -> np.ndarr
     return out
 
 
-def _checked_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The x of gram x = rhs, refused when ||gram x - rhs|| / ||rhs|| > 1e-10.
+def _refusal(x: np.ndarray, gap: np.ndarray, rhs: np.ndarray) -> NumericalError | None:
+    """The error refusing the first column j of x (a vector is one column) that is not
+    finite or whose residual ||gap_j|| / ||rhs_j|| is not <= 1e-10, so a NaN residual is
+    refused; None when every column passes. The error's `column` is j.
 
-    Both vectors are divided by max|rhs| before their norms are taken, so
-    neither norm overflows while the entries of rhs are finite; ||rhs|| is
-    floored at 1e-30.
+    gap_j and rhs_j are divided by max|rhs_j| before their norms are taken, so neither
+    norm overflows while the entries of rhs are finite; ||rhs_j|| is floored at 1e-30.
     """
-    x = np.linalg.solve(gram, rhs)
-    peak = float(np.max(np.abs(rhs))) or 1.0
-    residual = float(np.linalg.norm((gram @ x - rhs) / peak))
-    residual /= max(float(np.linalg.norm(rhs / peak)), 1e-30)
-    if residual > 1e-10:
-        raise NumericalError(f"normal equations residual {residual:.2e} exceeds 1e-10 relative")
+    x, gap, rhs = (a.reshape(len(a), -1) for a in (x, gap, rhs))
+    peak = np.max(np.abs(rhs), axis=0)
+    peak[peak == 0.0] = 1.0
+    residuals = np.linalg.norm(gap / peak, axis=0)
+    residuals /= np.maximum(np.linalg.norm(rhs / peak, axis=0), 1e-30)
+    for j, (finite, residual) in enumerate(zip(np.isfinite(x).all(axis=0), residuals)):
+        if not finite:
+            error = NumericalError("normal equations solution is not finite")
+        elif not residual <= 1e-10:
+            error = NumericalError(f"normal equations residual {residual:.2e} exceeds 1e-10 relative")
+        else:
+            continue
+        error.column = j
+        return error
+    return None
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite x is refused, not warned about
+def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x of matrix x = rhs, rhs one right side or a block of them, each column
+    refused with NumericalError as `_refusal` judges it, as is a matrix numpy cannot factor."""
+    try:
+        x = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"normal equations not solved: {err}") from None
+    error = _refusal(x, matrix @ x - rhs, rhs)
+    if error is not None:
+        raise error
     return x
 
 
-def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
-    """Closed-form minimizer: the checked solve of the problem's normal equations.
+def _tridiagonal_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v, T the symmetric tridiagonal matrix with diagonal d and off-diagonal e;
+    v is (k,) or a block (k, columns)."""
+    if v.ndim == 2:
+        d, e = d[:, None], e[:, None]
+    out = d * v
+    out[:-1] += e * v[1:]
+    out[1:] += e * v[:-1]
+    return out
 
-    At alpha = 0 a rank-deficient operator yields an infeasible result
-    instead of a spurious solution.
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """The closed-form solve of problems that share one operator, alpha and penalty."""
+
+    results: tuple[SolveResult, ...]
+    rhs: np.ndarray  # input_m x L, column j the right side A^T W y_j + alpha W_X x0
+    matrix: np.ndarray | None  # G + alpha W_X when the primal path formed it, else None
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite x is refused, not warned about
+def _dual(op: ForwardOperator, alpha: float, w_in: np.ndarray, pw: np.ndarray,
+          x0: np.ndarray | None, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """x and its primal gap (G + alpha W_X) x - rhs, through the k core rows; None when
+    the k x k system is singular or a column fails `_refusal`. See `_closed_form`."""
+    c = op.core
+    d, e = op._weight_bands()
+    system = _tridiagonal_times(d, e, (c / w_in) @ c.T)
+    system.flat[:: c.shape[0] + 1] += alpha
+    r = pw if x0 is None else pw - _tridiagonal_times(d, e, c @ x0)[:, None]
+    try:
+        s = np.linalg.solve(system, r)
+    except np.linalg.LinAlgError:
+        return None
+    x = (c.T @ s) / w_in[:, None]
+    if x0 is not None:
+        x += x0[:, None]
+    gap = c.T @ _tridiagonal_times(d, e, c @ x) + alpha * w_in[:, None] * x - rhs
+    return None if _refusal(x, gap, rhs) else (x, gap)
+
+
+def _closed_form(problems: Sequence[TikhonovProblem]) -> ClosedForm:
+    """The minimizers of linear-quadratic problems that share one operator, alpha and
+    penalty, from one solve with a right side per problem.
+
+    With A = P C, W the output weights, W_X the input weights, G = A^T W A and x0 the
+    penalty shift (or 0), problem j's minimizer x solves (G + alpha W_X) x = b_j,
+    b_j = A^T W y_j + alpha W_X x0; one block product forms every A^T W y_j.
+
+    - **Dual**, when C has k < input_m rows and alpha > 0: s solves the k x k system
+      (T K + alpha I) s = P^T W y_j - T C x0, with T = P^T W P and K = C W_X^-1 C^T,
+      and x = x0 + W_X^-1 C^T s. That is exact, since
+      (G + alpha W_X)(x - x0) = C^T (T K s + alpha s). The primal gap of x is formed
+      through the factors, C^T (T (C x)) + alpha W_X x - b_j, with no input_m^2 array
+      and no Gram, and every column must pass the rule of `_checked_solve`.
+    - **Primal** otherwise, and when a dual column fails that rule (the cancellation
+      in C^T s costs about eps cond, which a small alpha makes large): the
+      `_checked_solve` of G + alpha W_X, G the operator's kept Gram.
+
+    A refused column raises NumericalError whose `column` is its index.
+    """
+    head = problems[0]
+    op, alpha = head.operator, head.alpha
+    w_in = trapezoid_weights(op.input_m)
+    wy = trapezoid_weights(op.output_m)[:, None] * np.column_stack(
+        [pr.data_y.values for pr in problems]
+    )
+    pw = op.restrict(wy)
+    rhs = op.core.T @ pw  # the adjoint A^T W y_j
+    x0 = None if head.penalty.shift is None else head.penalty._shift_on(op.input_m).values
+    if x0 is not None:
+        rhs += (alpha * w_in * x0)[:, None]
+    matrix, solved = None, None
+    if alpha > 0.0 and op.core.shape[0] < op.input_m:
+        solved = _dual(op, alpha, w_in, pw, x0, rhs)
+    if solved is None:
+        matrix = _normal_matrix(op.gram(), alpha, w_in)
+        x = _checked_solve(matrix, rhs)
+        solved = x, matrix @ x - rhs
+    x, gap = solved
+    results = []
+    for j, problem in enumerate(problems):
+        minimizer = GridFunction(x[:, j])
+        value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
+        grad = gap[:, j] / w_in  # the coordinate gradient of T is (G + alpha W_X) x - b
+        results.append(SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, w_in)))
+    return ClosedForm(tuple(results), rhs, matrix)
+
+
+def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
+    """Closed-form minimizer: the `_closed_form` of the one problem.
+
+    It takes the dual path when the operator's core has fewer rows than
+    inputs and alpha > 0, and the primal one otherwise or when the dual
+    residual is refused. At alpha = 0 a rank-deficient operator yields an
+    infeasible result instead of a spurious solution.
     """
     if not problem.is_linear_quadratic:
         raise UnsupportedPenaltyError(
@@ -185,14 +320,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
     if problem.alpha == 0.0 and np.linalg.matrix_rank(op.core) < op.input_m:
         zero = GridFunction(np.zeros(op.input_m))
         return SolveResult(zero, math.inf, 0, "infeasible", math.inf)
-
-    objective = TikhonovObjective(problem)
-    gram, rhs = objective.normal_equations(problem.alpha)
-    x = _checked_solve(gram, rhs)
-    minimizer = GridFunction(x)
-    value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
-    grad = (gram @ x - rhs) / objective.w_in  # the coordinate gradient of T is gram x - rhs
-    return SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, objective.w_in))
+    return _closed_form([problem]).results[0]
 
 
 @np.errstate(over="ignore")  # a candidate that overflows is worth inf, and rejected

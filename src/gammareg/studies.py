@@ -13,6 +13,7 @@ measures in a norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,10 +30,12 @@ from .errors import (
 from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
 from .grids import GridFunction, _refuse_unindexable, norm
 from .solvers import (
+    ClosedForm,
     SolveConfig,
     SolveResult,
     TikhonovObjective,
     _checked_solve,
+    _closed_form,
     min_penalty_solution,
     minimize_problem,
 )
@@ -67,16 +70,48 @@ _SCALING_LIMIT_TOL = 1e-8
 
 
 def _solve(problem: TikhonovProblem, solver: SolveConfig, where: str) -> SolveResult:
-    """Minimize `problem`; a status other than converged raises NumericalError."""
-    result = minimize_problem(problem, solver)
+    """Minimize `problem`; a NumericalError, or a status other than converged, raises
+    NumericalError naming `where`."""
+    try:
+        result = minimize_problem(problem, solver)
+    except NumericalError as err:
+        raise NumericalError(f"solver failed at {where}: {err}") from None
     if result.status != "converged":
         raise NumericalError(f"solver failed at {where}: status {result.status}")
     return result
 
 
+def _runs(seq: ApproxSequence) -> list[tuple[int, ...]]:
+    """The levels in order, cut into runs: consecutive linear-quadratic levels whose
+    problems share one operator object, alpha and penalty form one run, so one
+    factorization solves them; every other level is a run of its own."""
+
+    def system(n: int):
+        pr = seq.problem_at(n)
+        return (id(pr.operator), pr.alpha, id(pr.penalty)) if pr.is_linear_quadratic else n
+
+    return [tuple(run) for _, run in itertools.groupby(seq.levels, system)]
+
+
+def _solve_run(
+    seq: ApproxSequence, levels: tuple[int, ...], solver: SolveConfig
+) -> tuple[list[SolveResult], ClosedForm | None]:
+    """The converged solves of one run of `_runs`, and the closed form that solved a run of
+    several levels together (None for a single level, which `_solve` minimizes). A refused
+    solve raises NumericalError naming its level."""
+    if len(levels) == 1:
+        return [_solve(seq.problem_at(levels[0]), solver, f"level {levels[0]}")], None
+    try:
+        closed = _closed_form([seq.problem_at(n) for n in levels])
+    except NumericalError as err:
+        n = levels[getattr(err, "column", 0)]
+        raise NumericalError(f"solver failed at level {n}: {err}") from None
+    return list(closed.results), closed
+
+
 def _sweep(seq: ApproxSequence, solver: SolveConfig) -> list[SolveResult]:
-    """The converged solve of every level, in level order, as `_solve` refuses them."""
-    return [_solve(seq.problem_at(n), solver, f"level {n}") for n in seq.levels]
+    """The converged solve of every level, in level order, run by run (`_solve_run`)."""
+    return [res for levels in _runs(seq) for res in _solve_run(seq, levels, solver)[0]]
 
 
 def _tail_monotone(values: Sequence[float], tail: int = 3) -> bool:
@@ -450,10 +485,12 @@ def scaling_invariance_check(
     """Positive scalings: inf(lam_n T_n) = lam_n inf(T_n), argmin fixed.
 
     The scaled infimum is computed through an independent solve of the
-    scaled normal equations, not by multiplying the unscaled value, so
-    the identity check has teeth. Limits are estimated by two-point 1/n
-    extrapolation; the scaled limit must equal lam * (unscaled limit).
-    Zero or infinite scalings are unsupported.
+    scaled normal equations, lam_n (G + alpha W_X) against lam_n b_n, not
+    by multiplying the unscaled value, so the identity check has teeth;
+    levels solved together (`_runs`) lend it their one G + alpha W_X and
+    their b_n, and each scaled solve stays its own. Limits are estimated
+    by two-point 1/n extrapolation; the scaled limit must equal
+    lam * (unscaled limit). Zero or infinite scalings are unsupported.
     """
     if not (0.0 < lam_limit < math.inf):
         raise GridCompatibilityError("scaling limit must be positive and finite")
@@ -464,17 +501,26 @@ def scaling_invariance_check(
     lambdas = [float(lam_at(n)) for n in levels]
     if not all(0.0 < lam < math.inf for lam in lambdas):
         raise GridCompatibilityError("per-level scaling must be positive and finite")
-    results = _sweep(seq, solver)
-    values = [res.value for res in results]
-    scaled_values, residuals, distances = [], [], []
-    for n, lam, res in zip(levels, lambdas, results):
-        problem = seq.problem_at(n)
-        gram, rhs = TikhonovObjective(problem).normal_equations(problem.alpha)
-        x_scaled = _checked_solve(lam * gram, lam * rhs)
-        v_scaled = lam * problem.value_at(x_scaled)
-        scaled_values.append(v_scaled)
-        residuals.append(abs(lam * res.value - v_scaled) / max(1.0, abs(v_scaled)))
-        distances.append(norm(GridFunction(x_scaled) - res.minimizer))
+    lam_of = dict(zip(levels, lambdas))
+    values, scaled_values, residuals, distances = [], [], [], []
+    for run in _runs(seq):
+        results, closed = _solve_run(seq, run, solver)
+        first = seq.problem_at(run[0])
+        if closed is None:
+            matrix, rhs = TikhonovObjective(first).normal_equations(first.alpha)
+            rhs = rhs[:, None]
+        else:  # the run's one G + alpha W_X and its b_n, as the grouped solve assembled them
+            matrix, rhs = closed.matrix, closed.rhs
+            if matrix is None:  # the dual path formed no G + alpha W_X
+                matrix = TikhonovObjective(first).normal_equations(first.alpha)[0]
+        for j, (n, res) in enumerate(zip(run, results)):
+            lam = lam_of[n]
+            x_scaled = _checked_solve(lam * matrix, lam * rhs[:, j])
+            v_scaled = lam * seq.problem_at(n).value_at(x_scaled)
+            values.append(res.value)
+            scaled_values.append(v_scaled)
+            residuals.append(abs(lam * res.value - v_scaled) / max(1.0, abs(v_scaled)))
+            distances.append(norm(GridFunction(x_scaled) - res.minimizer))
 
     unscaled_limit = richardson_limit(levels, values)
     scaled_limit = richardson_limit(levels, scaled_values)

@@ -665,6 +665,12 @@ CASES: dict[str, Case] = {
     "test_unconverged_solve_exits_two": Case(
         STALLED_INF_STUDY, RUN, 2, "error: solver failed at reference: status stalled\n",
         report=lambda out: out == ""),
+    # a rank-one Gram plus 1e-300 W_X cannot be factored; the run used to print
+    # numpy's bare "error: Singular matrix", naming no stage
+    "test_a_singular_closed_form_names_its_stage": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernel = constant\ninput_m = 17\nquad_m = 65\n"
+        "alpha = 1e-300\n[schedule]\nlevels = 9, 17, 33\nalpha_kind = power\n", RUN, 2,
+        _one_line("error: solver failed at reference: "), report=lambda out: out == ""),
     "test_refused_study_exits_three": Case(
         """
         [study]

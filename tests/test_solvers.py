@@ -155,6 +155,73 @@ def test_residual_check_survives_huge_right_sides(monkeypatch):
         solve_linear_quadratic(problem)
 
 
+def test_a_nan_residual_or_a_singular_system_is_refused():
+    # x = [inf, 1]: 0 * inf makes the residual NaN, which `residual > 1e-10` let pass
+    with pytest.raises(NumericalError, match="not finite"):
+        solvers._checked_solve(np.array([[1e-308, 0.0], [0.0, 1.0]]), np.array([1e10, 1.0]))
+    with pytest.raises(NumericalError, match="not solved: Singular matrix"):
+        solvers._checked_solve(np.ones((2, 2)), np.ones(2))
+
+
+def _dual_levels():
+    """(case, operator) for every LEVEL_CASES level whose core has fewer rows than inputs."""
+    return [(case_id, op) for case_id in LEVEL_IDS for op in _level_operators(case_id)
+            if op.core.shape[0] < op.input_m]
+
+
+def _primal(problem):
+    """The parent's closed form: the checked solve of the primal normal equations."""
+    return solvers._checked_solve(*TikhonovObjective(problem).normal_equations(problem.alpha))
+
+
+def test_dual_closed_form_matches_the_primal_solve():
+    # every level with k < input_m: prolonged quadrature and FEM cores, plus a
+    # core without a prolongation, each with and without a penalty shift
+    rng = np.random.default_rng(3)
+    ops = [op for _, op in _dual_levels()] + [ForwardOperator(rng.standard_normal((9, 65)))]
+    assert {op.prolong is None for op in ops} == {True, False} and len(ops) >= 7
+    shift = from_callable(lambda t: 0.5 * np.cos(np.pi * t), 33)
+    for op in ops:
+        y = GridFunction(op.forward(np.ones(op.input_m)) + 0.1 * rng.standard_normal(op.output_m))
+        for penalty in (half_sq_l2(), shifted_half_sq(shift)):
+            problem = TikhonovProblem(op, y, alpha=0.1, penalty=penalty)
+            x = solve_linear_quadratic(problem).minimizer.values
+            exact = np.linalg.solve(*TikhonovObjective(problem).normal_equations(0.1))
+            assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_dual_closed_form_solves_k_rows_and_forms_no_gram(monkeypatch):
+    shapes, solve = [], np.linalg.solve
+
+    def spy(matrix, rhs):
+        shapes.append(matrix.shape)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    family = make_quadrature_family(gaussian_kernel(0.2), (9,), 257, input_m=33)
+    op = family.operator_at(9)
+    problem = TikhonovProblem(op, family.reference.apply(GridFunction(np.ones(33))), alpha=0.1)
+    res = solve_linear_quadratic(problem)
+    assert shapes == [(9, 9)]
+    assert op._gram is None
+    assert res.status == "converged" and res.grad_norm_final < 1e-10
+
+
+def test_a_refused_dual_residual_falls_back_to_the_primal_solve():
+    # at alpha = 1e-12 the dual residual of this level is about 2e-8: the
+    # closed form forms the Gram and returns the primal solve, bit for bit
+    family = make_quadrature_family(gaussian_kernel(0.2), (17,), 129, input_m=33)
+    op = family.operator_at(17)
+    y = family.reference.apply(from_callable(lambda t: np.sin(np.pi * t), 33))
+    y = y + from_callable(lambda t: 0.01 * np.sin(14 * np.pi * t), 129)
+    problem = TikhonovProblem(op, y, alpha=1e-12)
+    res = solve_linear_quadratic(problem)
+    assert op._gram is not None
+    x = _primal(problem)
+    assert np.array_equal(res.minimizer.values, x)
+    assert res.value == eval_T(problem, GridFunction(x))
+
+
 # ------------------------------------------------------- projected gradient
 
 

@@ -122,9 +122,11 @@ def test_an_unconverged_solve_ends_the_study(gaussian_sequence, monkeypatch):
     unconverged_on_call(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^solver failed at level 17:"):
         equi_coercivity_probe(gaussian_sequence, [], (1.0,))
+    # (levels of one alpha share one closed-form solve, which cannot end unconverged;
+    # a power schedule gives each level its own alpha and its own solve)
     unconverged_on_call(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^solver failed at level 8: status max_iter$"):
-        scaling_invariance_check(scaling_sequence(), lambda n: 2.0, 2.0)
+        scaling_invariance_check(scaling_sequence(alpha=AlphaSchedule("power")), lambda n: 2.0, 2.0)
 
 
 # ------------------------------------------------------------ epsilon chain
@@ -342,12 +344,12 @@ def test_limit_estimator_rejects_non_finite_families():
 # ----------------------------------------------------------------- scaling
 
 
-def scaling_sequence(penalty=half_sq_l2()):
-    family = make_quadrature_family(gaussian_kernel(0.2), (4, 8, 16), 33, input_m=33)
+def scaling_sequence(penalty=half_sq_l2(), alpha=None, noise=None, levels=(4, 8, 16)):
+    family = make_quadrature_family(gaussian_kernel(0.2), levels, 33, input_m=33)
     op = family.reference
     truth = from_callable(lambda t: np.sin(np.pi * t), 33)
     target = TikhonovProblem(op, op.apply(truth), alpha=0.1, penalty=penalty)
-    return make_approx_sequence(target, make_constant_family(op, (4, 8, 16)))
+    return make_approx_sequence(target, make_constant_family(op, levels), alpha, noise)
 
 
 def test_scaling_identity_holds_per_level_and_in_the_limit():
@@ -378,8 +380,65 @@ def test_an_inaccurate_scaled_solve_is_refused(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", off_when_scaled)
     with pytest.raises(NumericalError, match="normal equations residual"):
         scaling_invariance_check(scaling_sequence(), lambda n: 1e6, 1e6)
-    # the three unscaled solves passed first, their right sides far below 1e3
-    assert len(peaks) == 4 and max(peaks[:3]) < 1.0 and peaks[3] > 1e3
+    # the one solve of the three unscaled levels passed first, its right sides far below 1e3
+    assert len(peaks) == 2 and peaks[0] < 1.0 and peaks[1] > 1e3
+
+
+def _counting_solves(monkeypatch):
+    """A list that grows by the matrix shape of every np.linalg.solve call."""
+    shapes, solve = [], np.linalg.solve
+
+    def counting(matrix, rhs):
+        shapes.append(matrix.shape)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return shapes
+
+
+def test_a_shared_run_is_factored_once(monkeypatch):
+    # a constant family at constant alpha: L levels share one G + alpha W_X, so
+    # the unscaled solves are one call, and each scaled solve stays its own
+    levels = (2, 4, 8, 16, 32)
+    seq = scaling_sequence(noise=NoiseSchedule("power", 0.05, 1.0), levels=levels)
+    shapes = _counting_solves(monkeypatch)
+    report = scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
+    assert report.identity_ok
+    assert len(shapes) == len(levels) + 1
+    # a quadrature family has one operator per level: one solve each, as before
+    shapes.clear()
+    seq = build_gaussian_sequence()
+    inf_convergence_study(seq)
+    assert len(shapes) == 1 + len(seq.levels)
+
+
+def test_a_shared_run_matches_its_levels_solved_alone():
+    shift = from_callable(lambda t: 0.5 * np.cos(np.pi * t), 33)
+    for penalty in (half_sq_l2(), shifted_half_sq(shift)):
+        seq = scaling_sequence(penalty, noise=NoiseSchedule("power", 0.05, 1.0))
+        assert studies._runs(seq) == [(4, 8, 16)]
+        for n, res in zip(seq.levels, studies._sweep(seq, SolveConfig())):
+            alone = solve_linear_quadratic(seq.problem_at(n))
+            gap = norm(res.minimizer - alone.minimizer)
+            assert gap <= 1e-13 * norm(alone.minimizer)
+            assert res.value == pytest.approx(alone.value, rel=1e-13)
+
+
+def test_a_refused_column_names_its_level(monkeypatch):
+    # the second of three right sides solved 1e-6 off: the run is refused at level 8
+    solve = np.linalg.solve
+
+    def off_in_column_1(matrix, rhs):
+        x = solve(matrix, rhs)
+        if x.ndim == 2 and x.shape[1] == 3:
+            x[:, 1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_column_1)
+    seq = scaling_sequence(noise=NoiseSchedule("power", 0.05, 1.0))
+    with pytest.raises(NumericalError,
+                       match="^solver failed at level 8: normal equations residual"):
+        inf_convergence_study(seq)
 
 
 def test_scaling_check_validates_scalings():
@@ -402,8 +461,8 @@ def test_scaling_check_needs_closed_form_target():
 
 def test_each_operator_forms_its_gram_once(monkeypatch):
     # the closed-form solves of three studies, the scaled solve of the
-    # scaling check among them, share one Gram per operator; a level's is
-    # formed from its n quadrature rows, the reference's from its m_ref rows
+    # scaling check among them, form at most one Gram per operator; a level's
+    # is formed from its n quadrature rows, the reference's from its m_ref rows
     formed = Counter()
     tridiagonal_gram = operators._tridiagonal_gram
 
@@ -415,8 +474,13 @@ def test_each_operator_forms_its_gram_once(monkeypatch):
     seq = build_gaussian_sequence()
     inf_convergence_study(seq)
     eps_minimizer_chain(seq)
-    scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
+    # a level with fewer quadrature rows than inputs is solved in k dimensions, with no Gram
     family = seq.family
+    primal = [n for n in family.levels if n >= family.reference.input_m]
+    assert primal == [65, 129]
+    assert formed == Counter([family.reference.output_m] + primal)
+    # the scaling check's scaled solves are of G + alpha W_X: the rest form theirs, once
+    scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
     assert formed == Counter((family.reference.output_m,) + family.levels)
 
     # projected gradient reads the same kept Gram: on a ball every solve of an
