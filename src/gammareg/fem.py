@@ -25,7 +25,7 @@ from .grids import (
     weighted_l2,
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, _prolongation, whole_space
-from .operators import _ldl, _ldl_solve
+from .operators import _ldl, _ldl_solve, _tridiagonal_times
 
 __all__ = [
     "EllipticProblem",
@@ -79,12 +79,6 @@ class TridiagonalSystem:
             raise GridCompatibilityError("tridiagonal bands and rhs sizes disagree")
         if np.any(self.diag <= 0.0):
             raise NumericalError("assembled diagonal must be positive")
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.off * u[1:]
-        out[1:] += self.off * u[:-1]
-        return out
 
 
 def _to_interior_nodes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -149,7 +143,7 @@ def solve_bvp(problem: EllipticProblem, n: int) -> GridFunction:
     """
     system = assemble(problem, n)
     u = thomas_solve(system)
-    res = np.max(np.abs(system.matvec(u) - system.rhs))
+    res = np.max(np.abs(_tridiagonal_times(system.diag, system.off, u) - system.rhs))
     off = np.abs(system.off)
     rows = np.abs(system.diag) + np.pad(off, (1, 0)) + np.pad(off, (0, 1))  # |A| row sums
     scale = np.max(rows) * np.max(np.abs(u)) + np.max(np.abs(system.rhs))

@@ -108,19 +108,27 @@ def shifted_half_sq(x0: GridFunction) -> PenaltySpec:
 
 @dataclass(frozen=True)
 class TikhonovProblem:
-    """Target functional: operator, data, alpha >= 0, exponent p >= 1; +inf off operator.domain."""
+    """Target functional: operator, data, finite alpha >= 0 and exponent p >= 1;
+    +inf off operator.domain.
+
+    `scale` is a positive finite factor lam of the whole functional: the problem is
+    lam * T, which has T's minimizers and lam times its values and gradients.
+    """
 
     operator: ForwardOperator
     data_y: GridFunction
     alpha: float
     exponent_p: float = 2.0
     penalty: PenaltySpec = field(default_factory=half_sq_l2)
+    scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise GridCompatibilityError("alpha must be nonnegative")
-        if self.exponent_p < 1.0:
-            raise GridCompatibilityError("discrepancy exponent p must be >= 1")
+        if not 0.0 <= self.alpha < math.inf:
+            raise GridCompatibilityError("alpha must be nonnegative and finite")
+        if not 1.0 <= self.exponent_p < math.inf:
+            raise GridCompatibilityError("discrepancy exponent p must be >= 1 and finite")
+        if not 0.0 < self.scale < math.inf:
+            raise GridCompatibilityError("scale must be positive and finite")
         if self.data_y.node_count != self.operator.output_m:
             raise GridCompatibilityError("data must live on the operator output grid")
 
@@ -141,7 +149,7 @@ class TikhonovProblem:
         value = _power(misfit, p) / p
         if self.alpha > 0.0:
             value += self.alpha * self.penalty.evaluate(GridFunction(vals))
-        return value
+        return self.scale * value
 
 
 def _power(base: float, p: float) -> float:
@@ -182,6 +190,11 @@ def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     return value
 
 
+def _positive_finite(*values: float) -> bool:
+    """Every value lies in (0, inf); NaN does not."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class AlphaSchedule:
     """alpha_n = alpha + amplitude * n^(-exponent); 'constant' keeps alpha.
@@ -197,8 +210,10 @@ class AlphaSchedule:
     def __post_init__(self):
         if self.kind not in ALPHA_KINDS:
             raise GridCompatibilityError(f"unknown alpha schedule {self.kind!r}")
-        if self.kind == "power" and (self.amplitude <= 0.0 or self.exponent <= 0.0):
-            raise GridCompatibilityError("power schedule needs positive amplitude and exponent")
+        if self.kind == "power" and not _positive_finite(self.amplitude, self.exponent):
+            raise GridCompatibilityError(
+                "power schedule needs positive finite amplitude and exponent"
+            )
 
     def value(self, alpha_limit: float, n: int) -> float:
         if self.kind == "constant":
@@ -226,8 +241,10 @@ class NoiseSchedule:
             raise GridCompatibilityError(f"unknown noise schedule {self.kind!r}")
         if self.direction not in NOISE_DIRECTIONS:
             raise GridCompatibilityError(f"unknown noise direction {self.direction!r}")
-        if self.kind != "none" and (self.amplitude <= 0.0 or self.exponent <= 0.0):
-            raise GridCompatibilityError("noise schedule needs positive amplitude and exponent")
+        if self.kind != "none" and not _positive_finite(self.amplitude, self.exponent):
+            raise GridCompatibilityError(
+                "noise schedule needs positive finite amplitude and exponent"
+            )
 
 
 def noise_direction(schedule: NoiseSchedule, m: int, n: int) -> GridFunction:
@@ -257,8 +274,8 @@ class ApproxSequence:
                 "target operator and family reference must share the output grid"
             )
         for n in self.family.levels:
-            if self.alpha_at(n) <= 0.0:
-                raise GridCompatibilityError("alpha_n must be positive at every level")
+            if not _positive_finite(self.alpha_at(n)):
+                raise GridCompatibilityError("alpha_n must be positive and finite at every level")
         object.__setattr__(self, "_problems", {})
 
     @property
@@ -281,7 +298,7 @@ class ApproxSequence:
         return y + e * size
 
     def problem_at(self, n: int) -> TikhonovProblem:
-        """The level-n functional packaged as a standalone problem.
+        """The level-n functional packaged as a standalone problem, with the target's scale.
 
         Each level's problem is built once and kept, as `OperatorFamily.operator_at`
         keeps its operator: y_n depends only on the schedules and n, and studies
@@ -295,6 +312,7 @@ class ApproxSequence:
                 self.alpha_at(n),
                 self.target.exponent_p,
                 self.target.penalty,
+                self.target.scale,
             )
         return problems[n]
 
@@ -325,6 +343,6 @@ def is_eps_minimizer(value: float, inf_estimate: float, eps: float) -> bool:
     -infinity: candidates must sit below a finite bar that drops as eps
     shrinks.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise GridCompatibilityError("eps must be positive")
     return value <= max(inf_estimate + eps, -1.0 / eps)

@@ -317,6 +317,17 @@ def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np
     return x
 
 
+def _tridiagonal_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v, T the symmetric tridiagonal matrix with diagonal d and off-diagonal e;
+    v is (k,) or a block (k, columns)."""
+    if v.ndim == 2:
+        d, e = d[:, None], e[:, None]
+    out = d * v
+    out[:-1] += e * v[1:]
+    out[1:] += e * v[:-1]
+    return out
+
+
 def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """`c.T @ t @ c`, t the symmetric positive definite tridiagonal matrix with diagonal d
     and off-diagonal e.

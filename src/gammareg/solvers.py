@@ -9,14 +9,15 @@ operator's kept Gram A^T W A and assembles the normal equations that
 projected gradient models and the minimum-penalty ladder solves.
 
 The closed form of linear-quadratic problems, `_closed_form`, solves
-problems that share one operator, alpha and penalty (a run of levels of a
-constant family, or the one problem of `solve_linear_quadratic`) with one
-factorization and a right side per problem. It takes one of two paths:
+problems that share one operator, alpha, penalty and scale (a run of levels
+of a constant family, or the one problem of `solve_linear_quadratic`) with
+one factorization and a right side per problem. A problem's scale lam
+multiplies both sides of its normal equations. It takes one of two paths:
 
 - dual, when the operator's core A = P C has k < input_m rows and alpha > 0:
   a k x k system, with no input_m^2 array and no Gram formed;
-- primal otherwise, and when a dual residual is refused: G + alpha W_X from
-  the kept Gram.
+- primal otherwise, and when a dual residual is refused: lam (G + alpha W_X)
+  from the kept Gram.
 
 Every dense solve is refused, column by column, with NumericalError unless
 its solution is finite and its relative residual is at most 1e-10 (so a NaN
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .functionals import TikhonovProblem, _power, eval_T
 from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
-from .operators import DomainSpec, ForwardOperator, membership
+from .operators import DomainSpec, ForwardOperator, _tridiagonal_times, membership
 
 __all__ = [
     "SolveConfig",
@@ -75,7 +76,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise GridCompatibilityError("max_iter must be at least 1")
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:
             raise GridCompatibilityError("grad_tol must be positive")
         if self.restarts < 0:
             raise GridCompatibilityError("restarts must be nonnegative")
@@ -99,8 +100,8 @@ class TikhonovObjective:
     ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
     A^T W (A x - y) = G x - b, so the model value and the gradient cost
     input_m^2 flops instead of output_m * input_m, and the normal equations
-    are G and b with alpha W_X added (W_X the input weights).
-    `value_at` is T on the full formula, as `eval_T` computes it.
+    are G and b with alpha W_X added (W_X the input weights), both times the
+    problem's scale. `value_at` is T on the full formula, as `eval_T` computes it.
     """
 
     def __init__(self, problem: TikhonovProblem):
@@ -116,12 +117,14 @@ class TikhonovObjective:
         return float(y * y @ trapezoid_weights(self.problem.operator.output_m))
 
     def normal_equations(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """G + alpha W_X and b + alpha W_X x0, x0 the penalty shift on the input grid, or 0."""
-        matrix = _normal_matrix(self.gram, alpha, self.w_in)
-        penalty = self.problem.penalty
+        """lam (G + alpha W_X) and lam (b + alpha W_X x0), lam the problem's scale and x0
+        the penalty shift on the input grid, or 0."""
+        lam, penalty = self.problem.scale, self.problem.penalty
+        matrix = _normal_matrix(self.gram, alpha, self.w_in, lam)
         if penalty.shift is None:
-            return matrix, self.b
-        return matrix, self.b + alpha * self.w_in * penalty._shift_on(self.w_in.size).values
+            return matrix, lam * self.b
+        shift = penalty._shift_on(self.w_in.size).values
+        return matrix, lam * (self.b + alpha * self.w_in * shift)
 
     def value_at(self, vals: np.ndarray) -> float:
         return self.problem.value_at(vals)
@@ -143,13 +146,13 @@ class TikhonovObjective:
             g = _power(size, p - 2.0) * g if size > 0.0 else 0.0 * g
         if pr.alpha > 0.0:
             g = g + pr.alpha * pr.penalty.coordinate_gradient(GridFunction(vals))
-        return g
+        return pr.scale * g
 
 
-def _normal_matrix(gram: np.ndarray, alpha: float, w_in: np.ndarray) -> np.ndarray:
-    """G + alpha W_X, a new array."""
-    matrix = gram.copy()
-    matrix.flat[:: w_in.size + 1] += alpha * w_in
+def _normal_matrix(gram: np.ndarray, alpha: float, w_in: np.ndarray, lam: float) -> np.ndarray:
+    """lam (G + alpha W_X), a new array."""
+    matrix = np.multiply(gram, lam)
+    matrix.flat[:: w_in.size + 1] += lam * alpha * w_in
     return matrix
 
 
@@ -213,30 +216,10 @@ def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tridiagonal_times(d: np.ndarray, e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T v, T the symmetric tridiagonal matrix with diagonal d and off-diagonal e;
-    v is (k,) or a block (k, columns)."""
-    if v.ndim == 2:
-        d, e = d[:, None], e[:, None]
-    out = d * v
-    out[:-1] += e * v[1:]
-    out[1:] += e * v[:-1]
-    return out
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """The closed-form solve of problems that share one operator, alpha and penalty."""
-
-    results: tuple[SolveResult, ...]
-    rhs: np.ndarray  # input_m x L, column j the right side A^T W y_j + alpha W_X x0
-    matrix: np.ndarray | None  # G + alpha W_X when the primal path formed it, else None
-
-
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite x is refused, not warned about
-def _dual(op: ForwardOperator, alpha: float, w_in: np.ndarray, pw: np.ndarray,
+def _dual(op: ForwardOperator, alpha: float, lam: float, w_in: np.ndarray, pw: np.ndarray,
           x0: np.ndarray | None, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """x and its primal gap (G + alpha W_X) x - rhs, through the k core rows; None when
+    """x and its primal gap lam (G + alpha W_X) x - rhs, through the k core rows; None when
     the k x k system is singular or a column fails `_refusal`. See `_closed_form`."""
     c = op.core
     d, e = op._weight_bands()
@@ -250,32 +233,32 @@ def _dual(op: ForwardOperator, alpha: float, w_in: np.ndarray, pw: np.ndarray,
     x = (c.T @ s) / w_in[:, None]
     if x0 is not None:
         x += x0[:, None]
-    gap = c.T @ _tridiagonal_times(d, e, c @ x) + alpha * w_in[:, None] * x - rhs
+    gap = lam * (c.T @ _tridiagonal_times(d, e, c @ x) + alpha * w_in[:, None] * x) - rhs
     return None if _refusal(x, gap, rhs) else (x, gap)
 
 
-def _closed_form(problems: Sequence[TikhonovProblem]) -> ClosedForm:
-    """The minimizers of linear-quadratic problems that share one operator, alpha and
-    penalty, from one solve with a right side per problem.
+def _closed_form(problems: Sequence[TikhonovProblem]) -> list[SolveResult]:
+    """The minimizers of linear-quadratic problems that share one operator, alpha,
+    penalty and scale lam, from one solve with a right side per problem.
 
     With A = P C, W the output weights, W_X the input weights, G = A^T W A and x0 the
-    penalty shift (or 0), problem j's minimizer x solves (G + alpha W_X) x = b_j,
-    b_j = A^T W y_j + alpha W_X x0; one block product forms every A^T W y_j.
+    penalty shift (or 0), problem j's minimizer x solves lam (G + alpha W_X) x = b_j,
+    b_j = lam (A^T W y_j + alpha W_X x0); one block product forms every A^T W y_j.
 
     - **Dual**, when C has k < input_m rows and alpha > 0: s solves the k x k system
       (T K + alpha I) s = P^T W y_j - T C x0, with T = P^T W P and K = C W_X^-1 C^T,
       and x = x0 + W_X^-1 C^T s. That is exact, since
       (G + alpha W_X)(x - x0) = C^T (T K s + alpha s). The primal gap of x is formed
-      through the factors, C^T (T (C x)) + alpha W_X x - b_j, with no input_m^2 array
-      and no Gram, and every column must pass the rule of `_checked_solve`.
+      through the factors, lam (C^T (T (C x)) + alpha W_X x) - b_j, with no input_m^2
+      array and no Gram, and every column must pass the rule of `_checked_solve`.
     - **Primal** otherwise, and when a dual column fails that rule (the cancellation
       in C^T s costs about eps cond, which a small alpha makes large): the
-      `_checked_solve` of G + alpha W_X, G the operator's kept Gram.
+      `_checked_solve` of lam (G + alpha W_X), G the operator's kept Gram.
 
     A refused column raises NumericalError whose `column` is its index.
     """
     head = problems[0]
-    op, alpha = head.operator, head.alpha
+    op, alpha, lam = head.operator, head.alpha, head.scale
     w_in = trapezoid_weights(op.input_m)
     wy = trapezoid_weights(op.output_m)[:, None] * np.column_stack(
         [pr.data_y.values for pr in problems]
@@ -285,11 +268,12 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> ClosedForm:
     x0 = None if head.penalty.shift is None else head.penalty._shift_on(op.input_m).values
     if x0 is not None:
         rhs += (alpha * w_in * x0)[:, None]
-    matrix, solved = None, None
+    rhs *= lam
+    solved = None
     if alpha > 0.0 and op.core.shape[0] < op.input_m:
-        solved = _dual(op, alpha, w_in, pw, x0, rhs)
+        solved = _dual(op, alpha, lam, w_in, pw, x0, rhs)
     if solved is None:
-        matrix = _normal_matrix(op.gram(), alpha, w_in)
+        matrix = _normal_matrix(op.gram(), alpha, w_in, lam)
         x = _checked_solve(matrix, rhs)
         solved = x, matrix @ x - rhs
     x, gap = solved
@@ -297,9 +281,9 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> ClosedForm:
     for j, problem in enumerate(problems):
         minimizer = GridFunction(x[:, j])
         value = eval_T(problem, minimizer)  # refuses a T that overflows before its gradient does
-        grad = gap[:, j] / w_in  # the coordinate gradient of T is (G + alpha W_X) x - b
+        grad = gap[:, j] / w_in  # the coordinate gradient of T is lam (G + alpha W_X) x - b
         results.append(SolveResult(minimizer, value, 1, "converged", weighted_l2(grad, w_in)))
-    return ClosedForm(tuple(results), rhs, matrix)
+    return results
 
 
 def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
@@ -320,7 +304,7 @@ def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
     if problem.alpha == 0.0 and np.linalg.matrix_rank(op.core) < op.input_m:
         zero = GridFunction(np.zeros(op.input_m))
         return SolveResult(zero, math.inf, 0, "infeasible", math.inf)
-    return _closed_form([problem]).results[0]
+    return _closed_form([problem])[0]
 
 
 @np.errstate(over="ignore")  # a candidate that overflows is worth inf, and rejected

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,16 +29,7 @@ from .errors import (
 )
 from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
 from .grids import GridFunction, _refuse_unindexable, norm
-from .solvers import (
-    ClosedForm,
-    SolveConfig,
-    SolveResult,
-    TikhonovObjective,
-    _checked_solve,
-    _closed_form,
-    min_penalty_solution,
-    minimize_problem,
-)
+from .solvers import SolveConfig, SolveResult, _closed_form, min_penalty_solution, minimize_problem
 
 __all__ = [
     "InfConvergenceReport",
@@ -95,23 +86,21 @@ def _runs(seq: ApproxSequence) -> list[tuple[int, ...]]:
 
 def _solve_run(
     seq: ApproxSequence, levels: tuple[int, ...], solver: SolveConfig
-) -> tuple[list[SolveResult], ClosedForm | None]:
-    """The converged solves of one run of `_runs`, and the closed form that solved a run of
-    several levels together (None for a single level, which `_solve` minimizes). A refused
-    solve raises NumericalError naming its level."""
+) -> list[SolveResult]:
+    """The converged solves of one run of `_runs`: a single level by `_solve`, several
+    together by one `_closed_form`. A refused solve raises NumericalError naming its level."""
     if len(levels) == 1:
-        return [_solve(seq.problem_at(levels[0]), solver, f"level {levels[0]}")], None
+        return [_solve(seq.problem_at(levels[0]), solver, f"level {levels[0]}")]
     try:
-        closed = _closed_form([seq.problem_at(n) for n in levels])
+        return _closed_form([seq.problem_at(n) for n in levels])
     except NumericalError as err:
         n = levels[getattr(err, "column", 0)]
         raise NumericalError(f"solver failed at level {n}: {err}") from None
-    return list(closed.results), closed
 
 
 def _sweep(seq: ApproxSequence, solver: SolveConfig) -> list[SolveResult]:
     """The converged solve of every level, in level order, run by run (`_solve_run`)."""
-    return [res for levels in _runs(seq) for res in _solve_run(seq, levels, solver)[0]]
+    return [res for levels in _runs(seq) for res in _solve_run(seq, levels, solver)]
 
 
 def _tail_monotone(values: Sequence[float], tail: int = 3) -> bool:
@@ -197,7 +186,7 @@ def eps_minimizer_chain(
     """
     eps_at = eps_at or (lambda n: 1.0 / n)
     eps_values = [eps_at(n) for n in seq.levels]
-    if any(eps <= 0.0 for eps in eps_values):
+    if not all(eps > 0.0 for eps in eps_values):
         raise GridCompatibilityError("eps sequence must stay positive")
     results = _sweep(seq, solver)
     xs = [res.minimizer for res in results]
@@ -484,13 +473,12 @@ def scaling_invariance_check(
 ) -> ScalingReport:
     """Positive scalings: inf(lam_n T_n) = lam_n inf(T_n), argmin fixed.
 
-    The scaled infimum is computed through an independent solve of the
-    scaled normal equations, lam_n (G + alpha W_X) against lam_n b_n, not
-    by multiplying the unscaled value, so the identity check has teeth;
-    levels solved together (`_runs`) lend it their one G + alpha W_X and
-    their b_n, and each scaled solve stays its own. Limits are estimated
-    by two-point 1/n extrapolation; the scaled limit must equal
-    lam * (unscaled limit). Zero or infinite scalings are unsupported.
+    Each scaled level is its own problem, `TikhonovProblem` with scale lam_n, minimized
+    by `_solve` as every level is, so the scaled infimum comes from an independent
+    solve of lam_n (G + alpha W_X) x = lam_n b_n, not from multiplying the unscaled
+    value, and the identity check has teeth. Limits are estimated by two-point 1/n
+    extrapolation; the scaled limit must equal lam * (unscaled limit). Zero or
+    infinite scalings are unsupported.
     """
     if not (0.0 < lam_limit < math.inf):
         raise GridCompatibilityError("scaling limit must be positive and finite")
@@ -501,26 +489,14 @@ def scaling_invariance_check(
     lambdas = [float(lam_at(n)) for n in levels]
     if not all(0.0 < lam < math.inf for lam in lambdas):
         raise GridCompatibilityError("per-level scaling must be positive and finite")
-    lam_of = dict(zip(levels, lambdas))
     values, scaled_values, residuals, distances = [], [], [], []
-    for run in _runs(seq):
-        results, closed = _solve_run(seq, run, solver)
-        first = seq.problem_at(run[0])
-        if closed is None:
-            matrix, rhs = TikhonovObjective(first).normal_equations(first.alpha)
-            rhs = rhs[:, None]
-        else:  # the run's one G + alpha W_X and its b_n, as the grouped solve assembled them
-            matrix, rhs = closed.matrix, closed.rhs
-            if matrix is None:  # the dual path formed no G + alpha W_X
-                matrix = TikhonovObjective(first).normal_equations(first.alpha)[0]
-        for j, (n, res) in enumerate(zip(run, results)):
-            lam = lam_of[n]
-            x_scaled = _checked_solve(lam * matrix, lam * rhs[:, j])
-            v_scaled = lam * seq.problem_at(n).value_at(x_scaled)
-            values.append(res.value)
-            scaled_values.append(v_scaled)
-            residuals.append(abs(lam * res.value - v_scaled) / max(1.0, abs(v_scaled)))
-            distances.append(norm(GridFunction(x_scaled) - res.minimizer))
+    for n, lam, res in zip(levels, lambdas, _sweep(seq, solver)):
+        level = seq.problem_at(n)
+        scaled = _solve(replace(level, scale=lam * level.scale), solver, f"scaled level {n}")
+        values.append(res.value)
+        scaled_values.append(scaled.value)
+        residuals.append(abs(lam * res.value - scaled.value) / max(1.0, abs(scaled.value)))
+        distances.append(norm(scaled.minimizer - res.minimizer))
 
     unscaled_limit = richardson_limit(levels, values)
     scaled_limit = richardson_limit(levels, scaled_values)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -72,6 +73,8 @@ def test_eps_must_be_positive():
         is_eps_minimizer(0.0, 0.0, 0.0)
     with pytest.raises(GridCompatibilityError):
         is_eps_minimizer(0.0, 0.0, -1.0)
+    with pytest.raises(GridCompatibilityError):
+        is_eps_minimizer(0.0, 0.0, math.nan)
 
 
 def test_eps_minimizer_accepts_plain_floats():
@@ -232,6 +235,46 @@ def test_problem_validation():
         TikhonovProblem(op, y, alpha=1.0, exponent_p=0.5)
     with pytest.raises(GridCompatibilityError):
         TikhonovProblem(op, GridFunction(np.zeros(6)), alpha=1.0)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(GridCompatibilityError, match="scale"):
+            TikhonovProblem(op, y, alpha=1.0, scale=scale)
+
+
+class _NanSchedule(AlphaSchedule):
+    def value(self, alpha_limit, n):
+        return math.nan
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda op, y: TikhonovProblem(op, y, alpha=math.nan),
+        lambda op, y: TikhonovProblem(op, y, alpha=math.inf),
+        lambda op, y: TikhonovProblem(op, y, alpha=0.1, exponent_p=math.nan),
+        lambda op, y: TikhonovProblem(op, y, alpha=0.1, exponent_p=math.inf),
+        lambda op, y: AlphaSchedule("power", math.nan, 1.0),
+        lambda op, y: AlphaSchedule("power", 1.0, math.nan),
+        lambda op, y: NoiseSchedule("power", math.nan, 1.0),
+        lambda op, y: NoiseSchedule("power", 1.0, math.nan),
+        lambda op, y: make_approx_sequence(
+            TikhonovProblem(op, y, alpha=0.1), make_constant_family(op, (4, 8)), _NanSchedule()
+        ),
+        # alpha_n = 1e308 + 1e308 n^-1e-300 overflows to inf at every level
+        lambda op, y: make_approx_sequence(
+            TikhonovProblem(op, y, alpha=1e308),
+            make_constant_family(op, (4, 8)),
+            AlphaSchedule("power", 1e308, 1e-300),
+        ),
+    ],
+    ids=["alpha-nan", "alpha-inf", "p-nan", "p-inf", "alpha-amplitude-nan",
+         "alpha-exponent-nan", "noise-amplitude-nan", "noise-exponent-nan", "alpha_n-nan",
+         "alpha_n-inf"],
+)
+def test_nan_and_inf_parameters_are_refused(build):
+    # NaN fails every comparison, so a check written as `value < 0` lets it through,
+    # and `alpha > 0` then drops the penalty from T: each check is a positive test
+    with pytest.raises(GridCompatibilityError):
+        build(identity_operator(9), GridFunction(np.ones(9)))
 
 
 def test_linear_quadratic_detection():
@@ -317,6 +360,16 @@ def test_problem_at_wires_level_pieces(gaussian_sequence):
     assert np.array_equal(
         level_problem.data_y.values, gaussian_sequence.data_at(n).values
     )
+
+
+def test_a_scaled_target_has_scaled_levels(gaussian_sequence):
+    scaled = dataclasses.replace(
+        gaussian_sequence, target=dataclasses.replace(gaussian_sequence.target, scale=3.0)
+    )
+    x = from_callable(np.cos, 65)
+    for n in (9, 33):
+        assert scaled.problem_at(n).scale == 3.0
+        assert eval_Tn(scaled, n, x) == 3.0 * eval_Tn(gaussian_sequence, n, x)
 
 
 def test_problem_at_keeps_each_level_problem(gaussian_sequence):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -343,6 +344,8 @@ def test_solver_config_validation():
     with pytest.raises(GridCompatibilityError):
         SolveConfig(grad_tol=0.0)
     with pytest.raises(GridCompatibilityError):
+        SolveConfig(grad_tol=math.nan)
+    with pytest.raises(GridCompatibilityError):
         SolveConfig(restarts=-1)
 
 
@@ -353,6 +356,67 @@ def test_overflowing_start_is_refused():
     problem = TikhonovProblem(identity_operator(9), y, alpha=0.1, exponent_p=3.0)
     with pytest.raises(ValueError, match="not finite"):
         projected_gradient(problem, GridFunction(np.zeros(9)))
+
+
+# --------------------------------------------------------- scaled problems
+
+
+def _scaled_cases():
+    """A linear-quadratic problem, the same with a shifted penalty, and a p = 3,
+    q = 3 problem on a ball."""
+    base = gaussian_problem(m=17)
+    shift = from_callable(lambda t: 0.5 * np.cos(np.pi * t), 17)
+    ball = ForwardOperator(base.operator.matrix, norm_ball(0.2))
+    return [
+        base,
+        dataclasses.replace(base, penalty=shifted_half_sq(shift)),
+        TikhonovProblem(ball, base.data_y, 0.1, exponent_p=3.0, penalty=p_power_norm(3.0)),
+    ]
+
+
+def test_a_scaled_problem_has_scaled_values_gradients_and_normal_equations():
+    rng = np.random.default_rng(11)
+    for problem in _scaled_cases():
+        for lam in (1e-3, 0.37, 2.5, 1e4):
+            scaled = dataclasses.replace(problem, scale=lam)
+            plain, times = TikhonovObjective(problem), TikhonovObjective(scaled)
+            vals = 0.05 * rng.standard_normal(17)
+            x = GridFunction(vals)
+            assert eval_T(scaled, x) == pytest.approx(lam * eval_T(problem, x), rel=1e-15)
+            assert times.model_value_at(vals) == pytest.approx(
+                lam * plain.model_value_at(vals), rel=1e-15
+            )
+            assert np.allclose(times.coordinate_gradient(vals),
+                               lam * plain.coordinate_gradient(vals), rtol=1e-15, atol=0.0)
+            m_lam, b_lam = times.normal_equations(problem.alpha)
+            m, b = plain.normal_equations(problem.alpha)
+            assert np.allclose(m_lam, lam * m, rtol=1e-15, atol=0.0)
+            assert np.allclose(b_lam, lam * b, rtol=1e-15, atol=0.0)
+
+
+def test_a_scaled_closed_form_keeps_the_minimizer():
+    # the primal path (17 core rows, 17 inputs) and the dual one (9 core rows)
+    dual_op = make_quadrature_family(gaussian_kernel(0.2), (9,), 257, input_m=17).operator_at(9)
+    dual_y = dual_op.apply(from_callable(lambda t: np.sin(np.pi * t), 17))
+    for problem in _scaled_cases()[:2] + [TikhonovProblem(dual_op, dual_y, alpha=0.1)]:
+        exact = solve_linear_quadratic(problem)
+        scaled = solve_linear_quadratic(dataclasses.replace(problem, scale=40.0))
+        assert norm(scaled.minimizer - exact.minimizer) <= 1e-13 * norm(exact.minimizer)
+        assert scaled.value == pytest.approx(40.0 * exact.value, rel=1e-13)
+
+
+def test_projected_gradient_on_a_scaled_ball_problem_keeps_the_minimizer():
+    problem = _scaled_cases()[2]
+    config = SolveConfig(max_iter=5000, grad_tol=1e-11)
+    x0 = GridFunction(np.zeros(17))
+    plain = projected_gradient(problem, x0, config)
+    assert plain.status == "converged"
+    assert norm(plain.minimizer) == pytest.approx(0.2, rel=1e-9)  # on the ball's boundary
+    for lam in (0.25, 8.0):
+        scaled = projected_gradient(dataclasses.replace(problem, scale=lam), x0, config)
+        assert scaled.status == "converged"
+        assert norm(scaled.minimizer - plain.minimizer) < 1e-8
+        assert scaled.value == pytest.approx(lam * plain.value, rel=1e-9)
 
 
 # ------------------------------------------------------------- Gram model

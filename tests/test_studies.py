@@ -47,7 +47,7 @@ from gammareg import (
     standard_samples,
     uniform_gap,
 )
-from gammareg import functionals, operators, studies
+from gammareg import functionals, operators, solvers, studies
 
 from conftest import build_gaussian_sequence
 
@@ -118,15 +118,20 @@ def test_an_unconverged_solve_ends_the_study(gaussian_sequence, monkeypatch):
     unconverged_on_call(monkeypatch, 1)
     with pytest.raises(NumericalError, match="^solver failed at reference: status max_iter$"):
         inf_convergence_study(gaussian_sequence, tol=1e-3)
-    # the coercivity witness and the scaling check's unscaled solves too
+    # the coercivity witness and the scaling check's solves too
     unconverged_on_call(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^solver failed at level 17:"):
         equi_coercivity_probe(gaussian_sequence, [], (1.0,))
     # (levels of one alpha share one closed-form solve, which cannot end unconverged;
     # a power schedule gives each level its own alpha and its own solve)
+    powered = scaling_sequence(alpha=AlphaSchedule("power"))
     unconverged_on_call(monkeypatch, 2)
     with pytest.raises(NumericalError, match="^solver failed at level 8: status max_iter$"):
-        scaling_invariance_check(scaling_sequence(alpha=AlphaSchedule("power")), lambda n: 2.0, 2.0)
+        scaling_invariance_check(powered, lambda n: 2.0, 2.0)
+    # the scaled solves follow the three unscaled ones, each a problem of its own
+    unconverged_on_call(monkeypatch, 5)
+    with pytest.raises(NumericalError, match="^solver failed at scaled level 8: status max_iter$"):
+        scaling_invariance_check(powered, lambda n: 2.0, 2.0)
 
 
 # ------------------------------------------------------------ epsilon chain
@@ -160,6 +165,8 @@ def test_eps_chain_without_cluster_is_diagnostic(gaussian_sequence):
 def test_eps_chain_rejects_nonpositive_eps(gaussian_sequence):
     with pytest.raises(GridCompatibilityError):
         eps_minimizer_chain(gaussian_sequence, eps_at=lambda j: 0.0)
+    with pytest.raises(GridCompatibilityError, match="eps sequence"):
+        eps_minimizer_chain(gaussian_sequence, eps_at=lambda j: float("nan"))
 
 
 # ---------------------------------------------------------- equi-coercivity
@@ -441,6 +448,26 @@ def test_a_refused_column_names_its_level(monkeypatch):
         inf_convergence_study(seq)
 
 
+def test_a_scaled_matrix_left_unscaled_fails_the_scaling_check(monkeypatch):
+    # a mutant that scales the right side of the scaled normal equations but not its
+    # matrix solves for lam x*: the check must see it, not pass it
+    seq = scaling_sequence()
+    assert scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0).verdict
+    normal_matrix = solvers._normal_matrix
+    monkeypatch.setattr(solvers, "_normal_matrix",
+                        lambda gram, alpha, w_in, lam: normal_matrix(gram, alpha, w_in, 1.0))
+    report = scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
+    assert not report.identity_ok and not report.verdict
+    assert min(report.argmin_distances) > 1e-2
+
+
+def test_the_scaling_check_solves_scaled_problems_only():
+    # each scaled level is a TikhonovProblem with its scale, minimized as every level is
+    for name in ("TikhonovObjective", "_checked_solve", "ClosedForm"):
+        assert not hasattr(studies, name)
+    assert not hasattr(solvers, "ClosedForm")
+
+
 def test_scaling_check_validates_scalings():
     seq = scaling_sequence()
     with pytest.raises(GridCompatibilityError):
@@ -460,7 +487,7 @@ def test_scaling_check_needs_closed_form_target():
 
 
 def test_each_operator_forms_its_gram_once(monkeypatch):
-    # the closed-form solves of three studies, the scaled solve of the
+    # the closed-form solves of three studies, the scaled solves of the
     # scaling check among them, form at most one Gram per operator; a level's
     # is formed from its n quadrature rows, the reference's from its m_ref rows
     formed = Counter()
@@ -479,9 +506,11 @@ def test_each_operator_forms_its_gram_once(monkeypatch):
     primal = [n for n in family.levels if n >= family.reference.input_m]
     assert primal == [65, 129]
     assert formed == Counter([family.reference.output_m] + primal)
-    # the scaling check's scaled solves are of G + alpha W_X: the rest form theirs, once
+    # each scaled level takes its level's path again: a dual one forms no Gram, and a
+    # primal one reads the Gram its level formed
+    before = Counter(formed)
     scaling_invariance_check(seq, lambda n: 2.0 + 1.0 / n, 2.0)
-    assert formed == Counter((family.reference.output_m,) + family.levels)
+    assert formed == before
 
     # projected gradient reads the same kept Gram: on a ball every solve of an
     # inf-study and an eps-chain is iterative, and still one Gram per operator
