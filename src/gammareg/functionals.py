@@ -50,7 +50,7 @@ NOISE_DIRECTIONS = ("oscillatory", "constant")
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Omega(x) = (1/q) ||x - x0||_tag^q, q >= 1; x0 is the shift, 0 without one.
+    """Omega(x) = (1/q) ||x - x0||_tag^q, finite q >= 1; x0 is the shift, 0 without one.
 
     A shift on another grid than x is resampled onto x's grid. Omega is
     smooth, and has a coordinate gradient, for the L2 tag and q >= 2.
@@ -61,20 +61,15 @@ class PenaltySpec:
     shift: GridFunction | None = None
 
     def __post_init__(self):
-        if not self.q >= 1.0:
-            raise UnsupportedPenaltyError("penalty needs q >= 1")
+        if not 1.0 <= self.q < math.inf:
+            raise UnsupportedPenaltyError("penalty needs q >= 1 and finite")
 
     @property
     def is_smooth(self) -> bool:
         return self.tag is NormTag.L2 and self.q >= 2.0
 
-    def _shift_on(self, m: int) -> GridFunction:
-        """The shift x0 on the m-node grid."""
-        shift = self.shift
-        return shift if shift.node_count == m else resample(shift, m)
-
     def _offset(self, x: GridFunction) -> GridFunction:
-        return x if self.shift is None else x - self._shift_on(x.node_count)
+        return x if self.shift is None else x - resample(self.shift, x.node_count)
 
     def evaluate(self, x: GridFunction) -> float:
         return norm(self._offset(x), self.tag) ** self.q / self.q
@@ -173,14 +168,13 @@ def linear_quadratic(exponent_p: float, penalty: PenaltySpec, domain: DomainSpec
 def eval_T(problem: TikhonovProblem, x: GridFunction) -> float:
     """Evaluate the target functional, +inf outside the domain.
 
-    An x off the operator's input grid is first resampled onto it, and
+    x is resampled once onto the operator's input grid and judged there:
     membership is tested on the resampled x, the one T is evaluated at.
     Inside the domain T is finite, so a value that overflowed is refused
     with a ValueError instead of passing for +inf.
     """
     op = problem.operator
-    if x.node_count != op.input_m:
-        x = resample(x, op.input_m)
+    x = resample(x, op.input_m)
     if not membership(op.domain, x):
         return math.inf
     with np.errstate(over="ignore"):  # an overflow is refused just below

@@ -268,9 +268,7 @@ class ForwardOperator:
         return d, np.bincount(idx, lower * theta, minlength=k - 1)
 
     def apply(self, x: GridFunction) -> GridFunction:
-        if x.node_count != self.input_m:
-            x = resample(x, self.input_m)
-        return GridFunction(self.forward(x.values))
+        return GridFunction(self.forward(resample(x, self.input_m).values))
 
 
 def _prolongation(k: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -536,16 +534,18 @@ def uniform_gap(
 ) -> float:
     """Sampled sup of ||F_n(x) - F(x)||_L2 over the given sample set.
 
-    The samples, each resampled onto the input grid as `apply` does, are the
-    columns of one input_m x S block, so F_n and F take one product each.
+    Each sample is resampled once onto the input grid and judged there: it must lie
+    in dom(F_n) on that grid. The resampled samples are the columns of one
+    input_m x S block, so F_n and F take one product each.
     """
     if not samples:
         raise GridCompatibilityError("uniform_gap needs at least one sample")
     op, m = family.operator_at(n), family.reference.input_m
+    samples = [resample(x, m) for x in samples]
     for i, x in enumerate(samples):
         if not membership(op.domain, x):
             raise GridCompatibilityError(f"sample {i} lies outside dom(F_{n})")
-    block = np.column_stack([(x if x.node_count == m else resample(x, m)).values for x in samples])
+    block = np.column_stack([x.values for x in samples])
     diff = op.forward(block) - family.reference.forward(block)
     return math.sqrt(float(np.max(trapezoid_weights(op.output_m) @ (diff * diff))))
 

@@ -5,26 +5,19 @@ gradient of 0.5 ||Ax - y||_W^2 is A^T W (Ax - y); dividing by the input
 weights gives the Riesz representative, which is what descent steps and
 norm-ball projections use so that radial scaling is the exact metric
 projection. One objective per problem, `TikhonovObjective`, reads the
-operator's kept Gram A^T W A and assembles the normal equations that
-projected gradient models and the minimum-penalty ladder solves.
+operator's kept Gram A^T W A to model T for projected gradient.
 
-The closed form of linear-quadratic problems, `_closed_form`, solves
-problems that share one operator, alpha, penalty and scale (a run of levels
-of a constant family, or the one problem of `solve_linear_quadratic`) with
-one factorization and a right side per problem. A problem's scale lam
-multiplies both sides of its normal equations. It takes one of two paths:
-
-- dual, when the operator's core A = P C has k < input_m rows and alpha > 0:
-  a k x k system, with no input_m^2 array and no Gram formed;
-- primal otherwise, and when a dual residual is refused: lam (G + alpha W_X)
-  from the kept Gram.
-
-Every dense solve is refused, column by column, with NumericalError unless
-its solution is finite and its relative residual is at most 1e-10 (so a NaN
-residual is refused); so is a matrix numpy cannot factor. Projected
-gradient takes its values and gradients from the objective before each
-step is confirmed on the full formula, which `grad_check` differentiates
-to check the gradient projected gradient follows.
+`_closed_form` is the one place that forms and solves the normal equations:
+of linear-quadratic problems that share one operator, alpha, penalty and
+scale (a run of levels of a constant family, the one problem of
+`solve_linear_quadratic`, or one rung of the minimum-penalty ladder), with
+one factorization and a right side per problem; its docstring gives the
+dual and primal paths. Every dense solve is refused, column by column, with
+NumericalError unless its solution is finite and its relative residual is
+at most 1e-10 (so a NaN residual is refused); so is a matrix numpy cannot
+factor. Projected gradient takes its values and gradients from the
+objective before each step is confirmed on the full formula, which
+`grad_check` differentiates to check the gradient projected gradient follows.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from .errors import (
     UnsupportedPenaltyError,
 )
 from .functionals import TikhonovProblem, _power, eval_T
-from .grids import GridFunction, NormTag, trapezoid_weights, weighted_l2
+from .grids import GridFunction, NormTag, resample, trapezoid_weights, weighted_l2
 from .operators import DomainSpec, ForwardOperator, _tridiagonal_times, membership
 
 __all__ = [
@@ -99,9 +92,8 @@ class TikhonovObjective:
     With G = A^T W A (W the output weights) and b = A^T W y,
     ||A x - y||_W^2 = x^T (G x - b) - b^T x + ||y||_W^2 and
     A^T W (A x - y) = G x - b, so the model value and the gradient cost
-    input_m^2 flops instead of output_m * input_m, and the normal equations
-    are G and b with alpha W_X added (W_X the input weights), both times the
-    problem's scale. `value_at` is T on the full formula, as `eval_T` computes it.
+    input_m^2 flops instead of output_m * input_m. `value_at` is T on the
+    full formula, as `eval_T` computes it.
     """
 
     def __init__(self, problem: TikhonovProblem):
@@ -112,19 +104,9 @@ class TikhonovObjective:
         self.b = op.adjoint(trapezoid_weights(op.output_m) * problem.data_y.values)
 
     @functools.cached_property
-    def y_sq(self) -> float:  # lazy: `normal_equations` never squares data near the float limit
+    def y_sq(self) -> float:  # lazy: a p = 2 gradient never squares data near the float limit
         y = self.problem.data_y.values
         return float(y * y @ trapezoid_weights(self.problem.operator.output_m))
-
-    def normal_equations(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """lam (G + alpha W_X) and lam (b + alpha W_X x0), lam the problem's scale and x0
-        the penalty shift on the input grid, or 0."""
-        lam, penalty = self.problem.scale, self.problem.penalty
-        matrix = _normal_matrix(self.gram, alpha, self.w_in, lam)
-        if penalty.shift is None:
-            return matrix, lam * self.b
-        shift = penalty._shift_on(self.w_in.size).values
-        return matrix, lam * (self.b + alpha * self.w_in * shift)
 
     def value_at(self, vals: np.ndarray) -> float:
         return self.problem.value_at(vals)
@@ -242,8 +224,9 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> list[SolveResult]:
     penalty and scale lam, from one solve with a right side per problem.
 
     With A = P C, W the output weights, W_X the input weights, G = A^T W A and x0 the
-    penalty shift (or 0), problem j's minimizer x solves lam (G + alpha W_X) x = b_j,
-    b_j = lam (A^T W y_j + alpha W_X x0); one block product forms every A^T W y_j.
+    penalty shift on the input grid (or 0), problem j's minimizer x solves
+    lam (G + alpha W_X) x = b_j, b_j = lam (A^T W y_j + alpha W_X x0); one block
+    product forms every A^T W y_j.
 
     - **Dual**, when C has k < input_m rows and alpha > 0: s solves the k x k system
       (T K + alpha I) s = P^T W y_j - T C x0, with T = P^T W P and K = C W_X^-1 C^T,
@@ -265,7 +248,7 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> list[SolveResult]:
     )
     pw = op.restrict(wy)
     rhs = op.core.T @ pw  # the adjoint A^T W y_j
-    x0 = None if head.penalty.shift is None else head.penalty._shift_on(op.input_m).values
+    x0 = None if head.penalty.shift is None else resample(head.penalty.shift, op.input_m).values
     if x0 is not None:
         rhs += (alpha * w_in * x0)[:, None]
     rhs *= lam
@@ -287,12 +270,9 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> list[SolveResult]:
 
 
 def solve_linear_quadratic(problem: TikhonovProblem) -> SolveResult:
-    """Closed-form minimizer: the `_closed_form` of the one problem.
-
-    It takes the dual path when the operator's core has fewer rows than
-    inputs and alpha > 0, and the primal one otherwise or when the dual
-    residual is refused. At alpha = 0 a rank-deficient operator yields an
-    infeasible result instead of a spurious solution.
+    """Closed-form minimizer: the `_closed_form` of the one problem, on the path
+    that function's docstring gives. At alpha = 0 a rank-deficient operator
+    yields an infeasible result instead of a spurious solution.
     """
     if not problem.is_linear_quadratic:
         raise UnsupportedPenaltyError(
@@ -390,8 +370,8 @@ def minimize_problem(problem: TikhonovProblem, config: SolveConfig = SolveConfig
 def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunction:
     """Minimum-L2-norm solution of F x = y via a vanishing-alpha ladder.
 
-    Solves one objective's normal equations at the three alpha rungs of
-    `_LADDER` and Richardson-extrapolates them (the solution path is
+    Solves the problem at each of the three alpha rungs of `_LADDER` by
+    `_closed_form` and Richardson-extrapolates them (the solution path is
     analytic in alpha near zero). Refuses data outside the range of F:
     the least-squares residual must be below 1e-8.
     """
@@ -404,8 +384,8 @@ def min_penalty_solution(operator: ForwardOperator, y: GridFunction) -> GridFunc
             f"y is not attainable: least-squares residual {ls_residual:.2e} > 1e-8"
         )
 
-    objective = TikhonovObjective(TikhonovProblem(operator, y, alpha=0.0))
-    x1, x2, x3 = (_checked_solve(*objective.normal_equations(alpha)) for alpha in _LADDER)
+    x1, x2, x3 = (_closed_form([TikhonovProblem(operator, y, alpha)])[0].minimizer.values
+                  for alpha in _LADDER)
     ratio = _LADDER[1] / _LADDER[2]
     e12 = x2 + (x2 - x1) / (ratio - 1.0)
     e23 = x3 + (x3 - x2) / (ratio - 1.0)

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedPenaltyError,
 )
 from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
-from .grids import GridFunction, _refuse_unindexable, norm
+from .grids import GridFunction, _refuse_unindexable, norm, resample
 from .solvers import SolveConfig, SolveResult, _closed_form, min_penalty_solution, minimize_problem
 
 __all__ = [
@@ -357,6 +357,8 @@ def equi_coercivity_probe(
             "the supplied schedule tends to alpha = 0"
         )
     delta = min([seq.alpha_limit] + [seq.alpha_at(n) for n in seq.levels])
+    # Omega and every T_n judge each sample on the input grid, where T_n evaluates it
+    samples = [resample(x, seq.target.operator.input_m) for x in samples]
     omegas = [seq.target.penalty.evaluate(x) for x in samples]  # Omega does not depend on n
     violations = []
     hits = 0

@@ -31,6 +31,7 @@ from gammareg import (
     make_fem_family,
     make_quadrature_family,
     projected_gradient,
+    trapezoid_weights,
 )
 from gammareg.cli import main
 
@@ -85,6 +86,19 @@ def level_family(kind, m_ref, levels):
 @pytest.fixture(scope="session")
 def gaussian_sequence():
     return build_gaussian_sequence()
+
+
+def dense_normal_equations(problem):
+    """lam (A^T W A + alpha W_X) and lam (A^T W y + alpha W_X x0) of a linear-quadratic
+    problem, formed densely from `operator.matrix` and the trapezoid weights: W on the
+    output grid, W_X on the input grid, lam the scale, x0 the penalty shift
+    interpolated onto the input grid, or 0. An oracle for the closed form."""
+    op, alpha, lam = problem.operator, problem.alpha, problem.scale
+    a, w, w_in = op.matrix, trapezoid_weights(op.output_m), trapezoid_weights(op.input_m)
+    shift = problem.penalty.shift
+    x0 = 0.0 if shift is None else np.interp(grid_nodes(op.input_m), shift.nodes, shift.values)
+    matrix = lam * (a.T @ (w[:, None] * a) + alpha * np.diag(w_in))
+    return matrix, lam * (a.T @ (w * problem.data_y.values) + alpha * w_in * x0)
 
 
 def uphill_steps(problem, x0, k_max=20):

@@ -783,6 +783,30 @@ CASES: dict[str, Case] = {
         """, RUN, 0,
         report=lambda out: metric(out, "inclusion_holds")[1] == "pass"
         and metric(out, "violations")[0] == 0.0),
+    # the other alpha-zero rows are refusals; this one runs to its verdict
+    "test_alpha_zero_study_runs": Case(
+        """
+        [study]
+        kind = alpha-zero
+        tol = 1e-2
+
+        [problem]
+        input_m = 9
+        quad_m = 65
+        alpha = 0
+        truth_amplitude = 0.003
+
+        [schedule]
+        levels = doubling:8:3
+        alpha_kind = power
+        alpha_exponent = 0.5
+        noise_kind = power
+        exact_family = true
+        """, RUN, 0,
+        report=lambda out: metrics(out) == ["alpha", "noise_ratio", "operator_ratio",
+                                            "distance_to_min_penalty", "omega_gap"] * 3
+        + ["final_distance"] and metric(out, "final_distance")[1] == "pass"
+        and abs(metric(out, "final_distance")[0] - 0.0025761298758422454) <= 1e-12),
 }
 
 

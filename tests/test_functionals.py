@@ -138,6 +138,15 @@ def test_power_norm_needs_q_at_least_one():
         PenaltySpec(0.5, NormTag.LINF)
 
 
+def test_power_norm_needs_a_finite_q():
+    # q = inf used to build, read as smooth, and make Omega of a constant 2 NaN
+    for q in (math.inf, math.nan):
+        with pytest.raises(UnsupportedPenaltyError):
+            PenaltySpec(q)
+        with pytest.raises(UnsupportedPenaltyError):
+            p_power_norm(q, NormTag.LINF)
+
+
 def test_sup_norm_penalty_is_not_smooth():
     pen = linf_penalty()
     assert not pen.is_smooth

@@ -36,6 +36,7 @@ from gammareg import (
     resample,
     resample_matrix,
     separable_kernel,
+    solve_linear_quadratic,
     standard_samples,
     trapezoid_weights,
     uniform_gap,
@@ -45,7 +46,9 @@ from gammareg import operators
 from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
 from gammareg.solvers import TikhonovObjective
 
-from conftest import ASYMMETRIC_KERNEL, FAMILY_CASES, LEVEL_CASES, LEVEL_IDS, level_family
+from conftest import (
+    ASYMMETRIC_KERNEL, FAMILY_CASES, LEVEL_CASES, LEVEL_IDS, dense_normal_equations, level_family,
+)
 
 
 # ------------------------------------------------------------- kernels
@@ -333,7 +336,8 @@ def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
         grad = a.T @ (w * r) + 0.1 * problem.penalty.coordinate_gradient(GridFunction(x))
         objective = TikhonovObjective(problem)
         _assert_rel_close(objective.coordinate_gradient(x), grad, 1e-13)
-        _assert_rel_close(objective.normal_equations(problem.alpha)[1], a.T @ (w * y), 1e-13)
+        exact = np.linalg.solve(*dense_normal_equations(problem))
+        _assert_rel_close(solve_linear_quadratic(problem).minimizer.values, exact, 1e-12)
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():
@@ -420,6 +424,19 @@ def test_uniform_gap_resamples_samples_off_the_input_grid():
     coarse = GridFunction(np.random.default_rng(3).standard_normal(33))
     assert uniform_gap(family, 9, [coarse]) == uniform_gap(family, 9, [resample(coarse, 65)])
     assert uniform_gap(family, 9, [coarse]) > 0.0
+
+
+def test_uniform_gap_judges_a_sample_on_the_input_grid():
+    # 1 at the even nodes of 33, 0 at the odd ones, L2 norm 0.9: on the 17 input
+    # nodes, where F_9 and F evaluate it, it is constant with norm 1.27 > 1
+    family = make_quadrature_family(
+        gaussian_kernel(0.2), (9, 17), 65, input_m=17, domain=norm_ball(1.0)
+    )
+    comb = GridFunction((np.arange(33) % 2 == 0).astype(float))
+    comb = comb * (0.9 / norm(comb))
+    assert norm(resample(comb, 17)) > 1.2
+    with pytest.raises(GridCompatibilityError, match=r"^sample 0 lies outside dom\(F_9\)$"):
+        uniform_gap(family, 9, [comb])
 
 
 def test_uniform_gap_names_the_first_sample_outside_the_domain():

@@ -51,7 +51,7 @@ from gammareg.grids import weighted_l2
 from gammareg.operators import _GRAM_ROWS
 from gammareg.solvers import TikhonovObjective, _project
 
-from conftest import LEVEL_CASES, LEVEL_IDS, level_family, uphill_steps
+from conftest import LEVEL_CASES, LEVEL_IDS, dense_normal_equations, level_family, uphill_steps
 
 
 def doubling_surrogate():
@@ -145,7 +145,7 @@ def test_residual_check_survives_huge_right_sides(monkeypatch):
     op = identity_operator(9)
     y = from_callable(lambda t: 1e158 * (1.0 + t), 9)
     problem = TikhonovProblem(op, y, alpha=0.5)
-    gram, rhs = TikhonovObjective(problem).normal_equations(problem.alpha)
+    gram, rhs = dense_normal_equations(problem)
     assert np.max(np.abs(rhs)) > 1e157
     peak = np.max(np.abs(rhs))
     residual = np.linalg.norm((gram @ solvers._checked_solve(gram, rhs) - rhs) / peak)
@@ -171,8 +171,12 @@ def _dual_levels():
 
 
 def _primal(problem):
-    """The parent's closed form: the checked solve of the primal normal equations."""
-    return solvers._checked_solve(*TikhonovObjective(problem).normal_equations(problem.alpha))
+    """The checked solve of the primal normal equations, formed from the kept Gram and
+    the factored adjoint as the closed form forms them (no scale, no shift)."""
+    op = problem.operator
+    w_in, w = trapezoid_weights(op.input_m), trapezoid_weights(op.output_m)
+    matrix = solvers._normal_matrix(op.gram(), problem.alpha, w_in, 1.0)
+    return solvers._checked_solve(matrix, op.adjoint(w * problem.data_y.values))
 
 
 def test_dual_closed_form_matches_the_primal_solve():
@@ -187,7 +191,7 @@ def test_dual_closed_form_matches_the_primal_solve():
         for penalty in (half_sq_l2(), shifted_half_sq(shift)):
             problem = TikhonovProblem(op, y, alpha=0.1, penalty=penalty)
             x = solve_linear_quadratic(problem).minimizer.values
-            exact = np.linalg.solve(*TikhonovObjective(problem).normal_equations(0.1))
+            exact = np.linalg.solve(*dense_normal_equations(problem))
             assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
@@ -388,10 +392,18 @@ def test_a_scaled_problem_has_scaled_values_gradients_and_normal_equations():
             )
             assert np.allclose(times.coordinate_gradient(vals),
                                lam * plain.coordinate_gradient(vals), rtol=1e-15, atol=0.0)
-            m_lam, b_lam = times.normal_equations(problem.alpha)
-            m, b = plain.normal_equations(problem.alpha)
+            if not problem.is_linear_quadratic:
+                continue
+            # the closed form's matrix and right side both carry lam: its solution
+            # solves the dense lam-scaled system
+            gram, w_in = problem.operator.gram(), trapezoid_weights(17)
+            m_lam = solvers._normal_matrix(gram, problem.alpha, w_in, lam)
+            m = solvers._normal_matrix(gram, problem.alpha, w_in, 1.0)
             assert np.allclose(m_lam, lam * m, rtol=1e-15, atol=0.0)
-            assert np.allclose(b_lam, lam * b, rtol=1e-15, atol=0.0)
+            dense_m, dense_b = dense_normal_equations(scaled)
+            assert np.allclose(m_lam, dense_m, rtol=1e-13, atol=1e-13 * np.max(np.abs(dense_m)))
+            x_lam = solvers._closed_form([scaled])[0].minimizer.values
+            assert np.linalg.norm(dense_m @ x_lam - dense_b) <= 1e-10 * np.linalg.norm(dense_b)
 
 
 def test_a_scaled_closed_form_keeps_the_minimizer():
@@ -640,15 +652,17 @@ def test_min_penalty_solution_consistency_on_smoothing_kernel():
 
 
 def test_min_penalty_rungs_come_from_normal_equations(monkeypatch):
-    # alpha W_X is added in one place: each rung is the system of its alpha
+    # the normal equations are formed in one place: each rung is a one-problem
+    # closed form at its alpha
     alphas = []
-    assemble = TikhonovObjective.normal_equations
+    closed_form = solvers._closed_form
 
-    def spy(objective, alpha):
-        alphas.append(alpha)
-        return assemble(objective, alpha)
+    def spy(problems):
+        assert len(problems) == 1
+        alphas.append(problems[0].alpha)
+        return closed_form(problems)
 
-    monkeypatch.setattr(TikhonovObjective, "normal_equations", spy)
+    monkeypatch.setattr(solvers, "_closed_form", spy)
     min_penalty_solution(identity_operator(9), from_callable(np.sin, 9))
     assert alphas == list(solvers._LADDER)
 

@@ -245,6 +245,23 @@ def test_coercivity_probe_evaluates_the_penalty_once_per_sample(monkeypatch):
     assert (probe.antecedent_hits, probe.violations) == (hits, tuple(violations))
 
 
+def test_coercivity_probe_judges_omega_on_the_input_grid():
+    # 5 at the odd nodes of 33, 0 at the even ones: 0 on the 17 input nodes, where
+    # T_n evaluates it (T_9 = 6.2e-3 <= 0.5), so Omega must read 0 there too, not the
+    # 6.25 > t / delta = 5 of its own grid
+    family = make_quadrature_family(gaussian_kernel(0.2), (9, 17), 65, input_m=17)
+    truth = from_callable(lambda t: 0.01 * np.sin(np.pi * t), 17)
+    target = TikhonovProblem(family.reference, family.reference.apply(truth), alpha=0.1)
+    seq = make_approx_sequence(target, family, AlphaSchedule("power"), NoiseSchedule("power"))
+    spikes = GridFunction(5.0 * (np.arange(33) % 2))
+    assert half_sq_l2().evaluate(spikes) > 0.5 / 0.1
+    assert eval_Tn(seq, 9, spikes) <= 0.5
+    probe = equi_coercivity_probe(seq, [spikes], (0.5,))
+    assert probe.antecedent_hits == 2
+    assert probe.violations == ()
+    assert probe.verdict is True
+
+
 # ------------------------------------------------------------- alpha to zero
 
 
