@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -246,21 +247,25 @@ class GammaEstimate:
         return self.upper - self.lower
 
 
-def _neighborhood(grid: np.ndarray, point: float, r: float) -> np.ndarray:
-    """Mask of the grid nodes x with |x - point| < r.
+def _neighborhood(grid: np.ndarray, point: float, r: float) -> slice:
+    """The grid nodes x with |x - point| < r, as a slice: on a strictly increasing
+    grid they are one run of nodes.
 
     Refuses (ResolutionError) a neighborhood that resolves fewer than two
     grid nodes.
     """
-    mask = np.abs(grid - point) < r
-    if int(mask.sum()) < 2:
+    near = np.flatnonzero(np.abs(grid - point) < r)
+    if near.size < 2:
         raise ResolutionError(f"radius {r:g} resolves fewer than two grid nodes near {point:g}")
-    return mask
+    return slice(near[0], near[-1] + 1)
 
 
 def _gamma_tail(index_window: int, grid_m: int) -> range:
     """The last half of the indices 1 ... index_window. A (tail x grid_m) block of
-    values that numpy cannot index raises MemoryError, as one too large to allocate does."""
+    values that numpy cannot index raises MemoryError, as one too large to allocate does.
+    The estimator forms only the largest neighborhood's columns; this guard bounds the
+    worst case, a neighborhood that covers the grid, so `StudySpec.grid` can apply it
+    before any neighborhood is known."""
     _refuse_unindexable(index_window // 2 * grid_m,
                         f"index_window = {index_window} on {grid_m} grid nodes: its tail is")
     return range(index_window - index_window // 2 + 1, index_window + 1)
@@ -281,6 +286,12 @@ def estimate_gamma_limits(
     over shrinking radii is reported as the smallest-radius value with
     a stabilization flag. Neighborhoods that resolve fewer than two
     grid nodes are refused.
+
+    `family(j, x)` returns f_j at each node of x, pointwise: f_j(x_i) does not
+    depend on the other nodes of x. Gamma-limits are local, so the family is
+    called once per tail index on the nodes of the largest neighborhood only,
+    and non-finite values elsewhere on the grid are never seen. A result that is
+    not one value a node is refused.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
@@ -288,23 +299,26 @@ def estimate_gamma_limits(
     if not (grid[0] < point < grid[-1]):
         raise GridCompatibilityError("point must lie inside the grid")
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii) or any(
-        b >= a for a, b in zip(radii, radii[1:])
+    if not radii or any(not 0.0 < r for r in radii) or any(
+        not b < a for a, b in zip(radii, radii[1:])
     ):
         raise GridCompatibilityError("radii must be positive and strictly decreasing")
-    if index_window < 2:
-        raise GridCompatibilityError("index window must cover at least two indices")
+    if not (isinstance(index_window, numbers.Integral) and index_window >= 2):
+        raise GridCompatibilityError("index window must be an integer of at least 2")
 
     tail = _gamma_tail(index_window, grid.size)
-    values = np.stack([np.asarray(family(j, grid), dtype=float) for j in tail])
+    # radii decrease, so every neighborhood lies inside the largest one
+    sub = grid[_neighborhood(grid, point, radii[0])]
+    values = np.stack([np.asarray(family(j, sub), dtype=float) for j in tail])
+    if values.shape != (len(tail), sub.size):
+        raise GridCompatibilityError(
+            f"family returned shape {values.shape[1:]} on {sub.size} nodes, not one value a node")
     if not np.all(np.isfinite(values)):
-        raise NumericalError("family returned non-finite values on the grid")
+        raise NumericalError(f"family returned non-finite values within {radii[0]:g} of {point:g}")
 
     lower_by_radius, upper_by_radius = [], []
     for r in radii:
-        # on a strictly increasing grid the neighborhood is one run of nodes: a slice
-        near = np.flatnonzero(_neighborhood(grid, point, r))
-        neigh_inf = values[:, near[0] : near[-1] + 1].min(axis=1)
+        neigh_inf = values[:, _neighborhood(sub, point, r)].min(axis=1)
         lower_by_radius.append(float(neigh_inf.min()))
         upper_by_radius.append(float(neigh_inf.max()))
 

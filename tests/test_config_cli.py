@@ -753,6 +753,21 @@ CASES: dict[str, Case] = {
         """, RUN, 0,
         report=lambda out: metric(out, "estimate")[1] == "pass"
         and abs(metric(out, "estimate")[0] + 1.0) < 0.1),
+    # neighborhoods clipped at the grid's start: the family is evaluated on the
+    # largest one only, and the report keeps the bytes of a whole-grid evaluation
+    "test_gamma_estimate_clipped_at_the_grid_start_keeps_its_report": Case(
+        "[study]\nkind = gamma-estimate\npoint = 0.1\nradii = 0.5, 0.1, 0.05\n", RUN, 0,
+        report=lambda out: out == (
+            "study,level,metric,value,verdict,wall_time_ms\n"
+            "gamma-estimate,,lower@r=0.5,-0.9999999264297993,,0.0\n"
+            "gamma-estimate,,upper@r=0.5,-0.9848077530122158,,0.0\n"
+            "gamma-estimate,,lower@r=0.1,-0.9999999264297993,,0.0\n"
+            "gamma-estimate,,upper@r=0.1,-0.976606336287479,,0.0\n"
+            "gamma-estimate,,lower@r=0.05,-0.9999999264297993,,0.0\n"
+            "gamma-estimate,,upper@r=0.05,-0.9697363656686188,,0.0\n"
+            "gamma-estimate,,estimate,-0.9999999264297993,pass,0.0\n"
+            "gamma-estimate,,upper_stabilized,1.0,diagnostic,0.0\n"
+            "gamma-estimate,,limit_gap,0.03026356076118053,,0.0\n")),
     "test_integral_demo_study_runs": Case(
         "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\n"
         "[schedule]\nlevels = 5, 9, 17\n", RUN, 0,

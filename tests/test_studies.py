@@ -365,6 +365,91 @@ def test_limit_estimator_rejects_non_finite_families():
         estimate_gamma_limits(lambda j, x: x * np.inf, grid, 0.5, (0.1,), 8)
 
 
+def test_limit_estimator_refuses_nan_radii_and_fractional_windows():
+    grid = np.linspace(0.0, 1.0, 128)
+    family = lambda j, x: np.sin(j * x)  # noqa: E731
+    for radii in ((np.nan,), (0.5, np.nan), (np.nan, 0.1)):
+        with pytest.raises(GridCompatibilityError, match="radii"):
+            estimate_gamma_limits(family, grid, 0.5, radii, 8)
+    with pytest.raises(GridCompatibilityError, match="index window"):
+        estimate_gamma_limits(family, grid, 0.5, (0.1,), 8.0)
+    # a numpy integer is a window like any other
+    assert estimate_gamma_limits(family, grid, 0.5, (0.1,), np.int64(8)) == (
+        estimate_gamma_limits(family, grid, 0.5, (0.1,), 8))
+
+
+def _full_grid_limits(family, grid, point, radii, window):
+    """Lower and upper limits by radius with the family evaluated on every grid node."""
+    tail = range(window - window // 2 + 1, window + 1)
+    values = np.stack([family(j, grid) for j in tail])
+    lower, upper = [], []
+    for r in radii:
+        near = np.flatnonzero(np.abs(grid - point) < r)
+        neigh_inf = values[:, near[0] : near[-1] + 1].min(axis=1)
+        lower.append(float(neigh_inf.min()))
+        upper.append(float(neigh_inf.max()))
+    return tuple(lower), tuple(upper)
+
+
+@pytest.mark.parametrize("family", [
+    pytest.param(lambda j, x: np.sin(j * x), id="oscillation"),
+    pytest.param(lambda j, x: x * x + 1.0 / j, id="shift"),
+])
+@pytest.mark.parametrize("point, radii, clipped", [
+    *[pytest.param(p, (0.5, 0.1, 0.02, 0.004), False, id=f"c6-{p}")
+      for p in (0.7, 1.3, 2.6, 3.9, 5.2)],
+    pytest.param(0.1, (0.5, 0.1), True, id="clipped-at-start"),
+    pytest.param(6.2, (0.5, 0.1), True, id="clipped-at-end"),
+    pytest.param(1.3, (np.inf, 0.1), True, id="whole-grid"),
+])
+def test_limit_estimator_evaluates_the_family_on_the_largest_neighborhood_only(
+    family, point, radii, clipped
+):
+    seen = []
+
+    def spy(j, x):
+        seen.append(x.copy())
+        return family(j, x)
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 4096)
+    window = 512
+    est = estimate_gamma_limits(spy, grid, point, radii, window)
+    largest = grid[np.abs(grid - point) < radii[0]]
+    assert bool(largest[0] == grid[0] or largest[-1] == grid[-1]) == clipped
+    assert len(seen) == window // 2
+    assert all(np.array_equal(x, largest) for x in seen)
+    lower, upper = _full_grid_limits(family, grid, point, radii, window)
+    assert est.lower_by_radius == lower
+    assert est.upper_by_radius == upper
+
+
+def test_limit_estimator_refuses_a_family_that_is_not_one_value_a_node():
+    grid = np.linspace(0.0, 1.0, 128)
+    # values on the whole grid, whatever nodes it is given, would be read as
+    # the neighborhood's values
+    for family in (lambda j, x: np.sin(j * grid), lambda j, x: 1.0):
+        with pytest.raises(GridCompatibilityError, match="one value a node"):
+            estimate_gamma_limits(family, grid, 0.5, (0.1,), 8)
+
+
+def test_limit_estimator_ignores_values_outside_the_largest_neighborhood():
+    grid = np.linspace(0.0, 1.0, 128)
+
+    def far_pole(j, x):
+        return np.where(x > 0.9, np.inf, np.sin(j * x))
+
+    est = estimate_gamma_limits(far_pole, grid, 0.3, (0.1,), 8)
+    lower, upper = _full_grid_limits(lambda j, x: np.sin(j * x), grid, 0.3, (0.1,), 8)
+    assert (est.lower_by_radius, est.upper_by_radius) == (lower, upper)
+
+    # a pole inside the largest neighborhood is seen, even outside the smallest one
+    def near_pole(j, x):
+        return np.where(x > 0.35, np.inf, np.sin(j * x))
+
+    with pytest.raises(NumericalError, match="non-finite"):
+        estimate_gamma_limits(near_pole, grid, 0.3, (0.1, 0.02), 8)
+
+
 # ----------------------------------------------------------------- scaling
 
 
