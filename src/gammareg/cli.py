@@ -263,7 +263,8 @@ def _cmd_run(args) -> int:
         return run
 
     if args.seed is not None:
-        run = replace(run, schedule=replace(run.schedule, noise_seed=args.seed))
+        noise = replace(run.schedule.noise, seed=args.seed)
+        run = replace(run, schedule=replace(run.schedule, noise=noise))
     started = time.perf_counter()
     try:
         rows, verdict = run_study(run)

@@ -135,8 +135,6 @@ KERNELS = {
         resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain),
 }
 
-DEFAULT_LEVELS = (8, 16, 32, 64, 128)
-
 # The kinds that read a tolerance, each with its default
 _TOL_DEFAULTS = {
     "inf-study": INF_STUDY_TOL, "eps-chain": EPS_CHAIN_TOL, "alpha-zero": ALPHA_ZERO_TOL
@@ -204,20 +202,18 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    levels: tuple[int, ...] = DEFAULT_LEVELS
-    alpha_kind: str = "constant"
-    alpha_amplitude: float = 1.0
-    alpha_exponent: float = 1.0
-    noise_kind: str = "none"
-    noise_amplitude: float = 1.0
-    noise_exponent: float = 1.0
-    noise_direction: str = "oscillatory"
-    noise_seed: int = 0
+    """[schedule]: levels, the library's AlphaSchedule and NoiseSchedule, and exact_family."""
+
+    levels: tuple[int, ...] = (8, 16, 32, 64, 128)
+    alpha: AlphaSchedule = field(default_factory=AlphaSchedule)
+    noise: NoiseSchedule = field(default_factory=NoiseSchedule)
     exact_family: bool = False
 
 
 @dataclass(frozen=True)
 class RunSpec:
+    """A parsed config, one field per section, in the library's own types where it has them."""
+
     study: StudySpec
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -453,19 +449,18 @@ def parse_config(text: str) -> RunSpec:
         levels=col.value("schedule", "levels", d.levels, _levels, (
             lambda ls: len(ls) < 2 or ls[0] < 2 or any(b <= a for a, b in zip(ls, ls[1:])),
             "need at least two strictly increasing levels, all >= 2")),
-        alpha_kind=col.value("schedule", "alpha_kind", d.alpha_kind, _one_of(ALPHA_KINDS)),
-        alpha_amplitude=col.value("schedule", "alpha_amplitude", d.alpha_amplitude, _number,
-                                  _POSITIVE),
-        alpha_exponent=col.value("schedule", "alpha_exponent", d.alpha_exponent, _number,
-                                 _POSITIVE),
-        noise_kind=col.value("schedule", "noise_kind", d.noise_kind, _one_of(NOISE_KINDS)),
-        noise_amplitude=col.value("schedule", "noise_amplitude", d.noise_amplitude, _number,
-                                  _POSITIVE),
-        noise_exponent=col.value("schedule", "noise_exponent", d.noise_exponent, _number,
-                                 _POSITIVE),
-        noise_direction=col.value(
-            "schedule", "noise_direction", d.noise_direction, _one_of(NOISE_DIRECTIONS)),
-        noise_seed=col.value("schedule", "noise_seed", d.noise_seed, _integer, _at_least(0)),
+        alpha=AlphaSchedule(
+            col.value("schedule", "alpha_kind", d.alpha.kind, _one_of(ALPHA_KINDS)),
+            col.value("schedule", "alpha_amplitude", d.alpha.amplitude, _number, _POSITIVE),
+            col.value("schedule", "alpha_exponent", d.alpha.exponent, _number, _POSITIVE),
+        ),
+        noise=NoiseSchedule(
+            col.value("schedule", "noise_kind", d.noise.kind, _one_of(NOISE_KINDS)),
+            col.value("schedule", "noise_amplitude", d.noise.amplitude, _number, _POSITIVE),
+            col.value("schedule", "noise_exponent", d.noise.exponent, _number, _POSITIVE),
+            col.value("schedule", "noise_direction", d.noise.direction, _one_of(NOISE_DIRECTIONS)),
+            col.value("schedule", "noise_seed", d.noise.seed, _integer, _at_least(0)),
+        ),
         exact_family=col.value("schedule", "exact_family", d.exact_family, _boolean),
     )
 
@@ -512,11 +507,13 @@ def parse_config(text: str) -> RunSpec:
             gaussian_kernel(problem.sigma)
         except GridCompatibilityError as exc:
             col.conflict("problem", "sigma", str(exc), ("problem", "kernel"))
-    if problem.alpha == 0.0 and schedule.alpha_kind == "constant" and kind != "fem-rate":
-        col.conflict(
-            "schedule", "alpha_kind", "alpha = 0 with a constant schedule gives alpha_n = 0",
-            ("problem", "alpha"),
-        )
+    # the kinds that build a sequence, which refuses an alpha_n it cannot use
+    if kind in ("inf-study", "eps-chain", "coercivity", "alpha-zero") and (
+            unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
+        col.conflict("schedule", "alpha_kind", "alpha_n must be positive and finite at every "
+                     "level; it is {1:g} at level {0}".format(*unusable),
+                     ("problem", "alpha"), ("schedule", "alpha_amplitude"),
+                     ("schedule", "alpha_exponent"), ("schedule", "levels"))
     if kind == "alpha-zero" and problem.alpha != 0.0:
         col.conflict("problem", "alpha", "alpha-zero study needs alpha = 0")
     if kind == "alpha-zero" and problem.data != "forward_of_truth":
@@ -588,10 +585,4 @@ def build_target(run: RunSpec, family: OperatorFamily | None = None) -> Tikhonov
 def build_sequence(run: RunSpec) -> ApproxSequence:
     """Target + family + schedules."""
     family = build_family(run)
-    target = build_target(run, family)
-    s = run.schedule
-    alpha = AlphaSchedule(s.alpha_kind, s.alpha_amplitude, s.alpha_exponent)
-    noise = NoiseSchedule(
-        s.noise_kind, s.noise_amplitude, s.noise_exponent, s.noise_direction, s.noise_seed
-    )
-    return ApproxSequence(target, family, alpha, noise)
+    return ApproxSequence(build_target(run, family), family, run.schedule.alpha, run.schedule.noise)

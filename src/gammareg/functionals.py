@@ -214,6 +214,17 @@ class AlphaSchedule:
             return alpha_limit
         return alpha_limit + self.amplitude * float(n) ** (-self.exponent)
 
+    def first_unusable(self, alpha_limit: float, levels) -> tuple[int, float] | None:
+        """(n, alpha_n) for the first level n whose alpha_n is not positive and finite, or None."""
+        for n in levels:
+            try:
+                alpha_n = self.value(alpha_limit, n)
+            except OverflowError:  # float(n) of a level past the float range: alpha_n is NaN
+                alpha_n = math.nan
+            if not _positive_finite(alpha_n):
+                return n, alpha_n
+        return None
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -267,9 +278,8 @@ class ApproxSequence:
             raise GridCompatibilityError(
                 "target operator and family reference must share the output grid"
             )
-        for n in self.family.levels:
-            if not _positive_finite(self.alpha_at(n)):
-                raise GridCompatibilityError("alpha_n must be positive and finite at every level")
+        if self.alpha_schedule.first_unusable(self.target.alpha, self.family.levels):
+            raise GridCompatibilityError("alpha_n must be positive and finite at every level")
         object.__setattr__(self, "_problems", {})
 
     @property

@@ -185,17 +185,18 @@ def _refusal(x: np.ndarray, gap: np.ndarray, rhs: np.ndarray) -> NumericalError 
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite x is refused, not warned about
-def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The x of matrix x = rhs, rhs one right side or a block of them, each column
-    refused with NumericalError as `_refusal` judges it, as is a matrix numpy cannot factor."""
+def _checked_solve(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and its gap matrix x - rhs for matrix x = rhs, rhs one right side or a block of
+    them; NumericalError refuses a column as `_refusal` judges it, and an unfactorable matrix."""
     try:
         x = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"normal equations not solved: {err}") from None
-    error = _refusal(x, matrix @ x - rhs, rhs)
+    gap = matrix @ x - rhs
+    error = _refusal(x, gap, rhs)
     if error is not None:
         raise error
-    return x
+    return x, gap
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite x is refused, not warned about
@@ -256,9 +257,7 @@ def _closed_form(problems: Sequence[TikhonovProblem]) -> list[SolveResult]:
     if alpha > 0.0 and op.core.shape[0] < op.input_m:
         solved = _dual(op, alpha, lam, w_in, pw, x0, rhs)
     if solved is None:
-        matrix = _normal_matrix(op.gram(), alpha, w_in, lam)
-        x = _checked_solve(matrix, rhs)
-        solved = x, matrix @ x - rhs
+        solved = _checked_solve(_normal_matrix(op.gram(), alpha, w_in, lam), rhs)
     x, gap = solved
     results = []
     for j, problem in enumerate(problems):

@@ -103,7 +103,7 @@ def test_full_config_round_trip():
     assert run.study.tol == pytest.approx(1e-4)
     assert run.problem.sigma == pytest.approx(0.3)
     assert run.schedule.levels == (5, 9, 17)
-    assert run.schedule.noise_kind == "seeded"
+    assert run.schedule.noise.kind == "seeded"
     assert run.solver.max_iter == 800
 
 
@@ -607,6 +607,35 @@ CASES: dict[str, Case] = {
     "test_validate_agrees_with_run_on_grids[fem-rate-table-not-finite]": Case(
         "[study]\nkind = fem-rate\n[problem]\nkernel = fem\npotential = table:1,nan\n",
         VALIDATE, 2, "[problem] potential: table values must be finite (line 5)\n"),
+    # validated, then the sequence refused alpha_n with "must be positive and finite at
+    # every level": 1e-300 * 8^-100 underflows to 0, 1e308 + 1e308 * 8^-1e-300 overflows
+    **{
+        f"test_validate_judges_alpha_n_as_the_sequence_does[{label}-{command}]": Case(
+            f"[study]\nkind = inf-study\n[problem]\ninput_m = 9\nquad_m = 33\nalpha = {alpha}\n"
+            f"[schedule]\nlevels = 8, 16\nalpha_kind = power\nalpha_amplitude = {amplitude}\n"
+            f"alpha_exponent = {exponent}\n", argv, 2,
+            "[schedule] alpha_kind: alpha_n must be positive and finite at every level; "
+            f"it is {alpha_n} at level 8 (line 9)\n")
+        for label, alpha, amplitude, exponent, alpha_n in (
+            ("underflow", "0", "1e-300", "100", "0"),
+            ("overflow", "1e308", "1e308", "1e-300", "inf"),
+        )
+        for command, argv in (("validate", VALIDATE), ("run", RUN))
+    },
+    # validated, then the run ended in a traceback: float(n) raised OverflowError
+    "test_validate_judges_alpha_n_as_the_sequence_does[level-past-the-floats]": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernel = identity\ninput_m = 9\n"
+        f"[schedule]\nlevels = 2, {10**309}\nalpha_kind = power\n", RUN, 2,
+        "[schedule] alpha_kind: alpha_n must be positive and finite at every level; "
+        f"it is nan at level {10**309} (line 8)\n"),
+    # neither kind builds a sequence, yet "alpha = 0 with a constant schedule" refused both
+    "test_a_kind_without_a_sequence_takes_alpha_zero[gamma-estimate]": Case(
+        "[study]\nkind = gamma-estimate\n[problem]\nalpha = 0\n", VALIDATE, 0,
+        report=lambda out: out == "config ok: gamma-estimate\n"),
+    "test_a_kind_without_a_sequence_takes_alpha_zero[integral-demo]": Case(
+        "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\nalpha = 0\n"
+        "[schedule]\nlevels = 9, 17, 33\n", RUN, 0,
+        report=lambda out: metric(out, "final_gap")[1] == "pass"),
     # the 745 GiB grid of grid_m = 1e11 cannot be allocated
     "test_out_of_memory_in_validate_exits_two": Case(
         "[study]\nkind = gamma-estimate\ngrid_m = 100000000000\n", VALIDATE, 2,

@@ -15,7 +15,10 @@ from gammareg import (
     ApproxSequence,
     GridCompatibilityError,
     GridFunction,
+    KernelSpec,
     NoiseSchedule,
+    NumericalError,
+    OperatorFamily,
     TikhonovProblem,
     UnsupportedPenaltyError,
     eval_T,
@@ -24,6 +27,7 @@ from gammareg import (
     gaussian_kernel,
     grid_nodes,
     half_sq_l2,
+    estimate_gamma_limits,
     identity_operator,
     is_eps_minimizer,
     linf_penalty,
@@ -33,11 +37,14 @@ from gammareg import (
     norm,
     norm_ball,
     p_power_norm,
+    projected_gradient,
     resample,
     shifted_half_sq,
     NormTag,
     PenaltySpec,
 )
+from gammareg.fem import TridiagonalSystem
+from gammareg.solvers import TikhonovObjective
 
 # ------------------------------------------------------ epsilon minimizers
 
@@ -274,16 +281,72 @@ class _NanSchedule(AlphaSchedule):
             make_constant_family(op, (4, 8)),
             AlphaSchedule("power", 1e308, 1e-300),
         ),
+        # float(n) of a level past the float range raised OverflowError
+        lambda op, y: make_approx_sequence(
+            TikhonovProblem(op, y, alpha=0.1),
+            make_constant_family(op, (4, 10**309)),
+            AlphaSchedule("power"),
+        ),
     ],
     ids=["alpha-nan", "alpha-inf", "p-nan", "p-inf", "alpha-amplitude-nan",
          "alpha-exponent-nan", "noise-amplitude-nan", "noise-exponent-nan", "alpha_n-nan",
-         "alpha_n-inf"],
+         "alpha_n-inf", "alpha_n-level-past-the-floats"],
 )
 def test_nan_and_inf_parameters_are_refused(build):
     # NaN fails every comparison, so a check written as `value < 0` lets it through,
     # and `alpha > 0` then drops the penalty from T: each check is a positive test
     with pytest.raises(GridCompatibilityError):
         build(identity_operator(9), GridFunction(np.ones(9)))
+
+
+def test_first_unusable_alpha_level():
+    # the one alpha_n rule: the sequence and `validate` both apply it
+    power = AlphaSchedule("power", 1e-300, 100.0)  # 1e-300 * 8^-100 underflows to 0
+    assert power.first_unusable(0.0, (8, 16)) == (8, 0.0)
+    assert power.first_unusable(0.1, (8, 16)) is None
+    assert AlphaSchedule().first_unusable(0.0, (2, 4)) == (2, 0.0)
+    level, alpha_n = AlphaSchedule("power").first_unusable(0.1, (4, 10**309))
+    assert level == 10**309 and math.isnan(alpha_n)
+
+
+_G3, _G4 = GridFunction(np.zeros(3)), GridFunction(np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: GridFunction(np.zeros((2, 2))), GridCompatibilityError, "one-dimensional"),
+        (lambda: _G3 + _G4, GridCompatibilityError, "grid mismatch"),
+        (lambda: _G3 - _G4, GridCompatibilityError, "grid mismatch"),
+        (lambda: norm(_G3, "L2"), GridCompatibilityError, "unknown norm tag"),
+        (lambda: ApproxSequence(
+            TikhonovProblem(identity_operator(9), GridFunction(np.ones(9)), alpha=0.1),
+            make_constant_family(identity_operator(5), (2, 4))),
+         GridCompatibilityError, "share the output grid"),
+        (lambda: KernelSpec(lambda s, t: np.nan * (s + t), "nan"),
+         GridCompatibilityError, "must evaluate finitely"),
+        (lambda: OperatorFamily((), identity_operator(3), identity_operator),
+         GridCompatibilityError, "at least one level"),
+        (lambda: TikhonovObjective(TikhonovProblem(
+            identity_operator(3), _G3, alpha=0.1, exponent_p=1.0)).coordinate_gradient(
+            np.zeros(3)), UnsupportedPenaltyError, "p = 1 is not smooth"),
+        (lambda: projected_gradient(TikhonovProblem(identity_operator(3), _G3, alpha=0.1), _G4),
+         GridCompatibilityError, "x0 must live on the operator input grid"),
+        (lambda: estimate_gamma_limits(lambda j, x: x, np.linspace(1.0, 0.0, 9), 0.5, (0.2,), 8),
+         GridCompatibilityError, "strictly increasing"),
+        (lambda: TridiagonalSystem(np.ones(3), np.ones(1), np.ones(3)),
+         GridCompatibilityError, "sizes disagree"),
+        (lambda: TridiagonalSystem(np.array([1.0, 0.0, 1.0]), np.zeros(2), np.ones(3)),
+         NumericalError, "diagonal must be positive"),
+    ],
+    ids=["grid-values-2d", "add-grid-mismatch", "subtract-grid-mismatch", "norm-tag-not-a-tag",
+         "sequence-output-grids-differ", "kernel-not-finite", "family-without-levels",
+         "gradient-at-p-1", "x0-on-another-grid", "gamma-grid-decreasing",
+         "tridiagonal-sizes-disagree", "tridiagonal-diagonal-not-positive"],
+)
+def test_malformed_inputs_raise_their_documented_error(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
 
 
 def test_linear_quadratic_detection():

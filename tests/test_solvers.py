@@ -148,7 +148,9 @@ def test_residual_check_survives_huge_right_sides(monkeypatch):
     gram, rhs = dense_normal_equations(problem)
     assert np.max(np.abs(rhs)) > 1e157
     peak = np.max(np.abs(rhs))
-    residual = np.linalg.norm((gram @ solvers._checked_solve(gram, rhs) - rhs) / peak)
+    x, gap = solvers._checked_solve(gram, rhs)
+    assert np.array_equal(gap, gram @ x - rhs)
+    residual = np.linalg.norm(gap / peak)
     assert residual < 1e-15 * np.linalg.norm(rhs / peak)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda g, r: solve(g, r) * (1.0 + 1e-6))
@@ -176,7 +178,7 @@ def _primal(problem):
     op = problem.operator
     w_in, w = trapezoid_weights(op.input_m), trapezoid_weights(op.output_m)
     matrix = solvers._normal_matrix(op.gram(), problem.alpha, w_in, 1.0)
-    return solvers._checked_solve(matrix, op.adjoint(w * problem.data_y.values))
+    return solvers._checked_solve(matrix, op.adjoint(w * problem.data_y.values))[0]
 
 
 def test_dual_closed_form_matches_the_primal_solve():
@@ -225,6 +227,25 @@ def test_a_refused_dual_residual_falls_back_to_the_primal_solve():
     x = _primal(problem)
     assert np.array_equal(res.minimizer.values, x)
     assert res.value == eval_T(problem, GridFunction(x))
+
+
+def test_a_dual_system_numpy_cannot_factor_falls_back_to_the_primal_solve(monkeypatch):
+    # only the k x k dual system is refused: the closed form forms the Gram and
+    # returns the primal solve, bit for bit
+    family = make_quadrature_family(gaussian_kernel(0.2), (9,), 257, input_m=33)
+    op = family.operator_at(9)
+    problem = TikhonovProblem(op, family.reference.apply(GridFunction(np.ones(33))), alpha=0.1)
+    solve = np.linalg.solve
+
+    def refuse_k_by_k(matrix, rhs):
+        if matrix.shape == (9, 9):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse_k_by_k)
+    res = solve_linear_quadratic(problem)
+    assert op._gram is not None
+    assert np.array_equal(res.minimizer.values, _primal(problem))
 
 
 # ------------------------------------------------------- projected gradient
