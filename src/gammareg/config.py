@@ -507,13 +507,18 @@ def parse_config(text: str) -> RunSpec:
             gaussian_kernel(problem.sigma)
         except GridCompatibilityError as exc:
             col.conflict("problem", "sigma", str(exc), ("problem", "kernel"))
-    # the kinds that build a sequence, which refuses an alpha_n it cannot use
-    if kind in ("inf-study", "eps-chain", "coercivity", "alpha-zero") and (
-            unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
+    # the kinds that build a sequence, which refuses an alpha_n it cannot use, and
+    # whose noise size amplitude * n^(-exponent) needs float(n) of the last level
+    sequence = kind in ("inf-study", "eps-chain", "coercivity", "alpha-zero")
+    if sequence and (unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
         col.conflict("schedule", "alpha_kind", "alpha_n must be positive and finite at every "
                      "level; it is {1:g} at level {0}".format(*unusable),
                      ("problem", "alpha"), ("schedule", "alpha_amplitude"),
                      ("schedule", "alpha_exponent"), ("schedule", "levels"))
+    if sequence and schedule.noise.kind != "none" and schedule.levels[-1] > sys.float_info.max:
+        col.conflict("schedule", "levels", f"noise_kind = {schedule.noise.kind} needs every "
+                     f"level within the float range; {schedule.levels[-1]} is not",
+                     ("schedule", "noise_kind"))
     if kind == "alpha-zero" and problem.alpha != 0.0:
         col.conflict("problem", "alpha", "alpha-zero study needs alpha = 0")
     if kind == "alpha-zero" and problem.data != "forward_of_truth":

@@ -18,6 +18,7 @@ from .grids import (
     GridFunction,
     NormTag,
     from_callable,
+    nodal_norm,
     norm,
     resample,
     trapezoid_weights,
@@ -52,8 +53,11 @@ NOISE_DIRECTIONS = ("oscillatory", "constant")
 class PenaltySpec:
     """Omega(x) = (1/q) ||x - x0||_tag^q, finite q >= 1; x0 is the shift, 0 without one.
 
-    A shift on another grid than x is resampled onto x's grid. Omega is
-    smooth, and has a coordinate gradient, for the L2 tag and q >= 2.
+    A shift on another grid than x is resampled onto x's grid. Omega is +inf
+    where (1/q) ||.||^q overflows the floats. It is smooth, and has a coordinate
+    gradient, for the L2 tag and q >= 2. `value_at` and `gradient_at` take
+    nodal values; `evaluate` and `coordinate_gradient` are the same on a
+    grid function.
     """
 
     q: float = 2.0
@@ -68,21 +72,27 @@ class PenaltySpec:
     def is_smooth(self) -> bool:
         return self.tag is NormTag.L2 and self.q >= 2.0
 
-    def _offset(self, x: GridFunction) -> GridFunction:
-        return x if self.shift is None else x - resample(self.shift, x.node_count)
+    def _offset(self, vals: np.ndarray) -> np.ndarray:
+        return vals if self.shift is None else vals - resample(self.shift, vals.size).values
 
-    def evaluate(self, x: GridFunction) -> float:
-        return norm(self._offset(x), self.tag) ** self.q / self.q
+    def value_at(self, vals: np.ndarray) -> float:
+        return _power(nodal_norm(self._offset(vals), self.tag), self.q) / self.q
 
-    def coordinate_gradient(self, x: GridFunction) -> np.ndarray:
+    def gradient_at(self, vals: np.ndarray) -> np.ndarray:
         """Gradient with respect to the nodal values (not the L2 metric)."""
         if not self.is_smooth:
             raise UnsupportedPenaltyError(
                 f"penalty (1/q) ||x||_{self.tag.value}^q with q = {self.q:g} is not smooth"
             )
-        d = self._offset(x)
-        grad = trapezoid_weights(x.node_count) * d.values
-        return grad if self.q == 2.0 else norm(d) ** (self.q - 2.0) * grad
+        d = self._offset(vals)
+        grad = trapezoid_weights(vals.size) * d
+        return grad if self.q == 2.0 else nodal_norm(d) ** (self.q - 2.0) * grad
+
+    def evaluate(self, x: GridFunction) -> float:
+        return self.value_at(x.values)
+
+    def coordinate_gradient(self, x: GridFunction) -> np.ndarray:
+        return self.gradient_at(x.values)
 
 
 def half_sq_l2() -> PenaltySpec:
@@ -135,7 +145,8 @@ class TikhonovProblem:
     def value_at(self, vals: np.ndarray) -> float:
         """T at nodal values on the operator's input grid, domain not checked."""
         op = self.operator
-        residual = op.forward(vals) - self.data_y.values
+        residual = op.forward(vals)  # a new array, so the data is taken off in place
+        residual -= self.data_y.values
         return self._value(weighted_l2(residual, trapezoid_weights(op.output_m)), vals)
 
     def _value(self, misfit: float, vals: np.ndarray) -> float:
@@ -143,7 +154,7 @@ class TikhonovProblem:
         p = self.exponent_p
         value = _power(misfit, p) / p
         if self.alpha > 0.0:
-            value += self.alpha * self.penalty.evaluate(GridFunction(vals))
+            value += self.alpha * self.penalty.value_at(vals)
         return self.scale * value
 
 

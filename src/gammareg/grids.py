@@ -23,6 +23,7 @@ __all__ = [
     "grid_nodes",
     "trapezoid_weights",
     "norm",
+    "nodal_norm",
     "resample",
     "resample_matrix",
     "from_callable",
@@ -134,21 +135,25 @@ def weighted_l2(vals: np.ndarray, w: np.ndarray) -> float:
 
 
 def norm(g: GridFunction, tag: NormTag = NormTag.L2) -> float:
-    """Discrete norm of a grid function.
+    """Discrete norm of a grid function: the `nodal_norm` of its values."""
+    return nodal_norm(g.values, tag)
+
+
+def nodal_norm(v: np.ndarray, tag: NormTag = NormTag.L2) -> float:
+    """Discrete norm of nodal values on the uniform grid of v.size nodes.
 
     L2 uses the composite trapezoid rule, the sup norm is the max of
     |values|, and H1_0 is the broken-gradient norm; the latter is defined
-    for grid functions with a zero boundary only.
+    for values with a zero boundary only.
     """
-    v = g.values
     if tag is NormTag.L2:
-        return weighted_l2(v, trapezoid_weights(g.node_count))
+        return weighted_l2(v, trapezoid_weights(v.size))
     if tag is NormTag.LINF:
         return float(np.max(np.abs(v)))
     if tag is NormTag.H1_0:
         if v[0] != 0.0 or v[-1] != 0.0:
             raise GridCompatibilityError("H1_0 norm needs zero boundary values")
-        h = g.spacing
+        h = 1.0 / (v.size - 1)
         d = np.diff(v) / h
         return float(np.sqrt(d @ d * h))
     raise GridCompatibilityError(f"unknown norm tag {tag!r}")
@@ -191,7 +196,7 @@ def interpolate_rows(weights: tuple[np.ndarray, np.ndarray], mat: np.ndarray) ->
     theta = theta.reshape(theta.shape + (1,) * (mat.ndim - 1))
     out = mat[idx]
     out *= 1.0 - theta
-    upper = mat[idx + 1]
+    upper = mat[1:][idx]  # the rows idx + 1, with no shifted copy of idx
     upper *= theta
     out += upper
     return out

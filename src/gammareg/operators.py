@@ -211,7 +211,8 @@ class ForwardOperator:
         return kept
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """P (C x), nodal values on the output grid; x may be a block of columns."""
+        """P (C x), nodal values on the output grid in a new array; x may be a block
+        of columns."""
         v = self.core @ x
         return v if self.prolong is None else interpolate_rows(self.prolong, v)
 

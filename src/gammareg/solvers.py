@@ -15,8 +15,9 @@ one factorization and a right side per problem; its docstring gives the
 dual and primal paths. Every dense solve is refused, column by column, with
 NumericalError unless its solution is finite and its relative residual is
 at most 1e-10 (so a NaN residual is refused); so is a matrix numpy cannot
-factor. Projected gradient takes its values and gradients from the
-objective before each step is confirmed on the full formula, which
+factor. Projected gradient runs on nodal arrays: it takes its values and
+gradients from the objective, whose G x - b of an accepted step feeds the
+next gradient, before each step is confirmed on the full formula, which
 `grad_check` differentiates to check the gradient projected gradient follows.
 """
 
@@ -115,19 +116,22 @@ class TikhonovObjective:
         """||A x - y||_W from x and its G x - b; rounding below 0 reads as 0."""
         return math.sqrt(max(float(vals @ (half_sq - self.b)) + self.y_sq, 0.0))
 
-    def model_value_at(self, vals: np.ndarray) -> float:
-        return self.problem._value(self._misfit(vals, self.gram @ vals - self.b), vals)
+    def model_at(self, vals: np.ndarray) -> tuple[float, np.ndarray]:
+        """The model value of T at vals, and the G x - b it was formed from."""
+        gap = self.gram @ vals - self.b
+        return self.problem._value(self._misfit(vals, gap), vals), gap
 
-    def coordinate_gradient(self, vals: np.ndarray) -> np.ndarray:
+    def coordinate_gradient(self, vals: np.ndarray, gap: np.ndarray | None = None) -> np.ndarray:
+        """The gradient at vals; `gap` is its G x - b when `model_at` already formed it."""
         pr, p = self.problem, self.problem.exponent_p
         if p <= 1.0:
             raise UnsupportedPenaltyError("discrepancy exponent p = 1 is not smooth")
-        g = self.gram @ vals - self.b
+        g = self.gram @ vals - self.b if gap is None else gap
         if p != 2.0:
             size = self._misfit(vals, g)
             g = _power(size, p - 2.0) * g if size > 0.0 else 0.0 * g
         if pr.alpha > 0.0:
-            g = g + pr.alpha * pr.penalty.coordinate_gradient(GridFunction(vals))
+            g = g + pr.alpha * pr.penalty.gradient_at(vals)
         return pr.scale * g
 
 
@@ -317,7 +321,7 @@ def projected_gradient(
     f = eval_T(problem, x0)  # refuses a start where T overflows
     objective = TikhonovObjective(problem)
     w_in = objective.w_in
-    f_model = objective.model_value_at(x)
+    f_model, gap = objective.model_at(x)
     iterations = 0
     grad_norm = math.inf
 
@@ -325,7 +329,7 @@ def projected_gradient(
         step = _STEP0
         status = "max_iter"
         for _ in range(config.max_iter):
-            g = objective.coordinate_gradient(x) / w_in
+            g = objective.coordinate_gradient(x, gap) / w_in
             moved = _project(problem.operator.domain, x - g, w_in)
             grad_norm = weighted_l2(x - moved, w_in)
             if grad_norm <= config.grad_tol:
@@ -339,11 +343,11 @@ def projected_gradient(
                 delta = candidate - x
                 move = float(delta * delta @ w_in)
                 decrease = _SUFFICIENT_DECREASE / max(t, 1e-30) * move
-                f_model_new = objective.model_value_at(candidate)
+                f_model_new, gap_new = objective.model_at(candidate)
                 if f_model_new <= f_model - decrease and move > 0.0:
                     f_new = objective.value_at(candidate)
                     if f_new <= f - decrease:
-                        x, f, f_model = candidate, f_new, f_model_new
+                        x, f, f_model, gap = candidate, f_new, f_model_new, gap_new
                         accepted = True
                         step = min(t * 2.0, 1e6)
                         break

@@ -628,6 +628,15 @@ CASES: dict[str, Case] = {
         f"[schedule]\nlevels = 2, {10**309}\nalpha_kind = power\n", RUN, 2,
         "[schedule] alpha_kind: alpha_n must be positive and finite at every level; "
         f"it is nan at level {10**309} (line 8)\n"),
+    # validated, then the noise size's float(n) raised OverflowError in the run
+    **{
+        f"test_a_noisy_sequence_needs_levels_within_the_float_range[{command}]": Case(
+            "[study]\nkind = inf-study\n[problem]\nkernel = identity\ninput_m = 9\n"
+            f"[schedule]\nlevels = 2, {10**309}\nnoise_kind = power\n", argv, 2,
+            "[schedule] levels: noise_kind = power needs every level within the float "
+            f"range; {10**309} is not (line 7)\n")
+        for command, argv in (("validate", VALIDATE), ("run", RUN))
+    },
     # neither kind builds a sequence, yet "alpha = 0 with a constant schedule" refused both
     "test_a_kind_without_a_sequence_takes_alpha_zero[gamma-estimate]": Case(
         "[study]\nkind = gamma-estimate\n[problem]\nalpha = 0\n", VALIDATE, 0,
@@ -694,6 +703,13 @@ CASES: dict[str, Case] = {
     "test_unconverged_solve_exits_two": Case(
         STALLED_INF_STUDY, RUN, 2, "error: solver failed at reference: status stalled\n",
         report=lambda out: out == ""),
+    # a candidate whose q = 3 penalty overflows is worth inf and rejected; the model
+    # screen used to raise OverflowError from ||x||**3 instead
+    "test_an_overflowing_penalty_is_rejected_not_raised": Case(
+        "[study]\nkind = inf-study\n[problem]\nkernel = identity\ninput_m = 9\nalpha = 1\n"
+        "exponent_p = 3\npenalty = p_power_norm\npenalty_q = 3\ntruth_amplitude = 1e60\n"
+        "[schedule]\nlevels = 2, 3\n", RUN, 2,
+        "error: solver failed at reference: status stalled\n", report=lambda out: out == ""),
     # a rank-one Gram plus 1e-300 W_X cannot be factored; the run used to print
     # numpy's bare "error: Singular matrix", naming no stage
     "test_a_singular_closed_form_names_its_stage": Case(

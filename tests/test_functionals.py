@@ -40,6 +40,7 @@ from gammareg import (
     projected_gradient,
     resample,
     shifted_half_sq,
+    trapezoid_weights,
     NormTag,
     PenaltySpec,
 )
@@ -159,6 +160,38 @@ def test_sup_norm_penalty_is_not_smooth():
     assert not pen.is_smooth
     with pytest.raises(UnsupportedPenaltyError):
         pen.coordinate_gradient(GridFunction(np.ones(5)))
+
+
+@pytest.mark.parametrize(
+    "penalty",
+    [half_sq_l2(), p_power_norm(3.0), linf_penalty(),
+     PenaltySpec(3.0, shift=from_callable(np.cos, 5))],
+    ids=["q-2", "q-3", "linf", "q-3-shift-on-5-nodes"],
+)
+def test_penalty_of_nodal_values_is_the_grid_function_recipe_to_the_bit(penalty):
+    # the solvers read Omega and its gradient from nodal arrays; they must do the
+    # grid-function arithmetic, (1/q) ||x - x0||^q and w (x - x0) ||x - x0||^(q - 2)
+    # with x0 resampled onto x's grid, in the same order
+    x = from_callable(lambda t: np.sin(3.0 * t) - 0.2, 9)
+    d = x if penalty.shift is None else x - resample(penalty.shift, 9)
+    value = norm(d, penalty.tag) ** penalty.q / penalty.q
+    assert penalty.value_at(x.values) == value == penalty.evaluate(x)
+    if penalty.is_smooth:
+        grad = trapezoid_weights(9) * d.values
+        if penalty.q != 2.0:
+            grad = norm(d) ** (penalty.q - 2.0) * grad
+        assert np.array_equal(penalty.gradient_at(x.values), grad)
+        assert np.array_equal(penalty.coordinate_gradient(x), grad)
+
+
+def test_a_penalty_that_overflows_is_worth_inf():
+    # ||x|| = 1e120: its cube leaves the floats, and used to raise OverflowError out
+    # of the solver's model screen; the gradient's factor ||x||^3 at q = 5 still
+    # refuses, as no solver takes a gradient where T overflows
+    vals = np.full(9, 1e120)
+    assert p_power_norm(3.0).value_at(vals) == math.inf
+    with pytest.raises(OverflowError):
+        p_power_norm(5.0).gradient_at(vals)
 
 
 def test_gradient_matches_difference_quotient():

@@ -43,6 +43,7 @@ from gammareg import (
     whole_space,
 )
 from gammareg import operators
+from gammareg.grids import interpolate_rows
 from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
 from gammareg.solvers import TikhonovObjective
 
@@ -338,6 +339,25 @@ def test_factored_levels_equal_their_dense_formulas(kind, m_ref, levels):
         _assert_rel_close(objective.coordinate_gradient(x), grad, 1e-13)
         exact = np.linalg.solve(*dense_normal_equations(problem))
         _assert_rel_close(solve_linear_quadratic(problem).minimizer.values, exact, 1e-12)
+
+
+@pytest.mark.parametrize("kind, m_ref, levels", LEVEL_CASES, ids=LEVEL_IDS)
+def test_prolonged_forward_is_interpolate_rows_of_the_core_product_to_the_bit(kind, m_ref, levels):
+    # forward takes the rows idx + 1 without a shifted copy of idx; the result must
+    # keep interpolate_rows' arithmetic, (1 - theta) v[idx] + theta v[idx + 1]
+    family = level_family(kind, m_ref, levels)
+    rng = np.random.default_rng(17)
+    for n in levels:
+        op = family.operator_at(n)
+        if op.prolong is None:
+            continue
+        idx, theta = op.prolong
+        for x in (rng.standard_normal(op.input_m), rng.standard_normal((op.input_m, 3))):
+            v = op.core @ x
+            t = theta.reshape(theta.shape + (1,) * (v.ndim - 1))
+            got = op.forward(x)
+            assert np.array_equal(got, interpolate_rows(op.prolong, v))
+            assert np.array_equal(got, v[idx] * (1.0 - t) + v[idx + 1] * t)
 
 
 def test_reference_must_be_at_least_as_fine_as_levels():

@@ -408,8 +408,8 @@ def test_a_scaled_problem_has_scaled_values_gradients_and_normal_equations():
             vals = 0.05 * rng.standard_normal(17)
             x = GridFunction(vals)
             assert eval_T(scaled, x) == pytest.approx(lam * eval_T(problem, x), rel=1e-15)
-            assert times.model_value_at(vals) == pytest.approx(
-                lam * plain.model_value_at(vals), rel=1e-15
+            assert times.model_at(vals)[0] == pytest.approx(
+                lam * plain.model_at(vals)[0], rel=1e-15
             )
             assert np.allclose(times.coordinate_gradient(vals),
                                lam * plain.coordinate_gradient(vals), rtol=1e-15, atol=0.0)
@@ -496,7 +496,7 @@ def test_gram_model_matches_the_full_formula(kind, seed, p, in_range):
         bound = np.abs(a) @ np.abs(x) + np.abs(y)
         size = weighted_l2(bound, w)
         value = objective.value_at(x)
-        assert abs(objective.model_value_at(x) - value) <= 1e-13 * (size**p + value)
+        assert abs(objective.model_at(x)[0] - value) <= 1e-13 * (size**p + value)
         grad_scale = (
             size ** (p - 2.0) * (np.abs(a).T @ (w * bound)) + 0.1 * objective.w_in * np.abs(x)
         )
@@ -604,6 +604,44 @@ def test_projected_gradient_value_is_eval_T_at_its_minimizer(case_id):
                                  SolveConfig(max_iter=200))
         assert res.iterations > 0
         assert res.value == eval_T(problem, res.minimizer)
+
+
+@functools.cache
+def _fem_ball_level_16():
+    """Level 16 of the `fem-pg-8193` benchmark's ball instance, at n_ref 513."""
+    run = parse_config(
+        "[study]\nkind = inf-study\n[problem]\nkernel = fem\npotential = one\ninput_m = 65\n"
+        "domain = l2_ball\nradius = 0.05\ntruth = sine\ntruth_amplitude = 0.1\n"
+        "[schedule]\nlevels = 8, 16, 32\n"
+    )
+    return build_sequence(run).problem_at(16), run.solver
+
+
+def test_projected_gradient_on_the_fem_ball_level_keeps_its_result():
+    # recorded before the loop moved onto nodal arrays, which changed no bit of it; the
+    # value is compared to 1e-12, as another numpy or CPU may let BLAS round apart
+    problem, config = _fem_ball_level_16()
+    res = projected_gradient(problem, GridFunction(np.zeros(65)), config)
+    assert (res.iterations, res.status) == (114, "converged")
+    assert res.value == pytest.approx(float.fromhex("0x1.244466fad7cfbp-16"), rel=1e-12)
+
+
+def test_projected_gradient_builds_no_grid_function_per_iteration(monkeypatch):
+    # iterates, candidates, penalties and gradients stay nodal arrays; only the start
+    # and the result are grid functions (about 4 per iteration used to be built)
+    problem, _ = _fem_ball_level_16()
+    x0 = GridFunction(np.zeros(problem.operator.input_m))
+    built = []
+    post_init = GridFunction.__post_init__
+    monkeypatch.setattr(GridFunction, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    counts = []
+    for max_iter in (50, 100):
+        built.clear()
+        res = projected_gradient(problem, x0, SolveConfig(max_iter, grad_tol=1e-300))
+        assert (res.iterations, res.status) == (max_iter, "max_iter")
+        counts.append(len(built))
+    assert counts[1] <= counts[0] <= 3
 
 
 # ----------------------------------------------------------- gradient check
