@@ -157,12 +157,13 @@ def fem_operator_matrix(
     domain: DomainSpec | None = None,
 ) -> ForwardOperator:
     """The level forward map: its Thomas solution columns, padded with the
-    zero boundary rows, prolonged onto the output_m-node grid."""
+    zero boundary rows, prolonged onto the output_m-node grid. The operator
+    keeps that padded array as its core, without a copy."""
     src_nodes = grid_nodes(input_m)
     # The load columns are the input grid's piecewise-linear basis.
     system = _galerkin_system(potential, lambda x: interpolation_matrix(src_nodes, x), n)
     u_cols = np.pad(thomas_solve(system), ((1, 1), (0, 0)))  # zero boundary rows
-    return ForwardOperator(u_cols, domain or whole_space(), _prolongation(n + 2, output_m))
+    return ForwardOperator._adopt(u_cols, domain or whole_space(), _prolongation(n + 2, output_m))
 
 
 def make_fem_family(

@@ -157,6 +157,12 @@ class ForwardOperator:
     None is the identity, so the output grid is the k core rows. An
     approximating level keeps its n x input_m core and two weights per output
     node; the output_m x input_m product `matrix` is formed only on request.
+
+    The operator keeps its core read-only. `ForwardOperator(core)` keeps a
+    C-ordered float copy, so the caller's array stays writeable and later
+    writes to it do not reach the operator. The family constructors of this
+    package (`make_quadrature_family`, `fem.fem_operator_matrix`) hand over the
+    array they have just made through `_adopt`, which keeps it without a copy.
     """
 
     core: np.ndarray
@@ -164,12 +170,35 @@ class ForwardOperator:
     prolong: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        core = np.array(self.core, dtype=float, order="C")
+        self._keep(np.array(self.core, dtype=float, order="C"), None)
+
+    @classmethod
+    def _adopt(
+        cls,
+        core: np.ndarray,
+        domain: DomainSpec,
+        prolong: tuple[np.ndarray, np.ndarray] | None = None,
+        shift: int | None = None,
+    ) -> ForwardOperator:
+        """The operator over `core`, a float array its caller has just made and drops.
+
+        A C-ordered core is kept as it is, and made read-only; another is copied
+        into C order once. `shift` r marks a `_nested_quadrature` core, whose
+        interior columns are the previous ones shifted down r rows; `gram` reads it.
+        """
+        op = cls.__new__(cls)
+        object.__setattr__(op, "domain", domain)
+        object.__setattr__(op, "prolong", prolong)
+        op._keep(np.ascontiguousarray(core, dtype=float), shift)
+        return op
+
+    def _keep(self, core: np.ndarray, shift: int | None) -> None:
         if core.ndim != 2:
             raise GridCompatibilityError(f"operator core must be 2-D, got shape {core.shape}")
         core.setflags(write=False)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_shift", shift)
         if self.prolong is not None:
             idx, theta = self.prolong
             fits = idx.ndim == 1 and idx.shape == theta.shape
@@ -238,13 +267,24 @@ class ForwardOperator:
 
         Both solvers read it, and solves on the same operator differ only in
         alpha W_X and the right side, so the operator keeps this input_m x
-        input_m product, formed on the first call as C^T (P^T W P) C from the
-        k core rows in blocks of 1024. P^T W P is tridiagonal; without a
-        prolongation it is W. Once formed, G 1 must match A^T (W (A 1)) to
-        1e-10 of ||G||_inf (a scale that holds when A 1 = 0), else NumericalError.
+        input_m product, formed on the first call by one of two recipes:
+
+        - a `_nested_quadrature` core without a prolongation, whose weight is
+          the diagonal W, takes `_shift_gram`: three rows of G from one
+          product over the k core rows, the rest from the rank <= 2 r + 2
+          difference G[i+1, j+1] - G[i, j] of its shift r, in O(r input_m^2);
+        - every other core takes `_tridiagonal_gram`, C^T (P^T W P) C from the
+          k core rows in blocks of 1024, in O(k input_m^2). P^T W P is
+          tridiagonal; without a prolongation it is W.
+
+        Once formed, G 1 must match A^T (W (A 1)) to 1e-10 of ||G||_inf (a scale
+        that holds when A 1 = 0), else NumericalError.
         """
         if self._gram is None:
-            gram = _tridiagonal_gram(self.core, *self._weight_bands())
+            if self._shift is None or self.prolong is not None:
+                gram = _tridiagonal_gram(self.core, *self._weight_bands())
+            else:
+                gram = _shift_gram(self.core, trapezoid_weights(self.output_m), self._shift)
             ones = np.ones(self.input_m)
             through_a = self.adjoint(trapezoid_weights(self.output_m) * self.forward(ones))
             gap = float(np.max(np.abs(gram @ ones - through_a)))
@@ -336,8 +376,10 @@ def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray
     to the bit, but for the sign of a zero. B is formed a block of rows at a
     time: each block adds a symmetric rank-k update, so the sum is exactly
     symmetric, and the scratch is one block of rows, not a copy of `c`.
+    A zero off-diagonal skips `_ldl`'s row loop: the pivots are then d and the
+    ratios 0, as `_ldl` returns them.
     """
-    p, r = _ldl(d, e)
+    p, r = _ldl(d, e) if e.any() else (d, np.zeros(d.size))
     if not np.all(p > 0.0):
         i = int(np.argmin(p > 0.0))
         raise GridCompatibilityError(
@@ -352,6 +394,36 @@ def _tridiagonal_gram(c: np.ndarray, d: np.ndarray, e: np.ndarray) -> np.ndarray
         block *= np.sqrt(p[rows])[:, None]
         gram += block.T @ block
         del block  # else the next block is built while this one is alive
+    return gram
+
+
+def _shift_gram(c: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
+    """`c.T @ diag(w) @ c` for a k x m core whose interior columns shift down r rows,
+    c[l, i + 1] = c[l - r, i] for l >= r and 0 < i < m - 2, as `_nested_quadrature`
+    builds them (displacement structure: Kailath & Sayed, SIAM Review 37, 1995).
+
+    Rows 0, 1 and m - 1 of G are one product of three weighted columns with c.
+    For 0 < i, j < m - 2, G[i + 1, j + 1] - G[i, j] is D[i, j], summed over the r
+    rows that enter column i + 1 (c[:r], weights w[:r]), the r rows that leave
+    column i (c[-r:], weights -w[-r:]) and the rows whose weight the shift
+    changes (w[l + r] - w[l], the two trapezoid ends): a rank <= 2 r + 2 product.
+    Each later row of the upper triangle is the row above, one column on, plus
+    its row of D, and the lower triangle mirrors the upper, so G is exactly
+    symmetric. Cost: 6 k m + 2 (2 r + 2) m^2 flops, against 2 k m^2 for
+    `_tridiagonal_gram`, with O(k + m^2) working memory.
+    """
+    m = c.shape[1]
+    ends = [0, 1, m - 1]
+    gram = np.empty((m, m))  # the upper triangle is formed, the lower mirrors it
+    gram[ends] = (c[:, ends].T * w) @ c
+    gram[:, -1] = gram[-1]
+    dw = w[r:] - w[:-r]
+    moved = np.flatnonzero(dw)
+    rows = np.concatenate((c[:r, 2:-1], c[-r:, 1:-2], c[moved, 1:-2]))
+    diff = rows.T @ (np.concatenate((w[:r], -w[-r:], dw[moved]))[:, None] * rows)
+    for i in range(1, m - 2):
+        gram[i + 1, i + 1 : -1] = gram[i, i:-2] + diff[i - 1, i - 1 :]
+    np.copyto(gram, gram.T, where=np.tri(m, k=-1, dtype=bool))
     return gram
 
 
@@ -381,7 +453,7 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     block of G is a row gather. On 2^k + 1 grids the node differences are
     exact, and G is the evaluator's to the bit. When the grids also nest,
     quad_m - 1 = r (input_m - 1), `_nested_quadrature` builds the matrix from
-    three correlations of that vector instead.
+    three correlations of that vector instead; `_nested_shift` says when.
 
     Cost: a stationary kernel on nesting grids takes its 2 quad_m - 1 values,
     correlations of about 8 (r + 1) quad_m multiply-adds and one strided copy
@@ -398,7 +470,7 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     idx, theta = interpolation_weights(grid_nodes(input_m), s)
     if kernel.profile is not None:
         k = np.asarray(kernel.profile(np.concatenate((-s[:0:-1], s))), dtype=float)
-        if (quad_m - 1) % (input_m - 1) == 0:
+        if _nested_shift(kernel, quad_m, input_m) is not None:
             return _nested_quadrature(k, w, idx, theta, input_m)
         windows = sliding_window_view(k[::-1].copy(), quad_m)
     at = np.zeros((input_m, quad_m))
@@ -417,6 +489,14 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     return at.T
 
 
+def _nested_shift(kernel: KernelSpec, quad_m: int, input_m: int) -> int | None:
+    """r, when `_quadrature_matrix` takes `_nested_quadrature` (a stationary kernel,
+    quad_m - 1 = r (input_m - 1)); else None."""
+    if kernel.profile is None or (quad_m - 1) % (input_m - 1):
+        return None
+    return (quad_m - 1) // (input_m - 1)
+
+
 def _nested_quadrature(
     k: np.ndarray, w: np.ndarray, idx: np.ndarray, theta: np.ndarray, input_m: int
 ) -> np.ndarray:
@@ -433,6 +513,11 @@ def _nested_quadrature(
     by 7.6e-15 of its largest entry). The two end columns have one-sided
     taps and a correlation each. The result is C-ordered: the interior is a
     strided view of g, rows reversed.
+
+    So each interior column is the one before it shifted down r rows,
+    C[l, i + 1] = C[l - r, i] for l >= r and 0 < i < input_m - 2, to the bit.
+    `make_quadrature_family` hands r to the operator with the core
+    (`ForwardOperator._adopt`), and `gram` forms the Gram from it (`_shift_gram`).
     """
     quad_m = w.size
     r = (quad_m - 1) // (input_m - 1)
@@ -496,7 +581,8 @@ def make_quadrature_family(
     subdomains: balls of radius rho * (1 - 1/n) inside the reference ball.
 
     A level is P Q_n: Q_n, its n x input_m quadrature matrix, is the core,
-    and P the two-weight prolongation onto the reference grid.
+    and P the two-weight prolongation onto the reference grid. Each operator
+    keeps the quadrature matrix made for it, without a copy.
     """
     levels = tuple(int(n) for n in levels)
     if max(levels) > m_ref:
@@ -505,17 +591,18 @@ def make_quadrature_family(
     if shrinking_domains and dom.radius == math.inf:
         raise GridCompatibilityError("shrinking domains need a norm-ball reference domain")
 
-    def build(n: int) -> ForwardOperator:
+    def build(n: int, dom_n: DomainSpec) -> ForwardOperator:
         core = _quadrature_matrix(kernel, n, input_m)
-        return ForwardOperator(core, domain_at(n), _prolongation(n, m_ref))
+        return ForwardOperator._adopt(
+            core, dom_n, _prolongation(n, m_ref), _nested_shift(kernel, n, input_m)
+        )
 
     def domain_at(n: int) -> DomainSpec:
         if shrinking_domains:
             return replace(dom, radius=dom.radius * (1.0 - 1.0 / n))
         return dom
 
-    reference = ForwardOperator(_quadrature_matrix(kernel, m_ref, input_m), dom)
-    return OperatorFamily(levels, reference, build)
+    return OperatorFamily(levels, build(m_ref, dom), lambda n: build(n, domain_at(n)))
 
 
 def make_constant_family(

@@ -44,7 +44,9 @@ from gammareg import (
 )
 from gammareg import operators
 from gammareg.grids import interpolate_rows
-from gammareg.operators import _BLOCK_ROWS, _GRAM_ROWS, _quadrature_matrix, _tridiagonal_gram
+from gammareg.operators import (
+    _BLOCK_ROWS, _GRAM_ROWS, _nested_shift, _quadrature_matrix, _shift_gram, _tridiagonal_gram,
+)
 from gammareg.solvers import TikhonovObjective
 
 from conftest import (
@@ -564,7 +566,7 @@ def test_quadrature_family_memory_follows_kept_operators():
     # Kernel values at one block of quadrature nodes, with up to five live
     # arrays of that size (the previous block, the kernel expression's
     # temporaries), and two operator-sized arrays besides the kept one (the
-    # transposed accumulator and the C-ordered copy `ForwardOperator` takes).
+    # transposed accumulator of a level that does not nest and its C-ordered copy).
     bound = kept + 6 * _BLOCK_ROWS * m_ref * F64 + 2 * largest
     assert bound < m_ref * m_ref * F64 / 2  # a dense kernel matrix cannot fit
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
@@ -595,6 +597,28 @@ def test_a_level_build_forms_no_dense_level():
     dense = 8193 * 513 * F64  # 33.6 MB
     assert op.nbytes < dense / 10
     assert peak < dense, f"peak {peak / 1e6:.1f} MB, one dense level {dense / 1e6:.1f} MB"
+
+
+def test_the_public_constructor_copies_the_callers_array():
+    # the read-only flag lands on the operator's copy, never on the caller's array
+    a = np.arange(12.0).reshape(4, 3)
+    op = ForwardOperator(a)
+    assert a.flags.writeable and not op.core.flags.writeable
+    a[0, 0] = 99.0
+    assert op.core[0, 0] == 0.0
+
+
+def test_a_quadrature_reference_keeps_its_core_without_a_copy():
+    m_ref = 4097
+    tracemalloc.start()
+    try:
+        op = make_quadrature_family(gaussian_kernel(0.2), (9,), m_ref, input_m=257).reference
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = op.core.nbytes + _BLOCK_ROWS * m_ref * F64
+    assert bound < 2 * op.core.nbytes  # a copy of the core cannot fit
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 def test_nested_stationary_quadrature_takes_o_quad_m_scratch():
@@ -660,17 +684,21 @@ def test_gram_weight_must_be_positive_definite(d, e):
         _tridiagonal_gram(np.ones((2, 3)), np.array(d), np.array(e))
 
 
-def test_a_gram_off_by_1e_6_is_refused_where_it_is_formed(monkeypatch):
+def test_a_gram_off_by_1e_6_is_refused_where_it_is_formed():
     # both solvers trust the kept Gram, and the closed form's gradient reads
-    # it, so gram() checks G 1 against A^T (W (A 1)) when it forms it
-    tridiagonal_gram = operators._tridiagonal_gram
-    monkeypatch.setattr(
-        operators, "_tridiagonal_gram", lambda c, d, e: tridiagonal_gram(c, d, e) * (1.0 + 1e-6)
-    )
-    family = make_quadrature_family(gaussian_kernel(0.2), (17,), 257, input_m=17)
-    for op in (family.reference, family.operator_at(17)):
-        with pytest.raises(NumericalError, match="Gram check"):
-            op.gram()
+    # it, so gram() checks G 1 against A^T (W (A 1)) whichever recipe forms
+    # it: the nested reference takes the shift recipe, the prolonged level the
+    # block recipe, and each is refused only when its own recipe is off
+    for recipe in ("_shift_gram", "_tridiagonal_gram"):
+        family = make_quadrature_family(gaussian_kernel(0.2), (17,), 257, input_m=17)
+        reference, level = family.reference, family.operator_at(17)
+        mutated, intact = (reference, level) if recipe == "_shift_gram" else (level, reference)
+        formed = getattr(operators, recipe)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, recipe, lambda *args: formed(*args) * (1.0 + 1e-6))
+            with pytest.raises(NumericalError, match="Gram check"):
+                mutated.gram()
+            intact.gram()
 
 
 def test_an_operator_that_annihilates_constants_passes_the_gram_check():
@@ -696,29 +724,72 @@ def test_level_gram_matches_the_dense_weighted_product(m_ref, levels):
         assert op.gram() is gram
 
 
-def test_reference_gram_is_the_row_block_formula_to_the_bit():
+def test_reference_gram_is_the_row_block_formula_to_the_bit(monkeypatch):
     # with a diagonal weight the zero off-diagonal adds nothing, not even a
-    # rounding: the Gram is the row-block sum of (sqrt(w) a)^T (sqrt(w) a)
-    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 2 * _GRAM_ROWS + 501, 33).reference
-    sqrt_w = np.sqrt(trapezoid_weights(op.output_m))
-    want = np.zeros((op.input_m, op.input_m))
-    for start in range(0, op.output_m, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
-        block = sqrt_w[rows, None] * op.matrix[rows]
-        want += block.T @ block
-    assert op.gram().tobytes() == want.tobytes()
+    # rounding: the Gram is the row-block sum of (sqrt(w) a)^T (sqrt(w) a). The
+    # weights are the pivots, so no L D L^T is formed. A quadrature reference on
+    # grids that do not nest, and a FEM reference, take this recipe.
+    def no_ldl(d, e):
+        raise AssertionError("a diagonal weight needs no L D L^T")
+
+    monkeypatch.setattr(operators, "_ldl", no_ldl)
+    refs = [
+        make_quadrature_family(gaussian_kernel(0.2), (9,), 2 * _GRAM_ROWS + 501, 33).reference,
+        make_fem_family(lambda t: 1.0 + np.cos(3.0 * t), (4, 128), input_m=33).reference,
+    ]
+    for op in refs:
+        sqrt_w = np.sqrt(trapezoid_weights(op.output_m))
+        want = np.zeros((op.input_m, op.input_m))
+        for start in range(0, op.output_m, _GRAM_ROWS):
+            rows = slice(start, start + _GRAM_ROWS)
+            block = sqrt_w[rows, None] * op.matrix[rows]
+            want += block.T @ block
+        assert op.gram().tobytes() == want.tobytes()
+
+
+# Grids that nest, quad_m - 1 = r (input_m - 1): those of FAMILY_CASES on 65
+# input nodes, the bench's, one whose nodes are not dyadic (r = 3), r = 1, and
+# cores with one interior column or none.
+NESTED_GRIDS = sorted(
+    {(q, 65) for m_ref, levels in FAMILY_CASES for q in (m_ref, *levels) if (q - 1) % 64 == 0}
+) + [(8193, 513), (4097, 257), (2049, 65), (301, 101), (129, 129), (17, 3), (33, 2)]
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.2), EXP_PLUS_OFFSET], ids=lambda k: k.label)
+@pytest.mark.parametrize("quad_m, input_m", NESTED_GRIDS, ids=lambda g: str(g))
+def test_shift_gram_of_a_nested_reference_is_the_block_gram(kernel, quad_m, input_m):
+    op = make_quadrature_family(kernel, (9,), quad_m, input_m).reference
+    c, r = op.core, _nested_shift(kernel, quad_m, input_m)
+    # every interior column is the one before it shifted down r rows, to the bit
+    assert r * (input_m - 1) == quad_m - 1
+    assert np.array_equal(c[r:, 2:-1], c[:-r, 1:-2])
+    w = trapezoid_weights(quad_m)
+    want = _tridiagonal_gram(c, w, np.zeros(quad_m - 1))
+    gram = op.gram()
+    assert gram.tobytes() == _shift_gram(c, w, r).tobytes()
+    assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(gram, gram.T)
+    # a recipe that reads the rows one further apart than the core shifts them
+    # fails, where there are interior columns to shift (input_m > 3)
+    if input_m > 3:
+        mutant = _shift_gram(c, w, r + 1)
+        assert np.max(np.abs(mutant - want)) > 1e-13 * np.max(np.abs(want))
 
 
 def test_gram_memory_is_the_gram_plus_one_block():
-    op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=257).reference
-    tracemalloc.start()
-    try:
-        op.gram()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the kept Gram, one weighted block of rows, and the block's product,
-    # which is input_m x input_m and so no larger than the block here
-    bound = op.input_m**2 * F64 + 2 * _GRAM_ROWS * op.input_m * F64
-    assert bound < op.matrix.nbytes  # a weighted copy of the operator cannot fit
-    assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+    # 4097 - 1 = 16 (257 - 1) nests and takes the shift recipe, 256 does not
+    # and takes the block recipe
+    for input_m in (257, 256):
+        op = make_quadrature_family(gaussian_kernel(0.2), (9,), 4097, input_m=input_m).reference
+        tracemalloc.start()
+        try:
+            op.gram()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kept Gram, one weighted block of rows, and the block's product,
+        # which is input_m x input_m and so no larger than the block here; the
+        # shift recipe takes less, a few input_m x input_m arrays
+        bound = op.input_m**2 * F64 + 2 * _GRAM_ROWS * op.input_m * F64
+        assert bound < op.matrix.nbytes  # a weighted copy of the operator cannot fit
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"

@@ -591,15 +591,15 @@ def test_scaling_check_needs_closed_form_target():
 def test_each_operator_forms_its_gram_once(monkeypatch):
     # the closed-form solves of three studies, the scaled solves of the
     # scaling check among them, form at most one Gram per operator; a level's
-    # is formed from its n quadrature rows, the reference's from its m_ref rows
+    # is formed from its n quadrature rows, the reference's from its m_ref rows,
+    # by either recipe
     formed = Counter()
-    tridiagonal_gram = operators._tridiagonal_gram
+    for recipe in ("_tridiagonal_gram", "_shift_gram"):
+        def counting(c, *weights, form=getattr(operators, recipe)):
+            formed[c.shape[0]] += 1
+            return form(c, *weights)
 
-    def counting(c, d, e):
-        formed[c.shape[0]] += 1
-        return tridiagonal_gram(c, d, e)
-
-    monkeypatch.setattr(operators, "_tridiagonal_gram", counting)
+        monkeypatch.setattr(operators, recipe, counting)
     seq = build_gaussian_sequence()
     inf_convergence_study(seq)
     eps_minimizer_chain(seq)
