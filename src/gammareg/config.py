@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import fem, studies
 from .errors import ConfigError, GridCompatibilityError, ResolutionError
 from .fem import make_fem_family
 from .functionals import (
@@ -44,9 +45,11 @@ from .operators import (
     identity_operator,
     make_constant_family,
     make_quadrature_family,
+    membership,
     norm_ball,
     norm_ball_nonneg,
     separable_kernel,
+    standard_samples,
     whole_space,
 )
 from .solvers import SolveConfig
@@ -66,15 +69,6 @@ __all__ = [
     "resolve_potential",
 ]
 
-STUDY_KINDS = (
-    "fem-rate",
-    "integral-demo",
-    "inf-study",
-    "eps-chain",
-    "gamma-estimate",
-    "coercivity",
-    "alpha-zero",
-)
 # The named choices below are the keys of the dicts that build their values,
 # in the order a refused choice lists them.
 GAMMA_FAMILIES = {
@@ -134,6 +128,25 @@ KERNELS = {
     "fem": lambda p, s, domain: make_fem_family(
         resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain),
 }
+# run -> the report of its study, which renders its rows and carries its verdict; the
+# studies are looked up on their modules at each call, where a tracer wraps them
+STUDIES = {
+    "fem-rate": lambda run: fem.rate_study(
+        _manufactured(resolve_potential(run.problem.potential)), run.schedule.levels),
+    "integral-demo": lambda run: studies.uniform_gap_study(build_family(run), _samples(run)),
+    "inf-study": lambda run: studies.inf_convergence_study(
+        build_sequence(run), run.solver, tol=run.study.tol),
+    "eps-chain": lambda run: studies.eps_minimizer_chain(
+        build_sequence(run), solver=run.solver, value_gap_tol=run.study.tol),
+    "gamma-estimate": lambda run: studies.estimate_gamma_limits(
+        GAMMA_FAMILIES[run.study.gamma_family], run.study.grid, run.study.point,
+        run.study.radii, run.study.index_window),
+    "coercivity": lambda run: studies.equi_coercivity_probe(
+        build_sequence(run), _samples(run), run.study.thresholds, run.solver),
+    "alpha-zero": lambda run: studies.alpha_zero_study(
+        build_sequence(run), run.solver, tol=run.study.tol),
+}
+STUDY_KINDS = tuple(STUDIES)
 
 # The kinds that read a tolerance, each with its default
 _TOL_DEFAULTS = {
@@ -591,3 +604,20 @@ def build_sequence(run: RunSpec) -> ApproxSequence:
     """Target + family + schedules."""
     family = build_family(run)
     return ApproxSequence(build_target(run, family), family, run.schedule.alpha, run.schedule.noise)
+
+
+def _samples(run: RunSpec) -> list[GridFunction]:
+    """The standard samples on the input grid, scaled to the domain's radius, that lie
+    in the configured domain: a nonnegative ball drops the ones that change sign."""
+    p = run.problem
+    domain = DOMAINS[p.domain](p)
+    radius = domain.radius if domain.radius < math.inf else 1.0
+    return [x for x in standard_samples(p.input_m, radius) if membership(domain, x)]
+
+
+def _manufactured(potential) -> fem.EllipticProblem:
+    """-u'' + c u = f with the exact solution sin(pi t)."""
+    def source(t):
+        return (np.pi**2) * np.sin(np.pi * t) + potential(t) * np.sin(np.pi * t)
+
+    return fem.EllipticProblem(potential, source, lambda t: np.sin(np.pi * t))

@@ -26,6 +26,7 @@ from .grids import (
 )
 from .operators import DomainSpec, ForwardOperator, OperatorFamily, _prolongation, whole_space
 from .operators import _ldl, _ldl_solve, _tridiagonal_times
+from .studies import ReportRow, _level_rows, _verdict_word
 
 __all__ = [
     "EllipticProblem",
@@ -44,6 +45,9 @@ _PHI_L1, _PHI_L2 = 0.5 + _GAUSS_OFFSET, 0.5 - _GAUSS_OFFSET
 _PHI_R1, _PHI_R2 = 0.5 - _GAUSS_OFFSET, 0.5 + _GAUSS_OFFSET
 # `l2_error_vs_exact` measures on a grid this many times finer than the level.
 _OVERSAMPLE = 4
+# A rate study passes when its slope lies in this window: P1 elements converge at
+# second order in L2, so the error falls like n^-2.
+RATE_SLOPE_WINDOW = (-2.2, -1.8)
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
 
@@ -201,6 +205,16 @@ class RateStudy:
     levels: tuple[int, ...]
     errors: tuple[float, ...]
     slope: float
+
+    @property
+    def verdict(self) -> bool:
+        low, high = RATE_SLOPE_WINDOW
+        return low <= self.slope <= high
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        return _level_rows(kind, self.levels, l2_error=self.errors) + [
+            ReportRow(kind, None, "rate_slope", self.slope, _verdict_word(self.verdict)),
+        ]
 
 
 def rate_study(problem: EllipticProblem, levels: Sequence[int]) -> RateStudy:

@@ -30,9 +30,13 @@ from .errors import (
 )
 from .functionals import ApproxSequence, TikhonovProblem, eval_T, eval_Tn, is_eps_minimizer
 from .grids import GridFunction, _refuse_unindexable, norm, resample
+from .operators import OperatorFamily, uniform_gap
 from .solvers import SolveConfig, SolveResult, _closed_form, min_penalty_solution, minimize_problem
 
 __all__ = [
+    "ReportRow",
+    "UniformGapReport",
+    "uniform_gap_study",
     "InfConvergenceReport",
     "inf_convergence_study",
     "EpsChainReport",
@@ -59,6 +63,31 @@ _GAMMA_STABILIZATION_TOL = 1e-2  # last change across radii of a stable estimate
 _SCALING_IDENTITY_TOL = 1e-12
 _SCALING_ARGMIN_TOL = 1e-8
 _SCALING_LIMIT_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    """A level's value, or with level None the whole study's; a verdict row spells it."""
+
+    study: str
+    level: int | None
+    metric: str
+    value: float
+    verdict: str = ""
+    wall_time_ms: float = 0.0
+
+
+def _verdict_word(verdict: bool | None) -> str:
+    if verdict is None:
+        return "diagnostic"
+    return "pass" if verdict else "fail"
+
+
+def _level_rows(kind: str, levels, **columns) -> list[ReportRow]:
+    """One row per level and column: level by level, the columns in the order given."""
+    return [ReportRow(kind, n, metric, value)
+            for n, *values in zip(levels, *columns.values())
+            for metric, value in zip(columns, values)]
 
 
 def _solve(problem: TikhonovProblem, solver: SolveConfig, where: str) -> SolveResult:
@@ -119,6 +148,28 @@ def richardson_limit(levels: Sequence[int], values: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
+class UniformGapReport:
+    levels: tuple[int, ...]
+    gaps: tuple[float, ...]
+    verdict: bool
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        return _level_rows(kind, self.levels, uniform_gap=self.gaps) + [
+            ReportRow(kind, None, "final_gap", self.gaps[-1], _verdict_word(self.verdict)),
+        ]
+
+
+def uniform_gap_study(family: OperatorFamily, samples: Sequence[GridFunction]) -> UniformGapReport:
+    """The uniform gap sup ||F_n(x) - F(x)|| over `samples` at each level of `family`.
+
+    Verdict: the last gap is at most a quarter of the first, or at most 1e-12.
+    """
+    gaps = tuple(uniform_gap(family, n, samples) for n in family.levels)
+    return UniformGapReport(tuple(family.levels), gaps,
+                            gaps[-1] <= max(gaps[0] / 4.0, 1e-12))
+
+
+@dataclass(frozen=True)
 class InfConvergenceReport:
     levels: tuple[int, ...]
     inf_values: tuple[float, ...]
@@ -126,6 +177,13 @@ class InfConvergenceReport:
     gaps: tuple[float, ...]
     minimizer_distances: tuple[float, ...]
     verdict: bool
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        return _level_rows(kind, self.levels, inf_value=self.inf_values, gap=self.gaps,
+                           min_distance=self.minimizer_distances) + [
+            ReportRow(kind, None, "reference_min", self.reference_min),
+            ReportRow(kind, None, "final_gap", self.gaps[-1], _verdict_word(self.verdict)),
+        ]
 
 
 def inf_convergence_study(
@@ -168,6 +226,19 @@ class EpsChainReport:
     exact_value_at_cluster: float
     final_value_gap: float
     verdict: bool | None
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        return (
+            _level_rows(kind, self.levels, eps=self.eps_values, chain_value=self.chain_values,
+                        certified=map(float, self.certified))
+            + _level_rows(kind, self.levels[1:], step_distance=self.step_distances)
+            + [
+                ReportRow(kind, None, "cluster_found", float(self.cluster_found)),
+                ReportRow(kind, None, "exact_value_at_cluster", self.exact_value_at_cluster),
+                ReportRow(kind, None, "final_value_gap", self.final_value_gap,
+                          _verdict_word(self.verdict)),
+            ]
+        )
 
 
 def eps_minimizer_chain(
@@ -245,6 +316,23 @@ class GammaEstimate:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
+
+    @property
+    def verdict(self) -> bool:
+        """The certified number is the lower (liminf-side) estimate; the upper side is
+        aliasing-prone on a fixed grid and stays diagnostic."""
+        return self.lower_stabilized
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        rows = [ReportRow(kind, None, f"{side}@r={r:g}", value)
+                for r, lo, up in zip(self.radii, self.lower_by_radius, self.upper_by_radius)
+                for side, value in (("lower", lo), ("upper", up))]
+        return rows + [
+            ReportRow(kind, None, "estimate", self.estimate, _verdict_word(self.verdict)),
+            ReportRow(kind, None, "upper_stabilized", float(self.upper_stabilized),
+                      "diagnostic"),
+            ReportRow(kind, None, "limit_gap", self.gap),
+        ]
 
 
 def _neighborhood(grid: np.ndarray, point: float, r: float) -> slice:
@@ -351,6 +439,18 @@ class CoercivityProbe:
     witness_bound: float | None
     verdict: bool
 
+    def rows(self, kind: str) -> list[ReportRow]:
+        witness = [] if self.witness_bound is None else [
+            ReportRow(kind, None, "witness_bound", self.witness_bound)]
+        return [
+            ReportRow(kind, None, "delta", self.delta),
+            ReportRow(kind, None, "antecedent_hits", float(self.antecedent_hits)),
+            ReportRow(kind, None, "violations", float(len(self.violations))),
+            *witness,
+            ReportRow(kind, None, "inclusion_holds", float(self.verdict),
+                      _verdict_word(self.verdict)),
+        ]
+
 
 def equi_coercivity_probe(
     seq: ApproxSequence,
@@ -410,6 +510,15 @@ class AlphaZeroReport:
     omega_gaps: tuple[float, ...]
     x_dagger: GridFunction
     verdict: bool
+
+    def rows(self, kind: str) -> list[ReportRow]:
+        return _level_rows(kind, self.levels, alpha=self.alphas, noise_ratio=self.noise_ratios,
+                           operator_ratio=self.operator_ratios,
+                           distance_to_min_penalty=self.distances,
+                           omega_gap=self.omega_gaps) + [
+            ReportRow(kind, None, "final_distance", self.distances[-1],
+                      _verdict_word(self.verdict)),
+        ]
 
 
 def alpha_zero_study(

@@ -45,6 +45,7 @@ from gammareg import (
     eps_minimizer_chain,
     equi_coercivity_probe,
     estimate_gamma_limits,
+    fem,
     gaussian_kernel,
     grad_check,
     grid_nodes,
@@ -85,14 +86,15 @@ def test_c1_galerkin_rate_is_second_order(acceptance_log):
     started = time.perf_counter()
     study = rate_study(problem, (7, 15, 31, 63, 127))
     elapsed = time.perf_counter() - started
-    ok = -2.2 <= study.slope <= -1.8 and elapsed < 5.0
+    low, high = fem.RATE_SLOPE_WINDOW
+    ok = low <= study.slope <= high and elapsed < 5.0
     _log(
         acceptance_log,
         "1 galerkin rate",
         ok,
-        f"slope {study.slope:.4f} in [-2.2, -1.8], {elapsed:.2f}s < 5s",
+        f"slope {study.slope:.4f} in [{low}, {high}], {elapsed:.2f}s < 5s",
     )
-    assert -2.2 <= study.slope <= -1.8
+    assert low <= study.slope <= high
     assert elapsed < 5.0
 
 

@@ -41,12 +41,13 @@ from gammareg import (
     UnsupportedPenaltyError,
     build_family,
     build_target,
+    fem,
     parse_config,
     resolve_potential,
 )
 from gammareg.cli import run_study
 from gammareg.config import (
-    _KIND_KEYS, DATA, DOMAINS, GAMMA_FAMILIES, KERNELS, PENALTIES, STUDY_KINDS, TRUTHS,
+    _KIND_KEYS, DATA, DOMAINS, GAMMA_FAMILIES, KERNELS, PENALTIES, STUDIES, STUDY_KINDS, TRUTHS,
 )
 from gammareg.functionals import ALPHA_KINDS, NOISE_DIRECTIONS, NOISE_KINDS
 
@@ -400,6 +401,14 @@ def metrics(report: str) -> list[str]:
     return [r[2] for r in csv.reader(io.StringIO(report))][1:]
 
 
+def _layout(report: str) -> str:
+    """The CSV report without its value column, once every value reads as a float."""
+    rows = list(csv.reader(io.StringIO(report)))
+    for row in rows[1:]:
+        float(row[3])
+    return "".join(",".join(row[:3] + row[4:]) + "\n" for row in rows)
+
+
 def _csv_schema(report: str) -> bool:
     rows = list(csv.reader(io.StringIO(report)))
     return (
@@ -502,10 +511,175 @@ NONNEG_DEMO = """
     levels = 5, 9, 17
 """
 
+INTEGRAL_DEMO = "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\n" \
+                "[schedule]\nlevels = 5, 9, 17\n"
+
+COERCIVITY = """
+    [study]
+    kind = coercivity
+    thresholds = 0.1, 1.0, 10.0
+
+    [problem]
+    input_m = 17
+    quad_m = 65
+    alpha = 0.1
+    truth_amplitude = 0.01
+
+    [schedule]
+    levels = 5, 9, 17
+    alpha_kind = power
+"""
+
+ALPHA_ZERO = """
+    [study]
+    kind = alpha-zero
+    tol = 1e-2
+
+    [problem]
+    input_m = 9
+    quad_m = 65
+    alpha = 0
+    truth_amplitude = 0.003
+
+    [schedule]
+    levels = doubling:8:3
+    alpha_kind = power
+    alpha_exponent = 0.5
+    noise_kind = power
+    exact_family = true
+"""
+
 PENALTY = "[study]\nkind = inf-study\n[problem]\ninput_m = 17\nquad_m = 65\npenalty = {}\n" \
           "[schedule]\nlevels = 5, 9, 17, 33\n"
 FEM_INF_STUDY = "[study]\nkind = inf-study\n[problem]\nkernel = fem\ninput_m = 17\n" \
                 "potential = {}\n[schedule]\nlevels = 4, 8, 16\n"
+
+# A tiny config of each kind and its report without the value column, so that each
+# report's rows keep their order, levels, metrics and verdict words. The full bytes
+# of a gamma-estimate report are pinned in CASES.
+_HEADER = "study,level,metric,verdict,wall_time_ms\n"
+LAYOUTS = {
+    "fem-rate": (FEM_RATE, _HEADER + """\
+fem-rate,7,l2_error,,0.0
+fem-rate,15,l2_error,,0.0
+fem-rate,31,l2_error,,0.0
+fem-rate,63,l2_error,,0.0
+fem-rate,,rate_slope,pass,0.0
+"""),
+    "integral-demo": (INTEGRAL_DEMO, _HEADER + """\
+integral-demo,5,uniform_gap,,0.0
+integral-demo,9,uniform_gap,,0.0
+integral-demo,17,uniform_gap,,0.0
+integral-demo,,final_gap,pass,0.0
+"""),
+    "inf-study": (FAST_INF_STUDY, _HEADER + """\
+inf-study,5,inf_value,,0.0
+inf-study,5,gap,,0.0
+inf-study,5,min_distance,,0.0
+inf-study,9,inf_value,,0.0
+inf-study,9,gap,,0.0
+inf-study,9,min_distance,,0.0
+inf-study,17,inf_value,,0.0
+inf-study,17,gap,,0.0
+inf-study,17,min_distance,,0.0
+inf-study,,reference_min,,0.0
+inf-study,,final_gap,pass,0.0
+"""),
+    # an exact last level (129 = quad_m): the chain's tail is Cauchy
+    "eps-chain": ("[study]\nkind = eps-chain\n[problem]\ninput_m = 9\nquad_m = 129\n"
+                  "alpha = 0.1\ntruth_amplitude = 0.01\n[schedule]\nlevels = 17, 33, 65, 129\n",
+                  _HEADER + """\
+eps-chain,17,eps,,0.0
+eps-chain,17,chain_value,,0.0
+eps-chain,17,certified,,0.0
+eps-chain,33,eps,,0.0
+eps-chain,33,chain_value,,0.0
+eps-chain,33,certified,,0.0
+eps-chain,65,eps,,0.0
+eps-chain,65,chain_value,,0.0
+eps-chain,65,certified,,0.0
+eps-chain,129,eps,,0.0
+eps-chain,129,chain_value,,0.0
+eps-chain,129,certified,,0.0
+eps-chain,33,step_distance,,0.0
+eps-chain,65,step_distance,,0.0
+eps-chain,129,step_distance,,0.0
+eps-chain,,cluster_found,,0.0
+eps-chain,,exact_value_at_cluster,,0.0
+eps-chain,,final_value_gap,pass,0.0
+"""),
+    # noise of size n^(-1/2) keeps the chain's steps far above the Cauchy tolerance
+    "eps-chain-without-cluster": (
+        "[study]\nkind = eps-chain\n[problem]\ninput_m = 9\nquad_m = 33\nalpha = 0.1\n"
+        "truth_amplitude = 0.01\n[schedule]\nlevels = 5, 9, 17\nnoise_kind = seeded\n"
+        "noise_amplitude = 1\nnoise_exponent = 0.5\n", _HEADER + """\
+eps-chain,5,eps,,0.0
+eps-chain,5,chain_value,,0.0
+eps-chain,5,certified,,0.0
+eps-chain,9,eps,,0.0
+eps-chain,9,chain_value,,0.0
+eps-chain,9,certified,,0.0
+eps-chain,17,eps,,0.0
+eps-chain,17,chain_value,,0.0
+eps-chain,17,certified,,0.0
+eps-chain,9,step_distance,,0.0
+eps-chain,17,step_distance,,0.0
+eps-chain,,cluster_found,,0.0
+eps-chain,,exact_value_at_cluster,,0.0
+eps-chain,,final_value_gap,diagnostic,0.0
+"""),
+    "coercivity": (COERCIVITY, _HEADER + """\
+coercivity,,delta,,0.0
+coercivity,,antecedent_hits,,0.0
+coercivity,,violations,,0.0
+coercivity,,witness_bound,,0.0
+coercivity,,inclusion_holds,pass,0.0
+"""),
+    # a ball makes the target not linear-quadratic: no witness_bound row
+    "coercivity-on-a-ball": (
+        "[study]\nkind = coercivity\nthresholds = 0.1, 1.0, 10.0\n[problem]\ninput_m = 9\n"
+        "quad_m = 33\nalpha = 0.1\ndomain = l2_ball\ntruth_amplitude = 0.01\n"
+        "[schedule]\nlevels = 5, 9, 17\n", _HEADER + """\
+coercivity,,delta,,0.0
+coercivity,,antecedent_hits,,0.0
+coercivity,,violations,,0.0
+coercivity,,inclusion_holds,pass,0.0
+"""),
+    "alpha-zero": (ALPHA_ZERO, _HEADER + "".join(
+        f"alpha-zero,{n},{name},,0.0\n" for n in (8, 16, 32)
+        for name in ("alpha", "noise_ratio", "operator_ratio", "distance_to_min_penalty",
+                     "omega_gap")) + "alpha-zero,,final_distance,pass,0.0\n"),
+}
+
+# A tiny config of each kind but coercivity whose study reads False as a library call.
+# No config makes a coercivity probe fail: T_n >= delta Omega on every level (see
+# test_studies.py for a functional that breaks that bound).
+FAILING = {
+    # levels too coarse for the second-order asymptotics
+    "fem-rate": "[study]\nkind = fem-rate\n[schedule]\nlevels = 2, 3, 4\n",
+    # neighbouring levels: the gap of level 17 is not a quarter of level 16's
+    "integral-demo": "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\n"
+                     "[schedule]\nlevels = 16, 17\n",
+    "inf-study": FAST_INF_STUDY.replace("tol = 1e-2", "tol = 1e-12"),
+    # a Cauchy tail whose last level is not exact: T(cluster) misses the chain by 6e-11
+    "eps-chain": "[study]\nkind = eps-chain\ntol = 1e-15\n[problem]\ninput_m = 9\n"
+                 "quad_m = 129\nalpha = 0.1\ntruth_amplitude = 0.01\n[schedule]\n"
+                 "levels = 17, 33, 65\n",
+    # inf x^2 + 1/j over |x - 1| < r is (1 - r)^2 + 1/j: it moves with r
+    "gamma-estimate": "[study]\nkind = gamma-estimate\nfamily = uniform_shift\npoint = 1.0\n"
+                      "radii = 0.5, 0.1\nindex_window = 8\ngrid_m = 256\n",
+    "alpha-zero": ALPHA_ZERO.replace("tol = 1e-2", "tol = 1e-6"),
+}
+
+
+@pytest.mark.parametrize("kind", FAILING)
+def test_a_study_verdict_can_fail_as_a_library_call(kind):
+    run = parse_config(textwrap.dedent(FAILING[kind]))
+    assert run.study.kind == kind
+    report = STUDIES[kind](run)
+    assert report.verdict is False
+    assert "fail" in [row.verdict for row in report.rows(kind)]
+
 
 RUN = "run --config {config}"
 VALIDATE = "validate --config {config}"
@@ -777,7 +951,7 @@ CASES: dict[str, Case] = {
     "test_fem_rate_study_passes": Case(
         FEM_RATE, RUN, 0,
         report=lambda out: metric(out, "rate_slope")[1] == "pass"
-        and -2.2 <= metric(out, "rate_slope")[0] <= -1.8),
+        and fem.RATE_SLOPE_WINDOW[0] <= metric(out, "rate_slope")[0] <= fem.RATE_SLOPE_WINDOW[1]),
     # a sampled coefficient spells the same problem as the builtin it tabulates
     "test_table_potential_runs_like_the_builtin": Case(
         FEM_RATE.replace("potential = one", "potential = table:1,1"), RUN, 0,
@@ -814,8 +988,7 @@ CASES: dict[str, Case] = {
             "gamma-estimate,,upper_stabilized,1.0,diagnostic,0.0\n"
             "gamma-estimate,,limit_gap,0.03026356076118053,,0.0\n")),
     "test_integral_demo_study_runs": Case(
-        "[study]\nkind = integral-demo\n[problem]\ninput_m = 9\nquad_m = 65\n"
-        "[schedule]\nlevels = 5, 9, 17\n", RUN, 0,
+        INTEGRAL_DEMO, RUN, 0,
         report=lambda out: metric(out, "final_gap")[0] < metric(out, "uniform_gap")[0]),
     # sin 3 pi x and cos 2 pi x change sign: the demo measures the gap on
     # the standard samples that lie in the nonnegative ball, not on all
@@ -826,47 +999,21 @@ CASES: dict[str, Case] = {
         for kernel in ("identity", "constant", "separable", "gaussian")
     },
     "test_coercivity_study_runs": Case(
-        """
-        [study]
-        kind = coercivity
-        thresholds = 0.1, 1.0, 10.0
-
-        [problem]
-        input_m = 17
-        quad_m = 65
-        alpha = 0.1
-        truth_amplitude = 0.01
-
-        [schedule]
-        levels = 5, 9, 17
-        alpha_kind = power
-        """, RUN, 0,
+        COERCIVITY, RUN, 0,
         report=lambda out: metric(out, "inclusion_holds")[1] == "pass"
         and metric(out, "violations")[0] == 0.0),
     # the other alpha-zero rows are refusals; this one runs to its verdict
     "test_alpha_zero_study_runs": Case(
-        """
-        [study]
-        kind = alpha-zero
-        tol = 1e-2
-
-        [problem]
-        input_m = 9
-        quad_m = 65
-        alpha = 0
-        truth_amplitude = 0.003
-
-        [schedule]
-        levels = doubling:8:3
-        alpha_kind = power
-        alpha_exponent = 0.5
-        noise_kind = power
-        exact_family = true
-        """, RUN, 0,
+        ALPHA_ZERO, RUN, 0,
         report=lambda out: metrics(out) == ["alpha", "noise_ratio", "operator_ratio",
                                             "distance_to_min_penalty", "omega_gap"] * 3
         + ["final_distance"] and metric(out, "final_distance")[1] == "pass"
         and abs(metric(out, "final_distance")[0] - 0.0025761298758422454) <= 1e-12),
+    **{
+        f"test_each_kind_keeps_its_report_layout[{key}]": Case(
+            config, RUN, 0, report=lambda out, layout=layout: _layout(out) == layout)
+        for key, (config, layout) in LAYOUTS.items()
+    },
 }
 
 

@@ -14,6 +14,7 @@ from gammareg import (
     GridFunction,
     NormTag,
     NumericalError,
+    ReportRow,
     assemble,
     from_callable,
     grid_nodes,
@@ -166,7 +167,8 @@ def test_rate_study_slope_is_second_order():
     study = rate_study(manufactured_sine(ONE), (7, 15, 31, 63))
     assert study.levels == (7, 15, 31, 63)
     assert len(study.errors) == 4
-    assert -2.2 <= study.slope <= -1.8
+    low, high = fem.RATE_SLOPE_WINDOW
+    assert low <= study.slope <= high
 
 
 def test_rate_study_frozen_slope():
@@ -175,12 +177,23 @@ def test_rate_study_frozen_slope():
     assert study.slope == pytest.approx(-1.8927475517462562, abs=1e-9)
 
 
+def test_rate_study_verdict_is_the_slope_window():
+    # second order within RATE_SLOPE_WINDOW, ends included, passes; any other slope fails
+    for slope, verdict in [(-2.0, True), (-2.2, True), (-1.8, True),
+                           (-2.25, False), (-1.75, False), (-1.0, False)]:
+        study = fem.RateStudy((8, 16, 32), (1.0, 0.25, 0.0625), slope)
+        assert study.verdict is verdict
+        assert study.rows("fem-rate")[-1] == ReportRow(
+            "fem-rate", None, "rate_slope", slope, "pass" if verdict else "fail")
+
+
 def test_rate_study_runs_past_the_conditioning_of_fine_levels():
     # ||Au - b|| / ||b|| grows like the condition number (about n^2) and
     # exceeds 1e-12 from n = 300 on; the backward error stays near 1e-16
     study = rate_study(manufactured_sine(ONE), (16, 32, 64, 128, 256, 512))
     assert study.levels[-1] == 512
-    assert -2.2 <= study.slope <= -1.8
+    low, high = fem.RATE_SLOPE_WINDOW
+    assert low <= study.slope <= high
 
 
 def test_solve_bvp_refuses_a_perturbed_solution(monkeypatch):

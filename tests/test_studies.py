@@ -15,6 +15,7 @@ from gammareg import (
     GridFunction,
     NoiseSchedule,
     NumericalError,
+    OperatorFamily,
     ResolutionError,
     SolveConfig,
     StudyRefusal,
@@ -46,6 +47,7 @@ from gammareg import (
     solve_linear_quadratic,
     standard_samples,
     uniform_gap,
+    uniform_gap_study,
 )
 from gammareg import functionals, operators, solvers, studies
 
@@ -260,6 +262,38 @@ def test_coercivity_probe_judges_omega_on_the_input_grid():
     assert probe.antecedent_hits == 2
     assert probe.violations == ()
     assert probe.verdict is True
+
+
+def test_coercivity_probe_fails_on_a_functional_below_delta_omega():
+    # T_n >= alpha_n Omega >= delta Omega makes the inclusion hold; scaled by 1/100,
+    # T_n drops below delta Omega, and samples near y with Omega > t / delta enter
+    # the sublevel set {T_n <= t}
+    op = identity_operator(9)
+    y = from_callable(lambda t: np.sin(np.pi * t), 9)
+    samples = standard_samples(9, rho=1.0)
+    for scale, verdict in [(1.0, True), (0.01, False)]:
+        target = TikhonovProblem(op, y, alpha=0.1, scale=scale)
+        seq = make_approx_sequence(target, make_constant_family(op, (2, 4, 8)))
+        probe = equi_coercivity_probe(seq, samples, (0.01,))
+        assert probe.verdict is verdict
+        assert probe.rows("coercivity")[-1].verdict == ("pass" if verdict else "fail")
+
+
+# ------------------------------------------------------------- uniform gaps
+
+
+def test_uniform_gap_study_fails_when_the_last_gap_stays_large():
+    # F_n = (1 + 1/n) I has gaps proportional to 1/n: the last of 2, 4, 8, 16 is an
+    # eighth of the first and passes; a last level (1 + 1/6) I leaves a third and fails
+    op = identity_operator(9)
+    samples = standard_samples(9)
+    for last, verdict in [(1.0 / 16, True), (1.0 / 6, False)]:
+        family = OperatorFamily((2, 4, 8, 16), op, lambda n, last=last: ForwardOperator(
+            (1.0 + (last if n == 16 else 1.0 / n)) * np.eye(9)))
+        report = uniform_gap_study(family, samples)
+        assert report.gaps == tuple(uniform_gap(family, n, samples) for n in family.levels)
+        assert report.verdict is verdict
+        assert report.rows("integral-demo")[-1].verdict == ("pass" if verdict else "fail")
 
 
 # ------------------------------------------------------------- alpha to zero
