@@ -62,7 +62,7 @@ def run_study(run: RunSpec) -> tuple[list[ReportRow], bool | None]:
     Raises StudyRefusal when the study declines its hypotheses; the
     caller maps that to the refusal exit code.
     """
-    report = STUDIES[run.study.kind](run)
+    report = STUDIES[run.study.kind].run(run)
     return report.rows(run.study.kind), report.verdict
 
 

@@ -10,6 +10,7 @@ fixes the file in one round trip instead of replaying errors one at a time.
 from __future__ import annotations
 
 import configparser
+import enum
 import math
 import re
 import sys
@@ -128,46 +129,44 @@ KERNELS = {
     "fem": lambda p, s, domain: make_fem_family(
         resolve_potential(p.potential), s.levels, input_m=p.input_m, domain=domain),
 }
-# run -> the report of its study, which renders its rows and carries its verdict; the
-# studies are looked up on their modules at each call, where a tracer wraps them
+# What a study's run builds, each stage on top of the one before and bringing its own rules
+Builds = enum.IntEnum("Builds", "NOTHING FAMILY SEQUENCE SOLVED", start=0)
+
+
+@dataclass(frozen=True)
+class Study:
+    """A kind: its runner, the [study] keys it reads beside kind, its default tol, its stage."""
+
+    run: Callable[[RunSpec], object]
+    keys: tuple[str, ...] = ()
+    tol: float | None = None
+    builds: Builds = Builds.NOTHING
+
+
+# The studies are looked up on their modules at each call, where a tracer wraps them
 STUDIES = {
-    "fem-rate": lambda run: fem.rate_study(
-        _manufactured(resolve_potential(run.problem.potential)), run.schedule.levels),
-    "integral-demo": lambda run: studies.uniform_gap_study(build_family(run), _samples(run)),
-    "inf-study": lambda run: studies.inf_convergence_study(
+    "fem-rate": Study(lambda run: fem.rate_study(
+        _manufactured(resolve_potential(run.problem.potential)), run.schedule.levels)),
+    "integral-demo": Study(lambda run: studies.uniform_gap_study(
+        build_family(run), _samples(run)), builds=Builds.FAMILY),
+    "inf-study": Study(lambda run: studies.inf_convergence_study(
         build_sequence(run), run.solver, tol=run.study.tol),
-    "eps-chain": lambda run: studies.eps_minimizer_chain(
+        ("tol",), INF_STUDY_TOL, Builds.SOLVED),
+    "eps-chain": Study(lambda run: studies.eps_minimizer_chain(
         build_sequence(run), solver=run.solver, value_gap_tol=run.study.tol),
-    "gamma-estimate": lambda run: studies.estimate_gamma_limits(
+        ("tol",), EPS_CHAIN_TOL, Builds.SOLVED),
+    "gamma-estimate": Study(lambda run: studies.estimate_gamma_limits(
         GAMMA_FAMILIES[run.study.gamma_family], run.study.grid, run.study.point,
         run.study.radii, run.study.index_window),
-    "coercivity": lambda run: studies.equi_coercivity_probe(
+        ("family", "point", "radii", "index_window", "grid_m")),
+    "coercivity": Study(lambda run: studies.equi_coercivity_probe(
         build_sequence(run), _samples(run), run.study.thresholds, run.solver),
-    "alpha-zero": lambda run: studies.alpha_zero_study(
+        ("thresholds",), builds=Builds.SEQUENCE),
+    "alpha-zero": Study(lambda run: studies.alpha_zero_study(
         build_sequence(run), run.solver, tol=run.study.tol),
+        ("tol",), ALPHA_ZERO_TOL, Builds.SOLVED),
 }
-STUDY_KINDS = tuple(STUDIES)
-
-# The kinds that read a tolerance, each with its default
-_TOL_DEFAULTS = {
-    "inf-study": INF_STUDY_TOL, "eps-chain": EPS_CHAIN_TOL, "alpha-zero": ALPHA_ZERO_TOL
-}
-
-# [study] keys that only some kinds read, every other kind refusing them: the
-# name a refusal gives the key, and the kinds that read it
-_KIND_KEYS = {
-    "tol": ("tolerance", tuple(_TOL_DEFAULTS)),
-    "thresholds": ("thresholds", ("coercivity",)),
-    **{key: (key, ("gamma-estimate",))
-       for key in ("family", "point", "radii", "index_window", "grid_m")},
-}
-
-
-def _read_by(kinds: tuple[str, ...]) -> str:
-    """'a reads it', or 'a, b and c read it'."""
-    if len(kinds) == 1:
-        return f"{kinds[0]} reads it"
-    return f"{', '.join(kinds[:-1])} and {kinds[-1]} read it"
+assert all(("tol" in s.keys) == (s.tol is not None) for s in STUDIES.values())
 
 
 @dataclass(frozen=True)
@@ -394,20 +393,23 @@ def parse_config(text: str) -> RunSpec:
         if section not in known:
             col.complain(section, None, "unknown section")
 
-    if not parser.has_section("study"):
-        col.problems.append("[study]: section is required")
-    elif not parser.has_option("study", "kind"):
-        col.complain("study", None, "missing required key 'kind'")
-    kind = col.value("study", "kind", "inf-study", _one_of(STUDY_KINDS))
+    if not parser.has_option("study", "kind"):
+        col.complain("study", None, "missing required key 'kind'"
+                     if parser.has_section("study") else "section is required")
+    kind = col.value("study", "kind", None, _one_of(STUDIES))
+    record = STUDIES.get(kind, Study(None))  # no kind: no key read, no rule applied
 
     # a [study] key its kind does not read is refused (unless the kind itself
     # was), then dropped, so that its value draws no second complaint
     if parser.has_section("study"):
         for key in parser.options("study"):
-            noun, readers = _KIND_KEYS.get(key, (key, STUDY_KINDS))
-            if kind not in readers:
+            readers = [name for name, study in STUDIES.items() if key in study.keys]
+            if readers and key not in record.keys:
                 col.raw("study", key)  # read: refused, not unknown
-                col.conflict("study", key, f"kind {kind} has no {noun}; {_read_by(readers)}",
+                noun = "tolerance" if key == "tol" else key
+                *others, last = readers  # 'a reads it', or 'a, b and c read it'
+                read_by = f"{', '.join(others)} and {last} read" if others else f"{last} reads"
+                col.conflict("study", key, f"kind {kind} has no {noun}; {read_by} it",
                              ("study", "kind"), ("study", None))
                 parser.remove_option("study", key)
 
@@ -417,7 +419,7 @@ def parse_config(text: str) -> RunSpec:
     d = StudySpec(kind)
     study = StudySpec(
         kind=kind,
-        tol=col.value("study", "tol", _TOL_DEFAULTS.get(kind), _number, _POSITIVE),
+        tol=col.value("study", "tol", record.tol, _number, _POSITIVE),
         radii=col.value("study", "radii", d.radii, _numbers, (
             lambda rs: min(rs) <= 0 or any(b >= a for a, b in zip(rs, rs[1:])),
             "must be positive and strictly decreasing")),
@@ -492,15 +494,13 @@ def parse_config(text: str) -> RunSpec:
 
     # cross-field checks
     if (
-        kind not in ("fem-rate", "gamma-estimate")  # the kinds that build no family
+        record.builds >= Builds.FAMILY
         and isinstance(KERNELS[problem.kernel], _Quadrature)
         and not schedule.exact_family
         and max(schedule.levels) > problem.quad_m
     ):
-        col.conflict(
-            "schedule", "levels", f"largest level exceeds quad_m = {problem.quad_m}",
-            ("problem", "quad_m"), ("problem", "kernel"), ("schedule", "exact_family"),
-        )
+        col.conflict("schedule", "levels", f"largest level exceeds quad_m = {problem.quad_m}",
+                     ("problem", "quad_m"), ("problem", "kernel"), ("schedule", "exact_family"))
     if kind == "fem-rate" and len(schedule.levels) < 3:
         col.conflict("schedule", "levels", "fem-rate needs at least three levels")
     if kind == "gamma-estimate":
@@ -520,9 +520,9 @@ def parse_config(text: str) -> RunSpec:
             gaussian_kernel(problem.sigma)
         except GridCompatibilityError as exc:
             col.conflict("problem", "sigma", str(exc), ("problem", "kernel"))
-    # the kinds that build a sequence, which refuses an alpha_n it cannot use, and
-    # whose noise size amplitude * n^(-exponent) needs float(n) of the last level
-    sequence = kind in ("inf-study", "eps-chain", "coercivity", "alpha-zero")
+    # a sequence refuses an alpha_n it cannot use, and its noise size
+    # amplitude * n^(-exponent) needs float(n) of the last level
+    sequence = record.builds >= Builds.SEQUENCE
     if sequence and (unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
         col.conflict("schedule", "alpha_kind", "alpha_n must be positive and finite at every "
                      "level; it is {1:g} at level {0}".format(*unusable),
@@ -540,7 +540,7 @@ def parse_config(text: str) -> RunSpec:
         col.conflict("problem", "alpha", "coercivity probe needs alpha > 0")
     penalty = PENALTIES[problem.penalty](problem)
     if (
-        kind in ("inf-study", "eps-chain", "alpha-zero")
+        record.builds >= Builds.SOLVED
         and not linear_quadratic(problem.exponent_p, penalty, DOMAINS[problem.domain](problem))
         and (problem.exponent_p <= 1.0 or not penalty.is_smooth)
     ):

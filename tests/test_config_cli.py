@@ -47,7 +47,7 @@ from gammareg import (
 )
 from gammareg.cli import run_study
 from gammareg.config import (
-    _KIND_KEYS, DATA, DOMAINS, GAMMA_FAMILIES, KERNELS, PENALTIES, STUDIES, STUDY_KINDS, TRUTHS,
+    DATA, DOMAINS, GAMMA_FAMILIES, KERNELS, PENALTIES, STUDIES, TRUTHS, Builds,
 )
 from gammareg.functionals import ALPHA_KINDS, NOISE_DIRECTIONS, NOISE_KINDS
 
@@ -125,6 +125,20 @@ def test_readme_config_block_validates():
     assert run.problem == ProblemSpec()
     assert run.schedule == ScheduleSpec()
     assert run.solver == SolveConfig()
+
+
+def test_readme_kind_table_is_the_studies_records():
+    # each kind's [study] keys, default tol and what it builds, as README's table gives them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (table,) = re.findall(r"^\| kind \|.*\n\| ---.*\n((?:\|.*\n)+)", readme, re.M)
+    builds = {"nothing": Builds.NOTHING, "a family": Builds.FAMILY,
+              "a sequence": Builds.SEQUENCE, "a solved sequence": Builds.SOLVED}
+    rows = []
+    for line in table.splitlines():
+        kind, keys, tol, built, _rules = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((kind.strip("`"), tuple(re.findall(r"`(\w+)`", keys)),
+                     None if tol == "—" else float(tol), builds[built]))
+    assert rows == [(kind, s.keys, s.tol, s.builds) for kind, s in STUDIES.items()]
 
 
 def test_doubling_levels_grammar():
@@ -676,13 +690,15 @@ FAILING = {
 def test_a_study_verdict_can_fail_as_a_library_call(kind):
     run = parse_config(textwrap.dedent(FAILING[kind]))
     assert run.study.kind == kind
-    report = STUDIES[kind](run)
+    report = STUDIES[kind].run(run)
     assert report.verdict is False
     assert "fail" in [row.verdict for row in report.rows(kind)]
 
 
 RUN = "run --config {config}"
 VALIDATE = "validate --config {config}"
+BOGUS_KIND = ("[study] kind: expected one of fem-rate, integral-demo, inf-study, eps-chain, "
+              "gamma-estimate, coercivity, alpha-zero; got 'bogus' (line 2)\n")
 UNSEEDED = FAST_INF_STUDY.replace("noise_seed = 11", "")
 
 
@@ -703,9 +719,7 @@ CASES: dict[str, Case] = {
     "test_validate_accepts_a_good_config": Case(
         FAST_INF_STUDY, VALIDATE, 0, report=lambda out: out == "config ok: inf-study\n"),
     "test_validate_reports_problems_and_fails": Case(
-        "[study]\nkind = bogus\n", VALIDATE, 2,
-        "[study] kind: expected one of fem-rate, integral-demo, inf-study, eps-chain, "
-        "gamma-estimate, coercivity, alpha-zero; got 'bogus' (line 2)\n"),
+        "[study]\nkind = bogus\n", VALIDATE, 2, BOGUS_KIND),
     # a misspelled key used to leave its setting at the default, silently
     "test_unknown_keys_are_refused": Case(
         "[study]\nkind = inf-study\n[problem]\nkernl = separable\ninput_m = 9\n"
@@ -760,9 +774,75 @@ CASES: dict[str, Case] = {
     },
     # the kind is not known, so no key can be judged against it
     "test_a_refused_kind_refuses_no_other_study_key": Case(
-        "[study]\nkind = bogus\nthresholds = 1\n", VALIDATE, 2,
-        "[study] kind: expected one of fem-rate, integral-demo, inf-study, eps-chain, "
-        "gamma-estimate, coercivity, alpha-zero; got 'bogus' (line 2)\n"),
+        "[study]\nkind = bogus\nthresholds = 1\n", VALIDATE, 2, BOGUS_KIND),
+    # nor any rule of a kind: a missing or refused kind used to be judged as an inf-study,
+    # whose projected-gradient and alpha_n rules then complained of the other keys
+    **{
+        f"test_a_config_without_a_kind_is_judged_by_no_kind[{label}]": Case(
+            config, VALIDATE, 2, stderr)
+        for label, config, stderr in [
+            ("refused-kind-p-1", "[study]\nkind = bogus\n[problem]\nexponent_p = 1\n",
+             BOGUS_KIND),
+            ("refused-kind-alpha-0", "[study]\nkind = bogus\n[problem]\nalpha = 0\n", BOGUS_KIND),
+            # no kind reads tol, so its value is not judged either
+            ("refused-kind-tol", "[study]\nkind = bogus\ntol = -1\n", BOGUS_KIND),
+            ("no-study-section-p-1", "[problem]\nexponent_p = 1\n",
+             "[study]: section is required\n"),
+        ]
+    },
+    # each cross-field rule, pinned on a kind whose record it follows from
+    **{
+        f"test_a_cross_field_rule_refuses_the_kinds_it_applies_to[{label}]": Case(
+            config, VALIDATE, 2, stderr)
+        for label, config, stderr in [
+            ("family-levels-past-quad-m",
+             "[study]\nkind = integral-demo\n[problem]\nquad_m = 33\n[schedule]\nlevels = 17, 65\n",
+             "[schedule] levels: largest level exceeds quad_m = 33 (line 6)\n"),
+            ("sequence-level-past-the-floats",
+             "[study]\nkind = coercivity\n[problem]\nkernel = identity\ninput_m = 9\n"
+             f"[schedule]\nlevels = 2, {10**309}\nnoise_kind = power\n",
+             "[schedule] levels: noise_kind = power needs every level within the float range; "
+             f"{10**309} is not (line 7)\n"),
+            ("sequence-alpha-n-and-coercivity-alpha",
+             "[study]\nkind = coercivity\n[problem]\nalpha = 0\n",
+             "[schedule] alpha_kind: alpha_n must be positive and finite at every level; "
+             "it is 0 at level 8\n[problem] alpha: coercivity probe needs alpha > 0 (line 4)\n"),
+            ("coercivity-alpha",
+             "[study]\nkind = coercivity\n[problem]\nalpha = 0\n[schedule]\nalpha_kind = power\n",
+             "[problem] alpha: coercivity probe needs alpha > 0 (line 4)\n"),
+            ("alpha-zero-alpha",
+             "[study]\nkind = alpha-zero\n[problem]\nalpha = 0.1\n[schedule]\nalpha_kind = power\n",
+             "[problem] alpha: alpha-zero study needs alpha = 0 (line 4)\n"),
+            ("alpha-zero-data",
+             "[study]\nkind = alpha-zero\n[problem]\nalpha = 0\ndata = direct_profile\n"
+             "[schedule]\nalpha_kind = power\n",
+             "[problem] data: alpha-zero study needs attainable data (line 5)\n"),
+            ("solved-inf-study-p-1", "[study]\nkind = inf-study\n[problem]\nexponent_p = 1\n",
+             "[problem] exponent_p: inf-study outside p = 2, q = 2, whole_space runs projected "
+             "gradient, which needs p > 1 and a smooth penalty (line 4)\n"),
+            ("solved-eps-chain-linf", "[study]\nkind = eps-chain\n[problem]\npenalty = linf\n",
+             "[problem] penalty: eps-chain outside p = 2, q = 2, whole_space runs projected "
+             "gradient, which needs p > 1 and a smooth penalty (line 4)\n"),
+            ("solved-alpha-zero-q-1.5",
+             "[study]\nkind = alpha-zero\n[problem]\nalpha = 0\npenalty = p_power_norm\n"
+             "penalty_q = 1.5\n[schedule]\nalpha_kind = power\n",
+             "[problem] penalty: alpha-zero outside p = 2, q = 2, whole_space runs projected "
+             "gradient, which needs p > 1 and a smooth penalty (line 5)\n"),
+        ]
+    },
+    # and passes a kind that does not build what the rule judges
+    "test_a_cross_field_rule_passes_the_kinds_it_does_not_apply_to[family-gamma-estimate]": Case(
+        "[study]\nkind = gamma-estimate\n[problem]\nquad_m = 33\n[schedule]\nlevels = 17, 65\n",
+        VALIDATE, 0, report=lambda out: out == "config ok: gamma-estimate\n"),
+    # the probe solves no level, so a non-smooth penalty does not stop it
+    "test_a_cross_field_rule_passes_the_kinds_it_does_not_apply_to[solved-coercivity]": Case(
+        "[study]\nkind = coercivity\n[problem]\ninput_m = 9\nquad_m = 33\nalpha = 0.1\n"
+        "penalty = p_power_norm\npenalty_q = 1.5\ntruth_amplitude = 0.01\n[schedule]\n"
+        "levels = 5, 9, 17\n", RUN, 0,
+        report=lambda out: metric(out, "inclusion_holds")[1] == "pass"),
+    "test_a_cross_field_rule_passes_the_kinds_it_does_not_apply_to[sequence-fem-rate]": Case(
+        FEM_RATE.replace("potential = one", "potential = one\n    alpha = 0"), RUN, 0,
+        report=lambda out: metric(out, "rate_slope")[1] == "pass"),
     "test_validate_agrees_with_run_on_grids[fem-rate-two-levels]": Case(
         "[study]\nkind = fem-rate\n[schedule]\nlevels = 8, 16\n", VALIDATE, 2,
         "[schedule] levels: fem-rate needs at least three levels (line 4)\n"),
@@ -1099,9 +1179,9 @@ def _ini(sections: dict) -> str:
 
 @st.composite
 def drawn_configs(draw) -> str:
-    kind = draw(st.sampled_from(STUDY_KINDS))
+    kind = draw(st.sampled_from(list(STUDIES)))
     study = draw(st.fixed_dictionaries({}, optional={
-        key: values for key, values in _DRAWN_STUDY_KEYS.items() if kind in _KIND_KEYS[key][1]}))
+        key: values for key, values in _DRAWN_STUDY_KEYS.items() if key in STUDIES[kind].keys}))
     sections = {"study": {"kind": kind, **study}}
     for name, keys in _DRAWN_KEYS.items():
         sections[name] = draw(st.fixed_dictionaries({}, optional=keys))
