@@ -520,24 +520,29 @@ def parse_config(text: str) -> RunSpec:
             gaussian_kernel(problem.sigma)
         except GridCompatibilityError as exc:
             col.conflict("problem", "sigma", str(exc), ("problem", "kernel"))
-    # a sequence refuses an alpha_n it cannot use, and its noise size
-    # amplitude * n^(-exponent) needs float(n) of the last level
-    sequence = record.builds >= Builds.SEQUENCE
-    if sequence and (unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
-        col.conflict("schedule", "alpha_kind", "alpha_n must be positive and finite at every "
-                     "level; it is {1:g} at level {0}".format(*unusable),
-                     ("problem", "alpha"), ("schedule", "alpha_amplitude"),
-                     ("schedule", "alpha_exponent"), ("schedule", "levels"))
-    if sequence and schedule.noise.kind != "none" and schedule.levels[-1] > sys.float_info.max:
-        col.conflict("schedule", "levels", f"noise_kind = {schedule.noise.kind} needs every "
-                     f"level within the float range; {schedule.levels[-1]} is not",
-                     ("schedule", "noise_kind"))
     if kind == "alpha-zero" and problem.alpha != 0.0:
         col.conflict("problem", "alpha", "alpha-zero study needs alpha = 0")
     if kind == "alpha-zero" and problem.data != "forward_of_truth":
         col.conflict("problem", "data", "alpha-zero study needs attainable data")
     if kind == "coercivity" and problem.alpha <= 0.0:
         col.conflict("problem", "alpha", "coercivity probe needs alpha > 0")
+    # a sequence refuses an alpha_n it cannot use, after the kind rules, which name its
+    # cause more closely; its noise size amplitude * n^(-exponent) needs float(n) of the
+    # last level
+    sequence = record.builds >= Builds.SEQUENCE
+    if sequence and (unusable := schedule.alpha.first_unusable(problem.alpha, schedule.levels)):
+        # an unwritten alpha_kind is the constant schedule, whose alpha_n is alpha
+        written = col.parser.has_option("schedule", "alpha_kind")
+        section, key = ("schedule", "alpha_kind") if written else ("problem", "alpha")
+        col.conflict(section, key, "alpha_n must be positive and finite at every level; "
+                     "it is {1:g} at level {0}".format(*unusable),
+                     ("problem", "alpha"), ("schedule", "alpha_kind"),
+                     ("schedule", "alpha_amplitude"), ("schedule", "alpha_exponent"),
+                     ("schedule", "levels"))
+    if sequence and schedule.noise.kind != "none" and schedule.levels[-1] > sys.float_info.max:
+        col.conflict("schedule", "levels", f"noise_kind = {schedule.noise.kind} needs every "
+                     f"level within the float range; {schedule.levels[-1]} is not",
+                     ("schedule", "noise_kind"))
     penalty = PENALTIES[problem.penalty](problem)
     if (
         record.builds >= Builds.SOLVED

@@ -9,6 +9,7 @@ appear when c and f are piecewise linear.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -103,6 +104,8 @@ def _galerkin_system(
     p2 = z_left + h * (0.5 + _GAUSS_OFFSET)
     c1 = np.asarray(potential(p1), dtype=float)
     c2 = np.asarray(potential(p2), dtype=float)
+    if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
+        raise EllipticityError("potential must be finite at every quadrature point")
     if np.any(c1 < 0.0) or np.any(c2 < 0.0):
         bad = min(np.min(c1), np.min(c2))
         raise EllipticityError(
@@ -156,17 +159,35 @@ def solve_bvp(problem: EllipticProblem, n: int) -> GridFunction:
     return GridFunction(np.pad(u, 1))
 
 
+# (potential, n, input_m) -> padded solution columns, while an operator keeps them
+_CORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def fem_operator_matrix(
     potential: PointFunction, n: int, input_m: int, output_m: int,
     domain: DomainSpec | None = None,
 ) -> ForwardOperator:
     """The level forward map: its Thomas solution columns, padded with the
     zero boundary rows, prolonged onto the output_m-node grid. The operator
-    keeps that padded array as its core, without a copy."""
-    src_nodes = grid_nodes(input_m)
-    # The load columns are the input grid's piecewise-linear basis.
-    system = _galerkin_system(potential, lambda x: interpolation_matrix(src_nodes, x), n)
-    u_cols = np.pad(thomas_solve(system), ((1, 1), (0, 0)))  # zero boundary rows
+    keeps that padded array as its core, without a copy.
+
+    `potential` must be a pure function of t. While an operator keeps a core,
+    every call with the same potential object, n and input_m reuses it, each
+    operator with its own domain and prolongation; a potential that cannot be
+    hashed is solved anew each call.
+    """
+    key = (potential, n, input_m)
+    try:
+        u_cols = _CORES.get(key)
+    except TypeError:  # an unhashable potential is not shared
+        key = u_cols = None
+    if u_cols is None:
+        src_nodes = grid_nodes(input_m)
+        # The load columns are the input grid's piecewise-linear basis.
+        system = _galerkin_system(potential, lambda x: interpolation_matrix(src_nodes, x), n)
+        u_cols = np.pad(thomas_solve(system), ((1, 1), (0, 0)))  # zero boundary rows
+        if key is not None:
+            _CORES[key] = u_cols
     return ForwardOperator._adopt(u_cols, domain or whole_space(), _prolongation(n + 2, output_m))
 
 
@@ -179,7 +200,9 @@ def make_fem_family(
     """Family of Galerkin forward maps with reference level n_ref = 16 max(levels) + 1.
 
     The studies rely on a reference substantially finer than every tested
-    level; 16x the largest is that margin.
+    level; 16x the largest is that margin. `potential` must be a pure function
+    of t: families built from the same potential object share the reference
+    and level cores (`fem_operator_matrix`) while any of them keeps one.
     """
     levels = tuple(int(n) for n in levels)
     n_ref = 16 * max(levels) + 1

@@ -180,7 +180,8 @@ class ForwardOperator:
         prolong: tuple[np.ndarray, np.ndarray] | None = None,
         shift: int | None = None,
     ) -> ForwardOperator:
-        """The operator over `core`, a float array its caller has just made and drops.
+        """The operator over `core`, a float array that nobody writes to again;
+        several operators may keep the same core.
 
         A C-ordered core is kept as it is, and made read-only; another is copied
         into C order once. `shift` r marks a `_nested_quadrature` core, whose
@@ -343,16 +344,19 @@ def _ldl(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ldl_solve(p: np.ndarray, r: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L D L^T x = b, p, r = `_ldl(d, e)`; b is (k,) or (k, columns), solved in one copy."""
+    """x with L D L^T x = b, p, r = `_ldl(d, e)`; b is (k,) or (k, columns), solved in one copy.
+    Rows update in place through views made once, products going to one scratch row."""
     x = np.array(b, dtype=float)
-    rows = x.reshape(len(p), -1)  # a view; a row of a vector is one element
+    rows = list(x.reshape(len(p), -1))  # views; a row of a vector is one element
+    scratch = np.empty_like(rows[0])
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     p, r, e = memoryview(p), memoryview(r), memoryview(e)  # rows index as Python floats
-    for i in range(1, len(p)):  # z = L^-1 b
-        rows[i] -= r[i - 1] * rows[i - 1]
-    rows[-1] /= p[-1]
-    for i in range(len(p) - 2, -1, -1):  # x_i = (z_i - e_i x_{i+1}) / p_i
-        rows[i] -= e[i] * rows[i + 1]
-        rows[i] /= p[i]
+    for row, prev, ri in zip(rows[1:], rows, r):  # z = L^-1 b
+        subtract(row, multiply(ri, prev, out=scratch), out=row)
+    divide(rows[-1], p[-1], out=rows[-1])
+    for row, nxt, ei, pi in zip(rows[-2::-1], rows[::-1], e[::-1], p[-2::-1]):
+        subtract(row, multiply(ei, nxt, out=scratch), out=row)  # x_i = (z_i - e_i x_{i+1}) / p_i
+        divide(row, pi, out=row)
     return x
 
 

@@ -803,10 +803,15 @@ CASES: dict[str, Case] = {
              f"[schedule]\nlevels = 2, {10**309}\nnoise_kind = power\n",
              "[schedule] levels: noise_kind = power needs every level within the float range; "
              f"{10**309} is not (line 7)\n"),
+            # the kind rule names the cause, so the sequence rule adds no second line
             ("sequence-alpha-n-and-coercivity-alpha",
              "[study]\nkind = coercivity\n[problem]\nalpha = 0\n",
-             "[schedule] alpha_kind: alpha_n must be positive and finite at every level; "
-             "it is 0 at level 8\n[problem] alpha: coercivity probe needs alpha > 0 (line 4)\n"),
+             "[problem] alpha: coercivity probe needs alpha > 0 (line 4)\n"),
+            # with no alpha_kind written the constant schedule's alpha_n is alpha
+            ("sequence-alpha-n-without-alpha-kind",
+             "[study]\nkind = inf-study\n[problem]\nalpha = 0\n",
+             "[problem] alpha: alpha_n must be positive and finite at every level; "
+             "it is 0 at level 8 (line 4)\n"),
             ("coercivity-alpha",
              "[study]\nkind = coercivity\n[problem]\nalpha = 0\n[schedule]\nalpha_kind = power\n",
              "[problem] alpha: coercivity probe needs alpha > 0 (line 4)\n"),

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
-from gammareg import fem, operators
+from gammareg import config, fem, operators
 from gammareg.grids import interpolation_matrix
 from gammareg import (
     EllipticProblem,
@@ -77,6 +79,13 @@ def test_negative_potential_rejected():
         assemble(EllipticProblem(lambda t: t - 0.5, ONE), 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_potential_rejected(bad):
+    # NaN passes a `c < 0` test; it would fill the core with NaN
+    with pytest.raises(EllipticityError, match="potential must be finite"):
+        make_fem_family(lambda t: np.where(t > 0.5, bad, 1.0), (4, 8), input_m=9)
+
+
 def test_tabulated_potential_accepted():
     # a sampled coefficient is an interpolating callable over its table
     table = from_callable(ONE, 9)
@@ -125,6 +134,33 @@ def test_thomas_solve_refuses_a_zero_pivot():
     system = fem.TridiagonalSystem(np.array([1.0, 4.0]), np.array([2.0]), np.ones(2))
     with pytest.raises(NumericalError, match="zero pivot in tridiagonal elimination"):
         thomas_solve(system)
+
+
+def _row_loop_ldl_solve(p, r, e, b):
+    # the row loop `_ldl_solve` replaced, kept as its oracle
+    x = np.array(b, dtype=float)
+    rows = x.reshape(len(p), -1)
+    for i in range(1, len(p)):
+        rows[i] -= r[i - 1] * rows[i - 1]
+    rows[-1] /= p[-1]
+    for i in range(len(p) - 2, -1, -1):
+        rows[i] -= e[i] * rows[i + 1]
+        rows[i] /= p[i]
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 8193])
+@pytest.mark.parametrize("columns", [None, 65], ids=["vector", "block"])
+def test_ldl_solve_is_bitwise_the_row_loop(k, columns):
+    rng = np.random.default_rng(k)
+    d, e = 2.0 + rng.random(k), -rng.random(k - 1)
+    p, r = operators._ldl(d, e)
+    b = rng.standard_normal(k if columns is None else (k, columns))
+    b[::3] = 0.0
+    b[1::3] *= -0.0  # zeros of both signs
+    got, want = operators._ldl_solve(p, r, e, b), _row_loop_ldl_solve(p, r, e, b)
+    assert got.shape == b.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------- solving
@@ -273,3 +309,67 @@ def test_fem_reference_prolongation_is_zero_padding():
     want = _dense_fem_operator(ONE, 255, 33, 257)
     assert np.array_equal(got[[0, -1]], np.zeros((2, 33)))
     assert np.array_equal(got[1:-1], want[1:-1])
+
+
+# ------------------------------------------------------------ shared cores
+
+
+def _cores(family):
+    return [family.reference.core] + [family.operator_at(n).core for n in family.levels]
+
+
+def test_families_of_one_potential_share_their_cores():
+    potential = lambda t: 1.0 + t  # noqa: E731
+    whole = make_fem_family(potential, (4, 8), input_m=9)
+    ball = make_fem_family(potential, (4, 8), input_m=9, domain=operators.norm_ball(0.5))
+    assert all(a is b for a, b in zip(_cores(whole), _cores(ball)))
+    assert whole.reference.domain == operators.whole_space()
+    assert ball.reference.domain == ball.operator_at(4).domain == operators.norm_ball(0.5)
+    assert whole.operator_at(4).domain == operators.whole_space()
+
+
+def test_a_core_is_shared_only_at_its_potential_level_and_input_grid():
+    potential = lambda t: 1.0 + t  # noqa: E731
+    core = fem.fem_operator_matrix(potential, 7, 9, 9).core
+    twin = lambda t: 1.0 + t  # noqa: E731
+    for other in (fem.fem_operator_matrix(twin, 7, 9, 9),
+                  fem.fem_operator_matrix(potential, 7, 17, 9),
+                  fem.fem_operator_matrix(potential, 15, 9, 17)):
+        assert other.core is not core
+    assert fem.fem_operator_matrix(potential, 7, 9, 33).core is core  # another output grid
+
+
+def test_a_core_is_released_with_its_last_holder():
+    potential = lambda t: 1.0 + t  # noqa: E731
+    family = make_fem_family(potential, (4, 8), input_m=9)
+    assert any(key[0] is potential for key in list(fem._CORES.keys()))
+    del family
+    gc.collect()
+    assert not any(key[0] is potential for key in list(fem._CORES.keys()))
+
+
+def test_an_unhashable_potential_is_solved_anew():
+    class Table:  # eq without hash: instances are unhashable
+        def __eq__(self, other):
+            return isinstance(other, Table)
+
+        def __call__(self, t):
+            return np.ones_like(t)
+
+    potential = Table()
+    first = fem.fem_operator_matrix(potential, 7, 9, 9)
+    second = fem.fem_operator_matrix(potential, 7, 9, 9)
+    assert first.core is not second.core
+    assert np.array_equal(first.core, second.core)
+    assert np.array_equal(first.core, fem.fem_operator_matrix(ONE, 7, 9, 9).core)
+
+
+def test_config_sequences_on_one_potential_share_the_reference_core():
+    common = "kernel = fem\npotential = one\ninput_m = 17\ntruth = sine\n"
+    ball = config.parse_config("[study]\nkind = inf-study\n[problem]\n" + common
+                               + "domain = l2_ball\nradius = 0.05\n[schedule]\nlevels = 4, 8\n")
+    pnorm = config.parse_config("[study]\nkind = eps-chain\n[problem]\n" + common
+                                + "alpha = 0.05\n[schedule]\nlevels = 4, 8\n")
+    first, second = config.build_sequence(ball), config.build_sequence(pnorm)
+    assert first.family.reference.core is second.family.reference.core
+    assert first.family.reference.domain != second.family.reference.domain
