@@ -25,6 +25,7 @@ from .grids import (
     from_callable,
     grid_nodes,
     interpolate_rows,
+    interpolation_matrix,
     interpolation_weights,
     norm,
     resample,
@@ -443,13 +444,13 @@ def integral_matrix(kernel: KernelSpec, quad_m: int) -> np.ndarray:
 def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndarray:
     """`integral_matrix(kernel, quad_m) @ resample_matrix(input_m, quad_m)`.
 
-    Row i sums K(s_j, s_i) w_j times the interpolation row of s_j, which
-    holds 1 - theta_j at input node idx_j and theta_j at idx_j + 1. The
+    Row i sums K(s_j, s_i) w_j times the interpolation row of s_j. The
     transpose is built a block of quadrature nodes at a time: the kernel
     block G[j, i] = K(s_j, s_i) over every output node enters one product
-    P @ G, P the dense (input nodes spanned x block) matrix holding
-    w_j (1 - theta_j) and w_j theta_j. With input_m = quad_m those weights
-    are exactly 1 and 0, so `integral_matrix` is K(s_j, s_i) w_j to the bit.
+    P @ G, P the C-ordered (input nodes spanned x block) transpose of the
+    block's rows of `interpolation_matrix` on the input nodes they span, each
+    row times its w_j. With input_m = quad_m those rows hold exactly 1 and 0,
+    so `integral_matrix` is K(s_j, s_i) w_j to the bit.
 
     A stationary kernel, K(s_j, s_i) = k(s_j - s_i), is evaluated once on the
     2 quad_m - 1 node offsets (-s[:0:-1], s); with that vector reversed, row j
@@ -471,25 +472,24 @@ def _quadrature_matrix(kernel: KernelSpec, quad_m: int, input_m: int) -> np.ndar
     """
     s = grid_nodes(quad_m)
     w = trapezoid_weights(quad_m)
-    idx, theta = interpolation_weights(grid_nodes(input_m), s)
+    src = grid_nodes(input_m)
     if kernel.profile is not None:
         k = np.asarray(kernel.profile(np.concatenate((-s[:0:-1], s))), dtype=float)
         if _nested_shift(kernel, quad_m, input_m) is not None:
-            return _nested_quadrature(k, w, idx, theta, input_m)
+            return _nested_quadrature(k, s, w, src)
         windows = sliding_window_view(k[::-1].copy(), quad_m)
+    idx, _ = interpolation_weights(src, s)
     at = np.zeros((input_m, quad_m))
     for js in _row_blocks(quad_m):
-        first = idx[js.start]
-        cols = np.arange(js.stop - js.start)
-        p = np.zeros((idx[js.stop - 1] + 2 - first, cols.size))
-        p[idx[js] - first, cols] = w[js] * (1.0 - theta[js])
-        p[idx[js] + 1 - first, cols] += w[js] * theta[js]
+        span = slice(idx[js.start], idx[js.stop - 1] + 2)
+        # C order: BLAS takes another path for the transposed view, and moves the last bit
+        p = np.ascontiguousarray((interpolation_matrix(src[span], s[js]) * w[js, None]).T)
         # no `del g` before this: freeing the block first made it ~2x slower
         if kernel.profile is None:
             g = np.asarray(kernel.evaluator(s[js, None], s[None, :]), dtype=float)
         else:
-            g = windows[quad_m - 1 - js.start - cols]
-        at[first : first + p.shape[0]] += p @ g
+            g = windows[quad_m - 1 - np.arange(js.start, js.stop)]
+        at[span] += p @ g
     return at.T
 
 
@@ -501,17 +501,15 @@ def _nested_shift(kernel: KernelSpec, quad_m: int, input_m: int) -> int | None:
     return (quad_m - 1) // (input_m - 1)
 
 
-def _nested_quadrature(
-    k: np.ndarray, w: np.ndarray, idx: np.ndarray, theta: np.ndarray, input_m: int
-) -> np.ndarray:
+def _nested_quadrature(k: np.ndarray, s: np.ndarray, w: np.ndarray, src: np.ndarray) -> np.ndarray:
     """`_quadrature_matrix` of a stationary kernel on grids that nest.
 
-    k holds the kernel at the 2 quad_m - 1 node offsets, w, idx and theta the
-    trapezoid and interpolation weights of the quad_m quadrature nodes; input
+    k holds the kernel at the 2 quad_m - 1 node offsets, s and w the quad_m
+    quadrature nodes and their trapezoid weights, src the input nodes; input
     node i sits on quadrature node r i. Column i gathers the taps
-    w_j R[j, i] over quad nodes j = r (i - 1) ... r (i + 1), R the
-    interpolation rows, so entry (l, i) is g[r (i - 1) + quad_m - 1 - l] with
-    g = correlate(k, taps). Every interior column takes the taps of input
+    w_j R[j, i] over quad nodes j = r (i - 1) ... r (i + 1), R the rows of
+    `interpolation_matrix(src, s)`, so entry (l, i) is g[r (i - 1) + quad_m - 1 - l]
+    with g = correlate(k, taps). Every interior column takes the taps of input
     node 1; on grids whose nodes are not dyadic, those of the others differ
     from them by the nodes' rounding (at 301 x 101 the gaussian matrix moves
     by 7.6e-15 of its largest entry). The two end columns have one-sided
@@ -523,13 +521,11 @@ def _nested_quadrature(
     `make_quadrature_family` hands r to the operator with the core
     (`ForwardOperator._adopt`), and `gram` forms the Gram from it (`_shift_gram`).
     """
-    quad_m = w.size
+    quad_m, input_m = s.size, src.size
     r = (quad_m - 1) // (input_m - 1)
 
     def correlation(i: int, js: slice) -> np.ndarray:  # g of input node i, taps over quad nodes js
-        hat = np.where(idx[js] == i, 1.0 - theta[js], 0.0)
-        hat += np.where(idx[js] + 1 == i, theta[js], 0.0)
-        return np.correlate(k, w[js] * hat, "valid")
+        return np.correlate(k, w[js] * interpolation_matrix(src, s[js])[:, i], "valid")
 
     out = np.empty((quad_m, input_m))
     out[:, 0] = correlation(0, slice(0, r + 1))[quad_m - 1 :: -1]

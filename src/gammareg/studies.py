@@ -324,8 +324,10 @@ class GammaEstimate:
         return self.lower_stabilized
 
     def rows(self, kind: str) -> list[ReportRow]:
-        rows = [ReportRow(kind, None, f"{side}@r={r:g}", value)
-                for r, lo, up in zip(self.radii, self.lower_by_radius, self.upper_by_radius)
+        # `:g` when it reads back as the radius, else repr: distinct radii, distinct labels
+        labels = [f"{r:g}" if float(f"{r:g}") == r else repr(r) for r in self.radii]
+        rows = [ReportRow(kind, None, f"{side}@r={label}", value)
+                for label, lo, up in zip(labels, self.lower_by_radius, self.upper_by_radius)
                 for side, value in (("lower", lo), ("upper", up))]
         return rows + [
             ReportRow(kind, None, "estimate", self.estimate, _verdict_word(self.verdict)),

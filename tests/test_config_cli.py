@@ -1072,6 +1072,12 @@ CASES: dict[str, Case] = {
             "gamma-estimate,,estimate,-0.9999999264297993,pass,0.0\n"
             "gamma-estimate,,upper_stabilized,1.0,diagnostic,0.0\n"
             "gamma-estimate,,limit_gap,0.03026356076118053,,0.0\n")),
+    # 0.1000001 and 0.1 both read 0.1 under `:g`, which labelled two radii alike;
+    # a radius `:g` does not write back exactly is labelled by its repr
+    "test_gamma_estimate_labels_each_radius_apart": Case(
+        "[study]\nkind = gamma-estimate\nradii = 0.2, 0.1000001, 0.1\n", RUN, 0,
+        report=lambda out: metrics(out)[:6] == [
+            f"{side}@r={r}" for r in ("0.2", "0.1000001", "0.1") for side in ("lower", "upper")]),
     "test_integral_demo_study_runs": Case(
         INTEGRAL_DEMO, RUN, 0,
         report=lambda out: metric(out, "final_gap")[0] < metric(out, "uniform_gap")[0]),

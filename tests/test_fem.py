@@ -246,6 +246,24 @@ def test_solve_bvp_refuses_a_perturbed_solution(monkeypatch):
         solve_bvp(manufactured_sine(ONE), 64)
 
 
+@pytest.mark.parametrize("spoil", [lambda v: v * (1.0 + 1e-9), lambda v: np.nan],
+                         ids=["relative-1e-9", "nan"])
+def test_an_operator_solve_is_checked_column_by_column(monkeypatch, spoil):
+    # one entry of one load column is spoiled, at the column's largest value: a
+    # backward error of about 5e-10 in that column, or NaN, and the others exact
+    exact_solve = fem.thomas_solve
+
+    def spoiled(system):
+        u = exact_solve(system)
+        row = np.argmax(np.abs(u[:, 3]))
+        u[row, 3] = spoil(u[row, 3])
+        return u
+
+    monkeypatch.setattr(fem, "thomas_solve", spoiled)
+    with pytest.raises(NumericalError, match="backward error"):
+        fem.fem_operator_matrix(lambda t: np.ones_like(t), 63, 9, 65)  # a potential of its own
+
+
 def test_rate_study_needs_three_levels():
     with pytest.raises(GridCompatibilityError):
         rate_study(manufactured_sine(ONE), (7, 15))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gammareg import (
     DomainSpec,
@@ -43,7 +44,7 @@ from gammareg import (
     whole_space,
 )
 from gammareg import operators
-from gammareg.grids import interpolate_rows
+from gammareg.grids import interpolate_rows, interpolation_weights
 from gammareg.operators import (
     _BLOCK_ROWS, _GRAM_ROWS, _nested_shift, _quadrature_matrix, _shift_gram, _tridiagonal_gram,
 )
@@ -254,6 +255,64 @@ def test_quadrature_matrix_equals_the_dense_product(kernel, quad_m, input_m):
     pointwise = KernelSpec(kernel.evaluator, kernel.label)
     dense = integral_matrix(pointwise, quad_m) @ resample_matrix(input_m, quad_m)
     _assert_rel_close(_quadrature_matrix(kernel, quad_m, input_m), dense, 1e-13)
+
+
+def _hand_scatter_quadrature_matrix(kernel, quad_m, input_m):
+    # `_quadrature_matrix` as it was before `interpolation_matrix` gave it its
+    # weights, kept as its oracle: the block's weights scattered by hand, the
+    # nested correlations' hats formed with np.where
+    s, w = grid_nodes(quad_m), trapezoid_weights(quad_m)
+    idx, theta = interpolation_weights(grid_nodes(input_m), s)
+    if kernel.profile is not None:
+        k = np.asarray(kernel.profile(np.concatenate((-s[:0:-1], s))), dtype=float)
+        if _nested_shift(kernel, quad_m, input_m) is not None:
+            r = (quad_m - 1) // (input_m - 1)
+
+            def correlation(i, js):
+                hat = np.where(idx[js] == i, 1.0 - theta[js], 0.0)
+                hat += np.where(idx[js] + 1 == i, theta[js], 0.0)
+                return np.correlate(k, w[js] * hat, "valid")
+
+            out = np.empty((quad_m, input_m))
+            out[:, 0] = correlation(0, slice(0, r + 1))[quad_m - 1 :: -1]
+            out[:, -1] = correlation(input_m - 1, slice(quad_m - 1 - r, quad_m))[::-1][:quad_m]
+            if input_m > 2:
+                g = correlation(1, slice(0, 2 * r + 1))
+                out[:, 1:-1] = sliding_window_view(g, r * (input_m - 3) + 1)[::-1, ::r]
+            return out
+        windows = sliding_window_view(k[::-1].copy(), quad_m)
+    at = np.zeros((input_m, quad_m))
+    for start in range(0, quad_m, _BLOCK_ROWS):
+        js = slice(start, min(start + _BLOCK_ROWS, quad_m))
+        first = idx[js.start]
+        cols = np.arange(js.stop - js.start)
+        p = np.zeros((idx[js.stop - 1] + 2 - first, cols.size))
+        p[idx[js] - first, cols] = w[js] * (1.0 - theta[js])
+        p[idx[js] + 1 - first, cols] += w[js] * theta[js]
+        if kernel.profile is None:
+            g = np.asarray(kernel.evaluator(s[js, None], s[None, :]), dtype=float)
+        else:
+            g = windows[quad_m - 1 - js.start - cols]
+        at[first : first + p.shape[0]] += p @ g
+    return at.T
+
+
+@pytest.mark.parametrize(
+    "kernel", [gaussian_kernel(0.2), separable_kernel(), constant_kernel(1.5)],
+    ids=lambda k: k.label,
+)
+@pytest.mark.parametrize(
+    "quad_m, input_m",
+    [(8193, 513), (4097, 257), (8193, 500), (1000, 65), (301, 101), (100, 3), (100, 7),
+     (9, 65), (65, 65), (1025, 5), (33, 2), (17, 3)],
+)
+def test_quadrature_matrix_is_the_hand_scatter_to_the_bit(kernel, quad_m, input_m):
+    # the separable kernel takes the evaluator's blocks; the stationary ones take
+    # the window blocks, or the nested correlations where quad_m - 1 = r (input_m - 1)
+    got = _quadrature_matrix(kernel, quad_m, input_m)
+    want = _hand_scatter_quadrature_matrix(kernel, quad_m, input_m)
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # A stationary kernel K(s, t) = k(s - t) is evaluated once per node offset.
@@ -579,7 +638,8 @@ def test_fem_family_memory_follows_kept_operators():
     )
     # The reference level carries n_ref x input_m arrays only: two Gauss-point
     # interpolations, load terms, the Thomas right side and solution, the
-    # padded solution and the two gather halves; a dozen of them at most.
+    # residual check's two, the padded solution and the two gather halves;
+    # a dozen of them at most.
     bound = kept + 12 * largest
     assert bound < n_ref * n_ref * F64 / 2  # a dense prolongation cannot fit
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
